@@ -158,6 +158,8 @@ class BddManager:
         # computed tables' generation-based invalidation because node ids can
         # be recycled by garbage collection.
         self._size_cache: Dict[int, int] = {}
+        # The last multi-root count as (roots tuple, count); same lifetime.
+        self._last_multi_count: Optional[Tuple[Tuple[int, ...], int]] = None
         # Free slots available for reuse after garbage collection.
         self._free: List[int] = []
         # Variable order bookkeeping.
@@ -1990,11 +1992,16 @@ class BddManager:
         """Number of distinct nodes (including terminals) reachable from
         ``roots``.
 
-        Single-root queries are memoised (generation-invalidated alongside
-        the computed tables): reachable sets are immutable while a node is
-        alive, so repeated size queries on the same function are O(1).
-        Visited marks use a bytearray indexed by node id, which is much
-        cheaper than hashing every id into a set.
+        Results are memoised and generation-invalidated alongside the
+        computed tables (garbage collection, reorders and adjacent swaps
+        all clear them): reachable sets are immutable while a node is
+        alive, so a repeated query is O(1).  Single roots are kept per
+        root; multi-root queries keep one slot holding the last root tuple
+        and its count, so the per-gate peak count, the node-budget check
+        and the final statistics of a 4r-slice state share one walk, and a
+        long-lived manager never accumulates entries.  Visited marks use a
+        bytearray indexed by node id, which is much cheaper than hashing
+        every id into a set.
         """
         stack = list(roots)
         single_root = stack[0] if len(stack) == 1 else None
@@ -2002,6 +2009,11 @@ class BddManager:
             cached = self._size_cache.get(single_root)
             if cached is not None:
                 return cached
+        else:
+            key = tuple(stack)
+            last = self._last_multi_count
+            if last is not None and last[0] == key:
+                return last[1]
         low_arr = self._low
         high_arr = self._high
         visited = bytearray(len(self._var))
@@ -2017,6 +2029,8 @@ class BddManager:
                 stack.append(high_arr[node])
         if single_root is not None:
             self._size_cache[single_root] = count
+        else:
+            self._last_multi_count = (key, count)
         return count
 
     def satcount(self, f: int, num_vars: Optional[int] = None) -> int:
@@ -2112,6 +2126,7 @@ class BddManager:
         """
         self._tables = [dict() for _ in range(_NUM_OPS)]
         self._size_cache = {}
+        self._last_multi_count = None
         self._cache_generation += 1
 
     @property

@@ -18,6 +18,10 @@ the ``r`` encodings of each vector.
 Probability accumulation walks the top ``n`` (qubit) levels of the monolithic
 BDD once, memoising per node, and decodes amplitudes only at the boundary
 nodes — the direct analogue of the QMDD traversal the paper compares against.
+An outcome query restricts the slices to the outcome cube *before* the
+combination, so the hyper-function is built over cofactors that no longer
+depend on the fixed qubits; for the usual all-qubit cube those cofactors are
+terminals reached by a plain path walk.
 All accumulation is exact: a probability is kept as an integer pair
 ``(x, y)`` meaning ``(x + y*sqrt(2)) / 2**k`` until the final conversion to
 float (this substitutes for the MPFR high-precision floats of the original
@@ -84,10 +88,14 @@ class ExactProbability:
 class MeasurementEngine:
     """Monolithic-BDD measurement and probability queries for one state.
 
-    The engine snapshots nothing: every public query rebuilds the
-    hyper-function from the state's current slices, so it can be used before
-    and after gate applications and collapses alike.  Construction is cheap
-    relative to the probability recursion it feeds.
+    The engine snapshots nothing: every public query builds its
+    hyper-function from the state's current slices, so it can be used
+    before and after gate applications and collapses alike.  Outcome
+    queries (:meth:`probability_of_outcome` and the collapse path through
+    :meth:`probability_of_qubit_exact`) cofactor the slices by the outcome
+    cube first and combine the cofactors, then shift the exact ``(x, y)``
+    pair right by the number of fixed variables (see
+    :meth:`_restricted_probability`).
     """
 
     def __init__(self, state: BitSlicedState):
@@ -113,8 +121,14 @@ class MeasurementEngine:
         r = self.state.r
         return max(1, (r - 1).bit_length())
 
-    def build_hyperfunction(self) -> Bdd:
-        """Combine the 4r slice BDDs into the monolithic BDD ``F`` of Eq. 12."""
+    def build_hyperfunction(self, slices: Optional[Dict[str, Sequence[Bdd]]] = None) -> Bdd:
+        """Combine the 4r slice BDDs into the monolithic BDD ``F`` of Eq. 12.
+
+        ``slices`` (default: the state's own) may substitute cofactors of
+        the slices, as :meth:`_restricted_probability` does.
+        """
+        if slices is None:
+            slices = self.state.slices
         num_bit_selectors = self._bit_selector_count()
         vector_vars, bit_vars = self._encoding_vars(num_bit_selectors)
         manager = self.manager
@@ -134,7 +148,7 @@ class MeasurementEngine:
         combined = manager.false
         for selector, name in enumerate(VECTOR_NAMES):
             per_vector = manager.false
-            for index, slice_bdd in enumerate(self.state.slices[name]):
+            for index, slice_bdd in enumerate(slices[name]):
                 if slice_bdd.is_false():
                     continue
                 per_vector = per_vector | (bit_minterm(index) & slice_bdd)
@@ -234,6 +248,64 @@ class MeasurementEngine:
         return ExactProbability(x, y, self.state.k)
 
     # ------------------------------------------------------------------ #
+    # cofactor-then-combine queries
+    # ------------------------------------------------------------------ #
+    def _cofactor(self, node: int, fixed: Dict[int, bool],
+                  by_level: List[Tuple[int, int, bool]]) -> int:
+        """Cofactor of ``node`` by the ``fixed`` literals (var -> value).
+
+        Walks down while the node's variable is fixed: a full cube ends on a
+        terminal without touching a table or building a node.  Fixed
+        variables left below the free variable the walk stopped at are
+        restricted away in level order (``by_level`` holds
+        ``(level, var, value)`` sorted by level).
+        """
+        manager = self.manager
+        while not manager.is_terminal(node):
+            var = manager.node_var(node)
+            value = fixed.get(var)
+            if value is None:
+                break
+            node = manager.node_high(node) if value else manager.node_low(node)
+        for level, var, value in by_level:
+            if manager.is_terminal(node):
+                break
+            if level >= manager.level_of(manager.node_var(node)):
+                node = manager.apply_restrict(node, var, value)
+        return node
+
+    def _restricted_probability(self, qubits: Sequence[int],
+                                outcome: Sequence[int]) -> ExactProbability:
+        """Exact ``sum |alpha|**2`` over the basis states with ``qubits ==
+        outcome`` (before the measurement factor ``s**2``).
+
+        Each slice is cofactored by the outcome cube first and Eq. 12's
+        hyper-function is built over the cofactors, so the nodes a full
+        hyper-function would spend on the fixed qubits are never made.  The
+        cofactors do not depend on the ``m`` distinct fixed variables, so
+        the accumulation counts every consistent basis state ``2**m`` times;
+        shifting the integer pair right by ``m`` is therefore exact.
+        Repeated qubits with equal values count once; conflicting values
+        give probability zero.
+        """
+        if len(qubits) != len(outcome):
+            raise ValueError("qubits and outcome must have the same length")
+        fixed: Dict[int, bool] = {}
+        for qubit, value in zip(qubits, outcome):
+            value = bool(value)
+            if fixed.setdefault(self.state.qubit_var(qubit), value) != value:
+                return ExactProbability(0, 0, self.state.k)
+        manager = self.manager
+        by_level = sorted((manager.level_of(var), var, value)
+                          for var, value in fixed.items())
+        cofactors = {name: [Bdd(manager, self._cofactor(bit.node, fixed, by_level))
+                            for bit in bits]
+                     for name, bits in self.state.slices.items()}
+        exact = self._accumulate(self.build_hyperfunction(cofactors))
+        shift = len(fixed)
+        return ExactProbability(exact.x >> shift, exact.y >> shift, exact.k)
+
+    # ------------------------------------------------------------------ #
     # public probability queries
     # ------------------------------------------------------------------ #
     def total_probability(self) -> float:
@@ -247,9 +319,7 @@ class MeasurementEngine:
         without collapsing.  Feeding this into
         :meth:`~repro.core.bitslice.BitSlicedState.project_qubit` enables the
         exact omega-algebra renormalisation on power-of-two outcomes."""
-        literal = self.manager.literal(self.state.qubit_var(qubit), bool(value))
-        restricted = self.build_hyperfunction() & literal
-        return self._accumulate(restricted)
+        return self._restricted_probability([qubit], [value])
 
     def probability_of_qubit(self, qubit: int, value: int = 0) -> float:
         """``Pr[qubit == value]`` without collapsing."""
@@ -262,13 +332,7 @@ class MeasurementEngine:
         This is the paper's preferred "measure all interesting qubits at
         once" query, which avoids intermediate renormalisation entirely.
         """
-        if len(qubits) != len(outcome):
-            raise ValueError("qubits and outcome must have the same length")
-        cube = self.manager.true
-        for qubit, value in zip(qubits, outcome):
-            cube = cube & self.manager.literal(self.state.qubit_var(qubit), bool(value))
-        restricted = self.build_hyperfunction() & cube
-        exact = self._accumulate(restricted)
+        exact = self._restricted_probability(qubits, outcome)
         return exact.to_float(self.state.s ** 2)
 
     def measurement_distribution(self, qubits: Optional[Sequence[int]] = None,

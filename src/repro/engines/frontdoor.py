@@ -292,6 +292,19 @@ def _materialise_hit(hit: RunResult, circuit: QuantumCircuit,
     return hit
 
 
+def _failure_accounting(instance) -> Tuple[int, Dict[str, int]]:
+    """``(peak_memory_nodes, extra)`` of a TO/MO run: the engine's peak and
+    ``gates_applied``, read on a best-effort basis (an engine stopped
+    mid-preparation may have no statistics to give)."""
+    try:
+        stats = instance.statistics()
+    except Exception:  # noqa: BLE001 - must not mask the TO/MO itself
+        return 0, {}
+    extra = ({"gates_applied": stats["gates_applied"]}
+             if "gates_applied" in stats else {})
+    return int(stats.get("peak_memory_nodes", 0)), extra
+
+
 def run(circuit: QuantumCircuit, engine: str = AUTO_ENGINE,
         limits: Optional[ResourceLimits] = None,
         shots: Optional[int] = None,
@@ -542,8 +555,10 @@ def run(circuit: QuantumCircuit, engine: str = AUTO_ENGINE,
                 extra["resumed_from_checkpoint"] = resume_depth
         except SimulationTimeout as exc:
             status, detail = STATUS_TIMEOUT, str(exc)
+            peak_memory_nodes, extra = _failure_accounting(instance)
         except (SimulationMemoryExceeded, MemoryError) as exc:
             status, detail = STATUS_MEMORY, str(exc)
+            peak_memory_nodes, extra = _failure_accounting(instance)
         except NumericalError as exc:
             status, detail = STATUS_ERROR, str(exc)
         except UnsupportedGateError as exc:

@@ -1,0 +1,142 @@
+"""The multi-root slot of ``BddManager.count_nodes``.
+
+One slot remembers the last multi-root query, so the per-gate peak count,
+the node-budget check and the final statistics of a state share one walk.
+It is cleared with the computed tables (garbage collection, reorders,
+adjacent swaps), holds one entry, and must never change a reported number:
+peaks and MO detection are pinned here against a memo-free walk on every
+node store.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import ResourceLimits, run
+from repro.bdd import ArrayBddManager, BddManager
+from repro.core.simulator import BitSliceSimulator
+from repro.workloads.random_circuits import generate_random_circuit
+
+try:
+    from repro.bdd._compiled import CompiledBddManager
+except ImportError:  # pragma: no cover - numpy-less environments
+    CompiledBddManager = None
+
+STORES = [BddManager, ArrayBddManager]
+if CompiledBddManager is not None:
+    STORES.append(CompiledBddManager)
+SUBSTRATES = ["dict", "array", "compiled"]
+
+
+def walk_count(manager, roots) -> int:
+    """Reachable nodes (terminals included) by a plain set-based walk."""
+    seen = set()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if node > 1:
+            stack.append(manager.node_low(node))
+            stack.append(manager.node_high(node))
+    return len(seen)
+
+
+def pair_functions(manager):
+    """``x0 x1 + x2 x3`` and ``x0 ^ x3``: the first grows when levels 1
+    and 2 swap (its pairs get interleaved)."""
+    x = [manager.var(i) for i in range(4)]
+    return [(x[0] & x[1]) | (x[2] & x[3]), x[0] ^ x[3]]
+
+
+@pytest.mark.parametrize("store", STORES)
+def test_swap_between_counts_returns_the_post_swap_count(store):
+    manager = store(4)
+    functions = pair_functions(manager)
+    roots = [f.node for f in functions]
+    before = manager.count_nodes(roots)
+    assert before == walk_count(manager, roots)
+    manager.swap_adjacent_levels(1)
+    after = manager.count_nodes(roots)
+    assert after == walk_count(manager, roots)
+    assert after != before
+
+
+@pytest.mark.parametrize("store", STORES)
+def test_sift_between_counts_returns_the_post_sift_count(store):
+    manager = store(4)
+    manager.set_order([0, 2, 1, 3])
+    functions = pair_functions(manager)
+    roots = [f.node for f in functions]
+    before = manager.count_nodes(roots)
+    manager.sift()
+    after = manager.count_nodes(roots)
+    assert after == walk_count(manager, roots)
+    assert after < before
+
+
+@pytest.mark.parametrize("store", STORES)
+def test_gc_between_counts_recounts(store):
+    manager = store(4)
+    functions = pair_functions(manager)
+    roots = [f.node for f in functions]
+    garbage = [manager.var(0) & manager.var(2) & manager.var(3)]
+    count = manager.count_nodes(roots)
+    del garbage
+    generation = manager.cache_generation
+    manager.garbage_collect()
+    assert manager.cache_generation == generation + 1
+    assert manager._last_multi_count is None
+    assert manager.count_nodes(roots) == count == walk_count(manager, roots)
+
+
+def test_slot_holds_one_entry():
+    manager = BddManager(4)
+    functions = pair_functions(manager)
+    first = [f.node for f in functions]
+    second = [functions[1].node, functions[0].node, manager.var(1).node]
+    manager.count_nodes(first)
+    manager.count_nodes(second)
+    assert manager._last_multi_count == (tuple(second),
+                                         walk_count(manager, second))
+    assert manager.count_nodes(first) == walk_count(manager, first)
+    assert manager._last_multi_count[0] == tuple(first)
+
+
+def reference_trace(circuit, substrate):
+    """Per-gate node counts of the state by a memo-free walk."""
+    simulator = BitSliceSimulator(circuit.num_qubits, substrate=substrate)
+    manager = simulator.state.manager
+
+    def count():
+        return walk_count(manager, [bit.node for bit in simulator.state.all_slices()])
+
+    counts = [count()]
+    for gate in circuit.gates:
+        simulator.apply_gate(gate)
+        counts.append(count())
+    return counts
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_peak_matches_a_memo_free_walk(substrate):
+    circuit = generate_random_circuit(8, seed=8001)
+    result = run(circuit, engine="bitslice", substrate=substrate,
+                 limits=ResourceLimits(max_seconds=60.0, max_nodes=None))
+    assert result.succeeded
+    assert result.peak_memory_nodes == max(reference_trace(circuit, substrate))
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_memory_out_trips_at_the_same_gate_and_count(substrate):
+    circuit = generate_random_circuit(8, seed=8001)
+    counts = reference_trace(circuit, substrate)
+    budget = (max(counts) + counts[0]) // 2
+    gate = next(index for index, nodes in enumerate(counts) if nodes > budget)
+    result = run(circuit, engine="bitslice", substrate=substrate,
+                 limits=ResourceLimits(max_seconds=60.0, max_nodes=budget))
+    assert result.status == "MO"
+    assert f"{counts[gate]} nodes > {budget} nodes" in result.detail
+    assert result.extra["gates_applied"] == gate
+    assert result.peak_memory_nodes == max(counts[:gate + 1])

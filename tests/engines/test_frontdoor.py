@@ -65,6 +65,23 @@ class TestRunFrontDoor:
                      limits=ResourceLimits(max_seconds=0.0))
         assert result.status == "TO"
 
+    def test_memory_out_keeps_its_accounting(self):
+        # Regression: TO/MO results used to report peak_memory_nodes=0.
+        circuit = generate_random_circuit(12, seed=3)
+        budget = 200
+        result = run(circuit, engine="bitslice",
+                     limits=ResourceLimits(max_seconds=60.0, max_nodes=budget))
+        assert result.status == "MO"
+        assert result.peak_memory_nodes >= budget
+        assert 0 < result.extra["gates_applied"] < circuit.num_gates
+
+    def test_timeout_keeps_its_accounting(self):
+        result = run(generate_random_circuit(8, seed=5), engine="bitslice",
+                     limits=ResourceLimits(max_seconds=0.0))
+        assert result.status == "TO"
+        assert result.peak_memory_nodes > 0
+        assert result.extra["gates_applied"] == 0
+
     @pytest.mark.parametrize("engine", ["bitslice", "qmdd", "statevector", "stabilizer"])
     def test_all_engines_answer_the_full_final_query(self, engine):
         # Regression: the stabilizer runner used to cap the final query at

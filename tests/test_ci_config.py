@@ -155,6 +155,17 @@ def job_sections(text, source):
     return jobs
 
 
+class TestPerfbenchTests:
+    def test_perfbench_tests_run_in_the_tier1_job(self):
+        """The repository benchmark (``perfbench/``) carries its own tests,
+        outside the default collection; the tier-1 job runs them so a
+        change that breaks the benchmark's harness fails CI, not the next
+        benchmark run."""
+        jobs = job_sections(ci_text(), "ci.yml")
+        assert "python -m pytest perfbench -q" in jobs["tests"]
+        assert (REPO_ROOT / "perfbench" / "test_perfbench.py").is_file()
+
+
 class TestChaosSuiteJob:
     def test_chaos_suite_is_a_separate_ci_job(self):
         """The seeded fault schedules run as their own job, so a
