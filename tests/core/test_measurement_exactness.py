@@ -128,18 +128,6 @@ def test_duplicate_and_conflicting_qubits():
     assert engine.probability_of_outcome([0, 0], [0, 1]) == 0.0
 
 
-@settings(max_examples=40, deadline=None)
-@given(op_lists(), st.permutations(list(range(NUM_QUBITS))), cubes)
-def test_after_reordering(ops, order, cube):
-    simulator = BitSliceSimulator.simulate(build_circuit_from_ops(NUM_QUBITS, ops))
-    manager = simulator.state.manager
-    manager.set_order(order)
-    simulator.sift()
-    engine = MeasurementEngine(simulator.state)
-    qubits, outcome = split(cube)
-    assert new_exact(engine, qubits, outcome) == reference_exact(engine, qubits, outcome)
-
-
 def test_sift_leaves_a_non_identity_order_and_the_query_exact():
     # Interleaved pairs (0,2), (1,3), (4,6), (5,7) entangled by CX: the
     # identity order separates every pair, so sifting moves variables.
