@@ -18,10 +18,14 @@ the ``r`` encodings of each vector.
 Probability accumulation walks the top ``n`` (qubit) levels of the monolithic
 BDD once, memoising per node, and decodes amplitudes only at the boundary
 nodes — the direct analogue of the QMDD traversal the paper compares against.
-An outcome query restricts the slices to the outcome cube *before* the
-combination, so the hyper-function is built over cofactors that no longer
-depend on the fixed qubits; for the usual all-qubit cube those cofactors are
-terminals reached by a plain path walk.
+:meth:`MeasurementEngine.total_probability` and
+:meth:`MeasurementEngine.measurement_distribution` use that construction.
+
+Outcome queries and shot sampling skip the hyper-function.  They cofactor
+the slices by the outcome cube (for the usual all-qubit cube a plain path
+walk that ends on terminals) and hand the tuple of ``4r`` cofactor node ids
+to :class:`SliceMass`, which sums the squared amplitudes in one memoised
+walk over the tuple itself.
 All accumulation is exact: a probability is kept as an integer pair
 ``(x, y)`` meaning ``(x + y*sqrt(2)) / 2**k`` until the final conversion to
 float (this substitutes for the MPFR high-precision floats of the original
@@ -85,17 +89,98 @@ class ExactProbability:
         return f"ExactProbability(({self.x} + {self.y}*sqrt2)/2^{self.k})"
 
 
+class SliceMass:
+    """Exact summed ``|amplitude|**2`` of a tuple of ``4r`` slice nodes.
+
+    :meth:`mass` takes node ids laid out like
+    :meth:`~repro.core.bitslice.BitSlicedState.all_slices` (vectors ``a..d``,
+    each in bit order) and returns the integer pair ``(x, y)`` of
+    ``sum (a*a + b*b + c*c + d*d, a*b + b*c + c*d - a*d)`` over every
+    assignment of the state's qubit variables, where ``a..d`` are the
+    two's-complement integers the slices spell (bit ``j`` weighs ``2**j``,
+    the sign bit ``-2**(r-1)``).  That is the state's mass
+    ``(x + y*sqrt(2)) / 2**k`` before the measurement factor ``s**2``.
+
+    The walk splits a tuple on its topmost level, evaluates all-terminal
+    tuples from their bits, and sums the two halves with ``2**skip`` shifts
+    for the levels a half does not depend on.  It runs on an explicit stack
+    (a basis-state cube puts every level on some path, so wide registers are
+    deep) and memoises per tuple, so a sampler's prefixes — cofactors met on
+    the way down — share one walk.  The memo follows
+    :attr:`~repro.bdd.manager.BddManager.cache_generation`: garbage
+    collection and reordering drop it.
+    """
+
+    def __init__(self, state: BitSlicedState):
+        self.manager = state.manager
+        self.num_qubits = state.num_qubits
+        self.r = state.r
+        self._weights = [1 << j for j in range(self.r - 1)] + [-(1 << (self.r - 1))]
+        # tuple -> (x, y, level): (x, y) summed over the levels at and
+        # below ``level``, the tuple's topmost level.
+        self._memo: Dict[Tuple[int, ...], Tuple[int, int, int]] = {}
+        self._valid_for = (self.manager.cache_generation, self.manager.num_vars)
+
+    def _leaf(self, bits: Tuple[int, ...]) -> Tuple[int, int]:
+        r, weights = self.r, self._weights
+        a, b, c, d = (sum(weight for weight, bit in zip(weights, bits[start:start + r])
+                          if bit)
+                      for start in range(0, 4 * r, r))
+        return a * a + b * b + c * c + d * d, a * b + b * c + c * d - a * d
+
+    def mass(self, nodes: Tuple[int, ...]) -> Tuple[int, int]:
+        """Exact ``(x, y)`` of ``nodes`` summed over all qubit assignments."""
+        manager = self.manager
+        bottom = manager.num_vars
+        if self._valid_for != (manager.cache_generation, bottom):
+            self._memo = {}
+            self._valid_for = (manager.cache_generation, bottom)
+        memo = self._memo
+        if nodes not in memo:
+            # The manager's node columns, read directly as satcount does.
+            var_of, low_of, high_of = manager._var, manager._low, manager._high
+            level_of, var_at = manager._var_to_level, manager._level_to_var
+            stack: list = [nodes]
+            while stack:
+                item = stack.pop()
+                if item.__class__ is list:  # both halves are done: combine
+                    item, top, low, high = item
+                    low_x, low_y, low_level = memo[low]
+                    high_x, high_y, high_level = memo[high]
+                    low_skip, high_skip = low_level - top - 1, high_level - top - 1
+                    memo[item] = ((low_x << low_skip) + (high_x << high_skip),
+                                  (low_y << low_skip) + (high_y << high_skip), top)
+                    continue
+                if item in memo:
+                    continue
+                top = min([level_of[var_of[node]] for node in item if node > 1],
+                          default=bottom)
+                if top == bottom:
+                    memo[item] = self._leaf(item) + (bottom,)
+                    continue
+                var = var_at[top]
+                low = tuple([low_of[node] if var_of[node] == var else node
+                             for node in item])
+                high = tuple([high_of[node] if var_of[node] == var else node
+                              for node in item])
+                stack += ([item, top, low, high], high, low)
+        x, y, level = memo[nodes]
+        # Variables other than the qubits' (Eq. 12's encoding variables)
+        # never occur in slices; every one of them doubled the sum.
+        extra = bottom - self.num_qubits
+        return (x << level) >> extra, (y << level) >> extra
+
+
 class MeasurementEngine:
     """Monolithic-BDD measurement and probability queries for one state.
 
-    The engine snapshots nothing: every public query builds its
-    hyper-function from the state's current slices, so it can be used
-    before and after gate applications and collapses alike.  Outcome
-    queries (:meth:`probability_of_outcome` and the collapse path through
-    :meth:`probability_of_qubit_exact`) cofactor the slices by the outcome
-    cube first and combine the cofactors, then shift the exact ``(x, y)``
-    pair right by the number of fixed variables (see
-    :meth:`_restricted_probability`).
+    The engine snapshots nothing: every public query reads the state's
+    current slices, so it can be used before and after gate applications
+    and collapses alike.  Outcome queries (:meth:`probability_of_outcome`
+    and the collapse path through :meth:`probability_of_qubit_exact`)
+    cofactor the slices by the outcome cube and sum the cofactors with
+    :class:`SliceMass`, then shift the exact ``(x, y)`` pair right by the
+    number of fixed variables (see :meth:`_restricted_probability`).
     """
 
     def __init__(self, state: BitSlicedState):
@@ -121,14 +206,8 @@ class MeasurementEngine:
         r = self.state.r
         return max(1, (r - 1).bit_length())
 
-    def build_hyperfunction(self, slices: Optional[Dict[str, Sequence[Bdd]]] = None) -> Bdd:
-        """Combine the 4r slice BDDs into the monolithic BDD ``F`` of Eq. 12.
-
-        ``slices`` (default: the state's own) may substitute cofactors of
-        the slices, as :meth:`_restricted_probability` does.
-        """
-        if slices is None:
-            slices = self.state.slices
+    def build_hyperfunction(self) -> Bdd:
+        """Combine the 4r slice BDDs into the monolithic BDD ``F`` of Eq. 12."""
         num_bit_selectors = self._bit_selector_count()
         vector_vars, bit_vars = self._encoding_vars(num_bit_selectors)
         manager = self.manager
@@ -148,7 +227,7 @@ class MeasurementEngine:
         combined = manager.false
         for selector, name in enumerate(VECTOR_NAMES):
             per_vector = manager.false
-            for index, slice_bdd in enumerate(slices[name]):
+            for index, slice_bdd in enumerate(self.state.slices[name]):
                 if slice_bdd.is_false():
                     continue
                 per_vector = per_vector | (bit_minterm(index) & slice_bdd)
@@ -248,62 +327,26 @@ class MeasurementEngine:
         return ExactProbability(x, y, self.state.k)
 
     # ------------------------------------------------------------------ #
-    # cofactor-then-combine queries
+    # cofactor-then-sum queries
     # ------------------------------------------------------------------ #
-    def _cofactor(self, node: int, fixed: Dict[int, bool],
-                  by_level: List[Tuple[int, int, bool]]) -> int:
-        """Cofactor of ``node`` by the ``fixed`` literals (var -> value).
-
-        Walks down while the node's variable is fixed: a full cube ends on a
-        terminal without touching a table or building a node.  Fixed
-        variables left below the free variable the walk stopped at are
-        restricted away in level order (``by_level`` holds
-        ``(level, var, value)`` sorted by level).
-        """
-        manager = self.manager
-        while not manager.is_terminal(node):
-            var = manager.node_var(node)
-            value = fixed.get(var)
-            if value is None:
-                break
-            node = manager.node_high(node) if value else manager.node_low(node)
-        for level, var, value in by_level:
-            if manager.is_terminal(node):
-                break
-            if level >= manager.level_of(manager.node_var(node)):
-                node = manager.apply_restrict(node, var, value)
-        return node
-
     def _restricted_probability(self, qubits: Sequence[int],
                                 outcome: Sequence[int]) -> ExactProbability:
         """Exact ``sum |alpha|**2`` over the basis states with ``qubits ==
         outcome`` (before the measurement factor ``s**2``).
 
-        Each slice is cofactored by the outcome cube first and Eq. 12's
-        hyper-function is built over the cofactors, so the nodes a full
-        hyper-function would spend on the fixed qubits are never made.  The
-        cofactors do not depend on the ``m`` distinct fixed variables, so
-        the accumulation counts every consistent basis state ``2**m`` times;
-        shifting the integer pair right by ``m`` is therefore exact.
-        Repeated qubits with equal values count once; conflicting values
-        give probability zero.
+        The outcome is one prefix of a :class:`~repro.core.sampling.SliceSampler`
+        over ``qubits``: the slices are cofactored by the outcome cube and
+        summed by :class:`SliceMass`, and no hyper-function is built (see
+        :meth:`~repro.core.sampling.SliceSampler.prefix_exact`).  Repeated
+        qubits with equal values count once; conflicting values give
+        probability zero.
         """
+        from repro.core.sampling import SliceSampler
+
         if len(qubits) != len(outcome):
             raise ValueError("qubits and outcome must have the same length")
-        fixed: Dict[int, bool] = {}
-        for qubit, value in zip(qubits, outcome):
-            value = bool(value)
-            if fixed.setdefault(self.state.qubit_var(qubit), value) != value:
-                return ExactProbability(0, 0, self.state.k)
-        manager = self.manager
-        by_level = sorted((manager.level_of(var), var, value)
-                          for var, value in fixed.items())
-        cofactors = {name: [Bdd(manager, self._cofactor(bit.node, fixed, by_level))
-                            for bit in bits]
-                     for name, bits in self.state.slices.items()}
-        exact = self._accumulate(self.build_hyperfunction(cofactors))
-        shift = len(fixed)
-        return ExactProbability(exact.x >> shift, exact.y >> shift, exact.k)
+        prefix = tuple(int(bool(value)) for value in outcome)
+        return SliceSampler(self.state, qubits).prefix_exact(prefix)
 
     # ------------------------------------------------------------------ #
     # public probability queries
@@ -411,41 +454,13 @@ class MeasurementEngine:
 
     def sample(self, shots: int, qubits: Optional[Sequence[int]] = None,
                rng=None) -> Dict[int, int]:
-        """Sample measurement outcomes without collapsing the state."""
-        if qubits is None:
-            qubits = list(range(self.state.num_qubits))
-        qubits = list(qubits)
-        if rng is None:
-            rng = np.random.default_rng()
-        counts: Dict[int, int] = {}
-        if len(qubits) <= 16:
-            distribution = self.measurement_distribution(qubits)
-            outcomes = sorted(distribution)
-            weights = [distribution[o] for o in outcomes]
-            total = sum(weights)
-            weights = [w / total for w in weights]
-            draws = rng.choice(len(outcomes), size=shots, p=weights)
-            for draw in draws:
-                outcome = outcomes[int(draw)]
-                counts[outcome] = counts.get(outcome, 0) + 1
-            return counts
-        hyper = self.build_hyperfunction()
-        scale = self.state.s ** 2
-        for _ in range(shots):
-            outcome = 0
-            restricted = hyper
-            remaining = self._accumulate(restricted).to_float(scale)
-            for qubit in qubits:
-                var = self.state.qubit_var(qubit)
-                zero_branch = restricted & self.manager.nvar(var)
-                probability_zero = self._accumulate(zero_branch).to_float(scale)
-                if rng.random() < (probability_zero / remaining if remaining > 0 else 0.0):
-                    restricted = zero_branch
-                    remaining = probability_zero
-                    outcome = outcome << 1
-                else:
-                    restricted = restricted & self.manager.var(var)
-                    remaining = remaining - probability_zero
-                    outcome = (outcome << 1) | 1
-            counts[outcome] = counts.get(outcome, 0) + 1
-        return counts
+        """Sample measurement outcomes without collapsing the state.
+
+        One exact binomial descent through
+        :func:`repro.core.sampling.sample_state`, so counts equal every
+        other engine's at equal seeds (see
+        :func:`repro.engines.sampling.sample_by_descent`).
+        """
+        from repro.core.sampling import sample_state
+
+        return sample_state(self.state, shots, qubits=qubits, rng=rng)

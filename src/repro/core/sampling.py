@@ -1,44 +1,37 @@
 """Exact shot sampling directly on the bit-sliced BDD representation.
 
 The generic engine sampler answers each conditional-probability query with a
-fresh monolithic hyper-function traversal (paper Eq. 12).  This module walks
-the *slices themselves* instead:
+fresh probability query.  This module walks the *slices themselves* instead:
 
-* fixing one more bit of the sampled prefix is a **cofactor restriction** of
-  all ``4r`` slice BDDs at the qubit's variable — one
-  :meth:`~repro.bdd.manager.BatchApplier.restrict_many` call per descent
-  step (one computed-table binding for the whole slice family), and
-* the probability mass of a restricted state is an exact **Gram-matrix
-  accumulation**: with each vector written as ``v = sum_j w_j v_j`` over its
-  bit-plane BDDs (``w_j = 2**j``, sign plane ``-2**(r-1)``), the sum of
-  ``|amplitude|**2`` over all basis states needs only the model counts of
-  pairwise slice conjunctions::
+* fixing one more bit of the sampled prefix cofactors all ``4r`` slice nodes
+  at the qubit's variable.  In level order that is one step down a path per
+  slice whose top variable is the qubit's; only a fixed variable that lies
+  below a free one (a permuted or partial qubit list, or a sifted order)
+  falls back to one batched
+  :meth:`~repro.bdd.manager.BatchApplier.restrict_many` call, and
+* the probability mass of a prefix is the exact integer pair ``(x, y)`` that
+  :class:`~repro.core.measurement.SliceMass` sums over the tuple of
+  cofactor node ids — the total ``(x + y*sqrt(2)) / 2**k`` of
+  ``|amplitude|**2`` without building a single BDD node.
 
-      sum_i u(i) * v(i) = sum_{j,l} w_j w_l |sat(u_j & v_l)|
-
-  which yields the exact integer pair ``(x, y)`` of the total mass
-  ``(x + y*sqrt(2)) / 2**k`` — squared amplitudes never materialise per
-  basis state, and no hyper-function with encoding variables is ever built.
-
-The sampler memoises restricted slice families per prefix (anchored in
-:class:`~repro.bdd.expr.Bdd` handles so garbage collection cannot reclaim
-them mid-descent) and model counts per node, so a full binomial descent
-touches each distinct sampled outcome once.
+The cofactor tuples of the prefixes are exactly the tuples the mass walk
+splits into, so with one shared memo the whole descent costs one walk over
+the distinct tuples.  Nodes of a prefix's tuple are anchored in
+:class:`~repro.bdd.expr.Bdd` handles, so garbage collection or a reorder
+between descent steps cannot reclaim them.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.bdd import Bdd
-from repro.core.bitslice import VECTOR_NAMES, BitSlicedState
-
-_SQRT2 = math.sqrt(2.0)
+from repro.core.bitslice import BitSlicedState
+from repro.core.measurement import ExactProbability, SliceMass
 
 
 class SliceSampler:
-    """Conditional-probability oracle over restrictions of one state.
+    """Conditional-probability oracle over cofactors of one state.
 
     Parameters
     ----------
@@ -50,133 +43,128 @@ class SliceSampler:
         Measurement order; prefix bit ``i`` fixes ``qubits[i]``.
 
     Use :meth:`branch_probability` as the ``branch_probability`` callback of
-    :func:`repro.engines.sampling.sample_by_descent` — or query
-    :meth:`prefix_mass` directly for the exact integer mass of a prefix.
+    :func:`repro.engines.sampling.sample_by_descent` (or call
+    :meth:`sample`), or query :meth:`prefix_mass` directly for the exact
+    integer mass of a prefix.
     """
 
     def __init__(self, state: BitSlicedState, qubits: Sequence[int]):
         self.state = state
         self.manager = state.manager
         self.qubits = list(qubits)
+        self._vars = [state.qubit_var(qubit) for qubit in self.qubits]
+        # Position of an earlier occurrence of the same variable, if any.
+        first: Dict[int, int] = {}
+        self._repeat_of = [first.setdefault(var, position)
+                           for position, var in enumerate(self._vars)]
+        self._distinct = [0]
+        for position, earlier in enumerate(self._repeat_of):
+            self._distinct.append(self._distinct[-1] + (earlier == position))
         self._batcher = self.manager.batcher()
-        # prefix tuple -> anchored slice handles (a..d major, bit order).
-        self._families: Dict[Tuple[int, ...], List[Bdd]] = {
-            (): [Bdd(self.manager, bit.node) for bit in state.all_slices()]
-        }
-        self._satcounts: Dict[int, int] = {0: 0}
-        # Satcounts are memoised per node id, so the memo must follow the
-        # manager's generation: a garbage collection (or a dynamic reorder,
-        # which runs one) between descent steps can recycle the id of an
-        # unanchored conjunction node for a different function.  The
-        # restricted families themselves are anchored in handles and the
-        # restrictions address qubits by variable *index*, so sampling is
-        # reorder-safe: each batch simply runs at the post-reorder levels.
-        self._satcount_generation = self.manager.cache_generation
+        self._kernel = SliceMass(state)
+        # prefix tuple -> cofactor node ids (a..d major, bit order).
+        self._families: Dict[Tuple[int, ...], Tuple[int, ...]] = {
+            (): tuple(bit.node for bit in state.all_slices())}
+        self._anchors: Dict[int, Bdd] = {}
         self._masses: Dict[Tuple[int, ...], Tuple[int, int]] = {}
-        #: Number of restrict_many batches issued (one per distinct prefix).
+        #: Cofactor batches of the 4r slices, one per distinct prefix.
         self.restrict_batches = 0
-        #: Number of Gram-matrix mass evaluations (one per distinct prefix).
+        #: ``restrict_many`` calls, made only for a fixed variable below a
+        #: free one (0 when the qubits are sampled in level order).
+        self.fallback_restricts = 0
+        #: Distinct prefixes whose mass was asked for.
         self.mass_evaluations = 0
 
     # ------------------------------------------------------------------ #
-    # restricted slice families
+    # cofactor tuples
     # ------------------------------------------------------------------ #
-    def _family(self, prefix: Tuple[int, ...]) -> List[Bdd]:
-        family = self._families.get(prefix)
-        if family is None:
-            parent = self._family(prefix[:-1])
-            var = self.state.qubit_var(self.qubits[len(prefix) - 1])
-            nodes = self._batcher.restrict_many(
-                [handle.node for handle in parent], var, bool(prefix[-1]))
-            family = [Bdd(self.manager, node) for node in nodes]
-            self._families[prefix] = family
+    def _cofactor(self, nodes: Tuple[int, ...], var: int, value: int) -> Tuple[int, ...]:
+        manager = self.manager
+        var_of, level_of = manager._var, manager._var_to_level
+        child_of = manager._high if value else manager._low
+        level = level_of[var]
+        cofactor = list(nodes)
+        below = []  # positions whose top variable lies above ``var``
+        for position, node in enumerate(nodes):
+            if node > 1:
+                top = var_of[node]
+                if top == var:
+                    cofactor[position] = child_of[node]
+                elif level_of[top] < level:
+                    below.append(position)
+        if below:
+            restricted = self._batcher.restrict_many(
+                [cofactor[position] for position in below], var, bool(value))
+            for position, node in zip(below, restricted):
+                cofactor[position] = node
+            self.fallback_restricts += 1
+        anchors = self._anchors
+        for node in cofactor:
+            if node not in anchors:
+                anchors[node] = Bdd(manager, node)
+        return tuple(cofactor)
+
+    def _family(self, prefix: Tuple[int, ...]) -> Tuple[int, ...]:
+        depth = len(prefix)
+        while prefix[:depth] not in self._families:
+            depth -= 1
+        family = self._families[prefix[:depth]]
+        for position in range(depth, len(prefix)):
+            earlier = self._repeat_of[position]
+            if earlier == position:
+                family = self._cofactor(family, self._vars[position], prefix[position])
+            elif prefix[earlier] != prefix[position]:
+                family = (0,) * len(family)  # a qubit fixed to both values
+            self._families[prefix[:position + 1]] = family
             self.restrict_batches += 1
         return family
 
     # ------------------------------------------------------------------ #
-    # exact Gram-matrix mass
+    # exact masses and probabilities
     # ------------------------------------------------------------------ #
-    def _weights(self) -> List[int]:
-        r = self.state.r
-        return [1 << j for j in range(r - 1)] + [-(1 << (r - 1))]
-
-    def _satcount(self, node: int) -> int:
-        if self.manager.cache_generation != self._satcount_generation:
-            self._satcounts = {0: 0}
-            self._satcount_generation = self.manager.cache_generation
-        cached = self._satcounts.get(node)
-        if cached is None:
-            cached = self.manager.satcount(node, self.state.num_qubits)
-            self._satcounts[node] = cached
-        return cached
-
     def prefix_mass(self, prefix: Tuple[int, ...]) -> Tuple[int, int]:
         """Exact integer pair ``(x, y)``: the summed ``|amplitude|**2`` of
         every basis state consistent with ``prefix`` equals
-        ``(x + y*sqrt(2)) / 2**(k + len(prefix))`` before the measurement
-        factor ``s**2``.
+        ``(x + y*sqrt(2)) / 2**(k + m)`` before the measurement factor
+        ``s**2``, where ``m`` counts the distinct qubits the prefix fixes
+        (``len(prefix)`` unless ``qubits`` repeats one).
 
-        (The ``2**len(prefix)`` accounts for model counting over the full
-        variable set: restricted variables are free in every conjunction, so
-        each surviving basis state is counted once per assignment of them.)
+        (The ``2**m`` accounts for summing over every qubit assignment: the
+        cofactors do not depend on the fixed qubits, so each surviving basis
+        state is counted once per assignment of them.)
         """
         cached = self._masses.get(prefix)
-        if cached is not None:
-            return cached
-        family = self._family(prefix)
-        r = self.state.r
-        weights = self._weights()
-        blocks = {name: [handle.node for handle in family[index * r:(index + 1) * r]]
-                  for index, name in enumerate(VECTOR_NAMES)}
+        if cached is None:
+            cached = self._kernel.mass(self._family(prefix))
+            self._masses[prefix] = cached
+            self.mass_evaluations += 1
+        return cached
 
-        # One AND batch for every distinct unordered node pair we need.
-        pair_keys = set()
-        block_pairs = [(u, u) for u in VECTOR_NAMES] \
-            + [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
-        for left, right in block_pairs:
-            for u_node in blocks[left]:
-                for v_node in blocks[right]:
-                    if u_node != 0 and v_node != 0:
-                        pair_keys.add((min(u_node, v_node), max(u_node, v_node)))
-        pair_list = sorted(pair_keys)
-        conjunctions = dict(zip(
-            pair_list, self._batcher.and_many(pair_list))) if pair_list else {}
+    def prefix_exact(self, prefix: Tuple[int, ...]) -> ExactProbability:
+        """Joint probability of ``prefix`` as an exact
+        :class:`~repro.core.measurement.ExactProbability` over ``2**k``
+        (before the measurement factor ``s**2``): :meth:`prefix_mass`
+        shifted right by ``m`` on the integers, an exact division."""
+        x, y = self.prefix_mass(prefix)
+        shift = self._distinct[len(prefix)]
+        return ExactProbability(x >> shift, y >> shift, self.state.k)
 
-        def overlap(u_node: int, v_node: int) -> int:
-            if u_node == 0 or v_node == 0:
-                return 0
-            key = (min(u_node, v_node), max(u_node, v_node))
-            return self._satcount(conjunctions[key])
-
-        def gram(left: str, right: str) -> int:
-            total = 0
-            left_nodes, right_nodes = blocks[left], blocks[right]
-            for j, u_node in enumerate(left_nodes):
-                for l, v_node in enumerate(right_nodes):
-                    count = overlap(u_node, v_node)
-                    if count:
-                        total += weights[j] * weights[l] * count
-            return total
-
-        x = sum(gram(v, v) for v in VECTOR_NAMES)
-        y = gram("a", "b") + gram("b", "c") + gram("c", "d") - gram("a", "d")
-        self._masses[prefix] = (x, y)
-        self.mass_evaluations += 1
-        return (x, y)
-
-    # ------------------------------------------------------------------ #
-    # probability oracle
-    # ------------------------------------------------------------------ #
     def prefix_probability(self, prefix: Tuple[int, ...]) -> float:
         """Absolute joint probability of observing ``prefix`` on the first
         ``len(prefix)`` sampled qubits (including the measurement factor
-        ``s**2``)."""
-        x, y = self.prefix_mass(tuple(prefix))
-        scale = 2.0 ** (self.state.k + len(prefix))
-        return (x + y * _SQRT2) / scale * (self.state.s ** 2)
+        ``s**2``).  The float conversion comes after the exact shift, so it
+        cannot overflow on registers wider than ~1023 qubits."""
+        return self.prefix_exact(tuple(prefix)).to_float(self.state.s ** 2)
 
     #: Alias matching the ``sample_by_descent`` callback name.
     branch_probability = prefix_probability
+
+    def sample(self, shots: int, rng) -> Dict[int, int]:
+        """Draw ``shots`` outcomes by :func:`repro.engines.sampling.sample_by_descent`
+        (first sampled qubit = most significant bit)."""
+        from repro.engines.sampling import sample_by_descent
+
+        return sample_by_descent(self.branch_probability, len(self.qubits), shots, rng)
 
     def statistics(self) -> Dict[str, int]:
         """Work counters of this sampler instance (for engine extras)."""
@@ -191,22 +179,17 @@ def sample_state(state: BitSlicedState, shots: int,
                  qubits: Optional[Sequence[int]] = None, rng=None) -> Dict[int, int]:
     """Draw ``shots`` outcomes from ``state`` by exact binomial descent.
 
-    Convenience wrapper pairing a :class:`SliceSampler` with the shared
-    descent of :func:`repro.engines.sampling.sample_by_descent`; returns
-    outcome-integer -> count with the first sampled qubit as the most
-    significant bit.
+    Convenience wrapper around :meth:`SliceSampler.sample` (default: all
+    qubits, a fresh unseeded generator); returns outcome-integer -> count
+    with the first sampled qubit as the most significant bit.
     """
-    from repro.engines.sampling import sample_by_descent
-
     if qubits is None:
         qubits = list(range(state.num_qubits))
     if rng is None:
         import numpy as np
 
         rng = np.random.default_rng()
-    sampler = SliceSampler(state, qubits)
-    return sample_by_descent(sampler.branch_probability, len(sampler.qubits),
-                             shots, rng)
+    return SliceSampler(state, qubits).sample(shots, rng)
 
 
 __all__ = ["SliceSampler", "sample_state"]

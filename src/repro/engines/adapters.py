@@ -171,28 +171,25 @@ class BitSliceEngine(Engine):
 
     def sample(self, shots: int, qubits: Optional[Sequence[int]] = None,
                rng=None):
-        """Exact shot sampling by slice restriction (no hyper-function).
+        """Exact shot sampling on the slices (no hyper-function).
 
         Overrides the generic probability-query descent with
-        :class:`repro.core.sampling.SliceSampler` — cofactor restrictions of
-        the 4r slice BDDs per sampled bit, batched through the substrate's
-        :class:`~repro.bdd.manager.BatchApplier`, with exact Gram-matrix
-        probability masses — while honouring the same descent/RNG protocol,
-        so counts agree bit-for-bit with every other engine at equal seeds.
+        :class:`repro.core.sampling.SliceSampler` — path-walk cofactors of
+        the 4r slice BDDs per sampled bit, with exact masses from one
+        memoised :class:`~repro.core.measurement.SliceMass` walk — while
+        honouring the same descent/RNG protocol, so counts agree
+        bit-for-bit with every other engine at equal seeds.
         """
         from repro.core.sampling import SliceSampler
-        from repro.engines.sampling import sample_by_descent
 
         if qubits is None:
             qubits = list(range(self.num_qubits))
-        qubits = list(qubits)
         if rng is None:
             import numpy as np
 
             rng = np.random.default_rng()
         sampler = SliceSampler(self._simulator.state, qubits)
-        counts = sample_by_descent(sampler.branch_probability, len(qubits),
-                                   shots, rng)
+        counts = sampler.sample(shots, rng)
         self._sampler_stats = sampler.statistics()
         return counts
 

@@ -169,8 +169,8 @@ class TestSampling:
         counts = engine.sample(200, qubits=[2], rng=rng)
         assert counts == {1: 200}
 
-    def test_per_shot_descent_path(self, rng):
-        """Exercise the per-shot sampling branch used for wide registers."""
+    def test_wide_register_descent(self, rng):
+        """An 18-qubit GHZ state samples through the slice descent."""
         circuit = QuantumCircuit(18)
         circuit.h(0)
         for qubit in range(17):
@@ -179,3 +179,14 @@ class TestSampling:
         counts = engine.sample(5, rng=rng)
         assert sum(counts.values()) == 5
         assert set(counts) <= {0, (1 << 18) - 1}
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_simulator_counts_equal_front_door(self, seed):
+        """One sampler for the bit-sliced stack: equal seeds, equal counts."""
+        import repro
+
+        circuit = build_circuit_from_ops(5, random_ops(5, 20, seed + 40))
+        simulator = BitSliceSimulator.simulate(circuit)
+        counts = simulator.sample(300, rng=np.random.default_rng(seed))
+        assert counts == repro.run(circuit, engine="bitslice", shots=300,
+                                   seed=seed).counts

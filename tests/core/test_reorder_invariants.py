@@ -115,10 +115,10 @@ class TestSamplingAcrossReorders:
 
     def test_sampler_survives_reorder_mid_descent(self):
         """A reorder between descent steps must not corrupt the sampler:
-        its restricted families are anchored in handles and its batched
-        restrictions address variables by index, so each batch simply runs
-        at the post-reorder levels (and the node-id-keyed satcount memo is
-        flushed by the generation bump)."""
+        its cofactor families are anchored in handles and cofactors address
+        variables by index, so each step simply runs at the post-reorder
+        levels (and the level-keyed slice-mass memo is flushed by the
+        generation bump)."""
         circuit = build_circuit_from_ops(
             NUM_QUBITS, random_ops(NUM_QUBITS, 14, 77))
         simulator = _reference_run(circuit)

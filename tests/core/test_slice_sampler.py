@@ -1,13 +1,13 @@
-"""The exact slice sampler: Gram-matrix masses and batched restrictions.
+"""The exact slice sampler: slice-mass kernel and path-walk cofactors.
 
-Every probability the sampler reports is checked against the independently
-implemented monolithic-BDD measurement engine (paper Eq. 12), so the two
-exact paths cross-validate each other node for node.
+Every probability the sampler reports is checked against the dense
+statevector simulator, which shares no code with the slice path.
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines.statevector import StatevectorSimulator
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.sampling import SliceSampler, sample_state
 from repro.core.simulator import BitSliceSimulator
@@ -24,7 +24,7 @@ def all_prefixes(n, depth):
     return [prefix + (bit,) for prefix in shorter for bit in (0, 1)]
 
 
-class TestMassesAgainstHyperfunction:
+class TestMassesAgainstStatevector:
     @pytest.mark.parametrize("builder", [
         lambda: QuantumCircuit(3, name="ghz").h(0).cx(0, 1).cx(1, 2),
         lambda: QuantumCircuit(3, name="t_layers").h(0).t(0).cx(0, 1).t(1)
@@ -35,11 +35,12 @@ class TestMassesAgainstHyperfunction:
     def test_every_prefix_probability_matches(self, builder):
         circuit = builder()
         simulator = prepared(circuit)
+        dense = StatevectorSimulator.simulate(circuit)
         n = circuit.num_qubits
         sampler = SliceSampler(simulator.state, list(range(n)))
         for depth in range(n + 1):
             for prefix in all_prefixes(n, depth):
-                expected = simulator.probability_of_outcome(
+                expected = dense.probability_of_outcome(
                     list(range(depth)), list(prefix))
                 assert sampler.prefix_probability(prefix) == pytest.approx(
                     expected, abs=1e-12), prefix
@@ -104,3 +105,15 @@ class TestSampleState:
         assert stats["sampler_restrict_batches"] > 0
         assert stats["sampler_mass_evaluations"] > 0
         assert stats["sampler_distinct_prefixes"] == stats["sampler_restrict_batches"]
+        # Level order: every cofactor is a path step, no restrict_many.
+        assert sampler.fallback_restricts == 0
+
+    def test_fallback_restricts_only_out_of_level_order(self):
+        circuit = QuantumCircuit(3, name="ghz").h(0).cx(0, 1).cx(1, 2)
+        simulator = prepared(circuit)
+        sampler = SliceSampler(simulator.state, [2, 0, 1])
+        from repro.engines.sampling import sample_by_descent
+
+        sample_by_descent(sampler.branch_probability, 3, 256,
+                          np.random.default_rng(2))
+        assert sampler.fallback_restricts > 0
