@@ -46,7 +46,6 @@ NAV: List[Tuple[str, str]] = [
     ("Architecture", "architecture.md"),
     ("Paper mapping", "paper-mapping.md"),
     ("Dynamic reordering", "reordering.md"),
-    ("Substrate backends", "substrate.md"),
     ("Sampling & dynamic circuits", "sampling.md"),
     ("Result & prefix caching", "caching.md"),
     ("Simulation service", "service.md"),
@@ -68,7 +67,6 @@ API_MODULES = [
     "repro.engines.result",
     "repro.engines.sampling",
     "repro.engines.dynamic",
-    "repro.bdd.substrate",
     "repro.cache.fingerprint",
     "repro.cache.result_cache",
     "repro.cache.sessions",

@@ -18,22 +18,10 @@ everything the bit-sliced simulator needs:
   registered handle (plus the static order helpers).
 
 The public entry point is :class:`~repro.bdd.manager.BddManager`; user code
-manipulates :class:`~repro.bdd.expr.Bdd` handles returned by it.  The node
-storage comes in three interchangeable backends (``dict`` / ``array`` /
-``compiled``, see :mod:`repro.bdd.substrate`), all producing node-for-node
-identical DAGs; :func:`~repro.bdd.substrate.create_manager` selects one at
-runtime.
+manipulates :class:`~repro.bdd.expr.Bdd` handles returned by it.
 """
 
 from repro.bdd.manager import BatchApplier, BddManager
-from repro.bdd.array_manager import ArrayBddManager
-from repro.bdd.substrate import (
-    DEFAULT_SUBSTRATE,
-    SUBSTRATES,
-    available_substrates,
-    create_manager,
-    resolve_substrate,
-)
 from repro.bdd.expr import Bdd
 from repro.bdd.ordering import natural_order, interleaved_order, sift
 from repro.bdd.analysis import (
@@ -47,13 +35,7 @@ from repro.bdd.analysis import (
 __all__ = [
     "BatchApplier",
     "BddManager",
-    "ArrayBddManager",
     "Bdd",
-    "DEFAULT_SUBSTRATE",
-    "SUBSTRATES",
-    "available_substrates",
-    "create_manager",
-    "resolve_substrate",
     "natural_order",
     "interleaved_order",
     "sift",

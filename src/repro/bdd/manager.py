@@ -128,21 +128,6 @@ class BddManager:
         (the default) disables automatic reordering.
     """
 
-    #: Substrate backend identity, overridden by subclasses (see
-    #: :mod:`repro.bdd.substrate`).  ``substrate_name`` is the registry
-    #: name; ``_backend_index`` is the numeric ``backend`` gauge value
-    #: reported by :meth:`perf_stats` (stats stay a flat numeric dict).
-    substrate_name = "dict"
-    _backend_index = 0
-
-    #: Compiled-path counters: calls dispatched to the compiled apply
-    #: kernel and calls that fell back to the interpreted path.  Class
-    #: attributes so :meth:`perf_stats` has a stable schema on every
-    #: backend; :class:`repro.bdd._compiled.CompiledBddManager` shadows
-    #: them with instance counters.
-    _compiled_calls = 0
-    _compiled_fallbacks = 0
-
     def __init__(self, num_vars: int = 0, auto_gc_threshold: Optional[int] = 1_000_000,
                  cache_size_limit: Optional[int] = 2_000_000,
                  auto_reorder_threshold: Optional[int] = None):
@@ -2144,16 +2129,16 @@ class BddManager:
         """Drop all computed tables (safe at any time)."""
         self._invalidate_caches()
 
-    def _mark_live(self):
-        """GC mark phase: flags indexed by node id, truthy for every node
-        reachable from a registered external reference (terminals always).
+    def garbage_collect(self) -> int:
+        """Mark-and-sweep collection of nodes unreachable from live handles.
 
-        Split out so substrates can vectorise the walk
-        (:class:`repro.bdd.array_manager.ArrayBddManager` runs a numpy
-        frontier fixpoint); the sweep stays in :meth:`garbage_collect`
-        because its unique-table iteration order defines the free-list
-        order that the cross-backend node-identity contract pins.
+        Returns the number of freed node slots.  The computed tables are
+        invalidated (generation bump) because they may reference dead nodes.
         """
+        start = time.perf_counter()
+        live = len(self._var) - len(self._free)
+        if live > self._peak_live_nodes:
+            self._peak_live_nodes = live
         marked = bytearray(len(self._var))
         marked[FALSE] = marked[TRUE] = 1
         low_arr = self._low
@@ -2166,19 +2151,6 @@ class BddManager:
             marked[node] = 1
             stack.append(low_arr[node])
             stack.append(high_arr[node])
-        return marked
-
-    def garbage_collect(self) -> int:
-        """Mark-and-sweep collection of nodes unreachable from live handles.
-
-        Returns the number of freed node slots.  The computed tables are
-        invalidated (generation bump) because they may reference dead nodes.
-        """
-        start = time.perf_counter()
-        live = len(self._var) - len(self._free)
-        if live > self._peak_live_nodes:
-            self._peak_live_nodes = live
-        marked = self._mark_live()
         freed = 0
         for key, node in list(self._unique.items()):
             if not marked[node]:
@@ -2217,9 +2189,6 @@ class BddManager:
         if live > self._peak_live_nodes:
             self._peak_live_nodes = live
         stats: Dict[str, float] = {
-            "backend": self._backend_index,
-            "compiled_calls": self._compiled_calls,
-            "compiled_fallbacks": self._compiled_fallbacks,
             "live_nodes": live,
             "peak_live_nodes": self._peak_live_nodes,
             "unique_size": len(self._unique),
@@ -2282,8 +2251,6 @@ class BddManager:
         self._reorder_pause_seconds = 0.0
         self._reorder_nodes_before = 0
         self._reorder_nodes_after = 0
-        self._compiled_calls = 0
-        self._compiled_fallbacks = 0
         self._peak_live_nodes = len(self._var) - len(self._free)
 
     # ------------------------------------------------------------------ #

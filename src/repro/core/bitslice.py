@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra import AlgebraicComplex
-from repro.bdd import Bdd, BddManager, create_manager
+from repro.bdd import Bdd, BddManager
 
 #: The four vector names of the algebraic representation, in a fixed order.
 VECTOR_NAMES = ("a", "b", "c", "d")
@@ -49,26 +49,18 @@ class BitSlicedState:
     manager:
         Optionally share an existing :class:`BddManager`; by default a private
         manager with ``num_qubits`` variables is created.
-    substrate:
-        Backend for the private manager (``dict`` / ``array`` /
-        ``compiled`` / ``auto``; see :mod:`repro.bdd.substrate`).  ``None``
-        keeps the default backend.  Mutually exclusive with ``manager`` —
-        a shared manager already fixes the substrate.
     """
 
     def __init__(self, num_qubits: int, initial_state: int = 0,
-                 initial_bits: int = 2, manager: Optional[BddManager] = None,
-                 substrate: Optional[str] = None):
+                 initial_bits: int = 2, manager: Optional[BddManager] = None):
         if num_qubits <= 0:
             raise ValueError("need at least one qubit")
         if initial_bits < 2:
             raise ValueError("need at least two bits for two's complement")
         if not 0 <= initial_state < (1 << num_qubits):
             raise ValueError("initial basis state out of range")
-        if manager is not None and substrate is not None:
-            raise ValueError("pass either manager or substrate, not both")
         self.num_qubits = num_qubits
-        self.manager = manager or create_manager(num_qubits, substrate=substrate)
+        self.manager = manager or BddManager(num_qubits)
         if self.manager.num_vars < num_qubits:
             raise ValueError("manager does not have enough variables")
         self.r = initial_bits

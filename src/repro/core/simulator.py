@@ -66,22 +66,14 @@ class BitSliceSimulator:
         its users (and the back-off keeps adjusting it there); pass
         ``None`` and configure the manager directly when several
         simulators share one and need different policies.
-    substrate:
-        Backend of the private BDD manager (``dict`` / ``array`` /
-        ``compiled`` / ``auto``; see :mod:`repro.bdd.substrate`).  All
-        backends produce node-for-node identical DAGs, so this is purely a
-        performance knob.  ``None`` keeps the default; mutually exclusive
-        with ``manager``.
     """
 
     def __init__(self, num_qubits: int, initial_state: int = 0, initial_bits: int = 2,
                  max_seconds: Optional[float] = None, max_nodes: Optional[int] = None,
                  auto_shrink: bool = True, manager: Optional[BddManager] = None,
-                 auto_reorder_threshold: Optional[int] = None,
-                 substrate: Optional[str] = None):
+                 auto_reorder_threshold: Optional[int] = None):
         self.state = BitSlicedState(num_qubits, initial_state=initial_state,
-                                    initial_bits=initial_bits, manager=manager,
-                                    substrate=substrate)
+                                    initial_bits=initial_bits, manager=manager)
         if auto_reorder_threshold is not None:
             self.state.manager.auto_reorder_threshold = auto_reorder_threshold
         self._rules = GateRuleEngine(self.state)

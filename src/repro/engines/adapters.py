@@ -65,7 +65,6 @@ class BitSliceEngine(Engine):
         selection_priority=20,
         supports_reordering=True,
         supports_prefix_resume=True,
-        supports_compiled_substrate=True,
         supports_snapshots=True,
         description="Exact algebraic amplitudes in bit-sliced BDDs "
                     "(SliQSim); unbounded qubit counts, memory scales with "
@@ -77,7 +76,6 @@ class BitSliceEngine(Engine):
         self._simulator: Optional[BitSliceSimulator] = None
         self._sampler_stats: dict = {}
         self._reorder_threshold: Optional[int] = None
-        self._substrate: Optional[str] = None
 
     def configure_reordering(self, threshold: Optional[int]) -> bool:
         """Enable growth-triggered in-place BDD variable reordering: once
@@ -88,21 +86,11 @@ class BitSliceEngine(Engine):
         self._reorder_threshold = threshold
         return True
 
-    def configure_substrate(self, substrate: Optional[str]) -> bool:
-        """Select the BDD node-storage backend (``dict`` / ``array`` /
-        ``compiled`` / ``auto``) for the next :meth:`prepare`.  All backends
-        produce node-for-node identical DAGs — this is purely a performance
-        knob; the selection the manager actually resolved to shows up as the
-        ``substrate_backend`` gauge in :meth:`statistics`."""
-        self._substrate = substrate
-        return True
-
     def prepare(self, circuit: QuantumCircuit,
                 limits: Optional[ResourceLimits] = None) -> None:
         super().prepare(circuit, limits)
         self._simulator = BitSliceSimulator(
-            circuit.num_qubits, auto_reorder_threshold=self._reorder_threshold,
-            substrate=self._substrate)
+            circuit.num_qubits, auto_reorder_threshold=self._reorder_threshold)
         self._sampler_stats = {}
 
     def export_session(self):

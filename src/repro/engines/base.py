@@ -144,13 +144,6 @@ class Capabilities:
     #: door's ``sessions=`` pool resume an incoming circuit from a retained
     #: gate-sequence prefix instead of replaying it from ``|0>``.
     supports_prefix_resume: bool = False
-    #: True when the engine can swap its node-storage substrate at runtime
-    #: (the bit-sliced engine's dict / array / numba-compiled BDD
-    #: backends; see :mod:`repro.bdd.substrate`).  ``substrate=`` requests
-    #: on the front door are honoured by :meth:`Engine.configure_substrate`
-    #: when this is set and silently ignored otherwise, so mixed-engine
-    #: sweeps stay valid.
-    supports_compiled_substrate: bool = False
     #: True when the engine can serialise its prepared state to a
     #: crash-safe snapshot file (:meth:`Engine.export_snapshot`) and adopt
     #: one back (:meth:`Engine.restore_snapshot`), which is what lets the
@@ -313,22 +306,6 @@ class Engine(abc.ABC):
         ``True``.  Keeping this a no-op by default lets the front door pass
         one ``reorder=`` flag to every engine of a sweep without changing
         the engines that have nothing to reorder.
-        """
-        return False
-
-    def configure_substrate(self, substrate: Optional[str]) -> bool:
-        """Request a node-storage substrate for the next run.
-
-        ``substrate`` is a backend name understood by
-        :func:`repro.bdd.substrate.resolve_substrate` (``dict`` /
-        ``array`` / ``compiled`` / ``auto``; ``None`` restores the
-        default).  Must be called before :meth:`prepare`.  The default
-        ignores the request and returns ``False``; engines declaring
-        ``capabilities.supports_compiled_substrate`` override it and
-        return ``True`` — the same contract as
-        :meth:`configure_reordering`, and for the same reason: one
-        ``substrate=`` flag must be safe to pass to every engine of a
-        mixed sweep.
         """
         return False
 

@@ -310,7 +310,6 @@ def run(circuit: QuantumCircuit, engine: str = AUTO_ENGINE,
         shots: Optional[int] = None,
         seed: Optional[int] = None,
         reorder: Union[bool, int, None] = None,
-        substrate: Optional[str] = None,
         cache: Optional[ResultCache] = None,
         sessions: Optional[SessionPool] = None,
         cancel=None,
@@ -351,16 +350,6 @@ def run(circuit: QuantumCircuit, engine: str = AUTO_ENGINE,
     flag, so mixed-engine sweeps can pass it uniformly; reordering never
     changes an engine's results (probabilities and fixed-seed counts are
     invariant), only its node counts and timings.
-
-    ``substrate`` selects the node-storage backend on engines that support
-    it (``Capabilities.supports_compiled_substrate`` — the bit-sliced
-    engine's ``dict`` / ``array`` / ``compiled`` / ``auto`` BDD backends,
-    see :mod:`repro.bdd.substrate`).  Every backend produces node-for-node
-    identical DAGs, so the knob changes timings only — which is why it is
-    deliberately *excluded* from the result-cache key and from session-pool
-    matching: a cached or resumed answer is valid regardless of the backend
-    that produced it.  Engines without the capability ignore the flag, so
-    mixed-engine sweeps can pass it uniformly.
 
     ``cache`` memoises finished results: a request whose
     :func:`~repro.cache.result_cache.result_cache_key` matches a stored
@@ -430,8 +419,6 @@ def run(circuit: QuantumCircuit, engine: str = AUTO_ENGINE,
         threshold = (DEFAULT_AUTO_REORDER_THRESHOLD if reorder is True
                      else int(reorder))
         instance.configure_reordering(threshold)
-    if substrate is not None:
-        instance.configure_substrate(substrate)
     ckpt: Optional[_Checkpointer] = None
     resume_depth: Optional[int] = None
     corrupt_skipped = 0
@@ -634,15 +621,13 @@ def derive_task_seed(seed: Optional[int], index: int) -> Optional[int]:
 def _run_task(task: Tuple[str, QuantumCircuit, Optional[int], Optional[int]],
               limits: Optional[ResourceLimits],
               reorder: Union[bool, int, None] = None,
-              substrate: Optional[str] = None,
               checkpoint_every=None,
               checkpoint_dir=None,
               checkpoint_key: Optional[str] = None) -> RunResult:
     """Process-pool worker: one (engine, circuit, shots, seed) task."""
     engine, circuit, shots, seed = task
     return run(circuit, engine=engine, limits=limits, shots=shots, seed=seed,
-               reorder=reorder, substrate=substrate,
-               checkpoint_every=checkpoint_every,
+               reorder=reorder, checkpoint_every=checkpoint_every,
                checkpoint_dir=checkpoint_dir, checkpoint_key=checkpoint_key)
 
 
@@ -652,7 +637,6 @@ def run_tasks(tasks: Sequence[Tuple[str, QuantumCircuit]],
               shots: Optional[int] = None,
               seed: Optional[int] = None,
               reorder: Union[bool, int, None] = None,
-              substrate: Optional[str] = None,
               cache: Optional[ResultCache] = None,
               sessions: Optional[SessionPool] = None,
               journal=None,
@@ -673,9 +657,7 @@ def run_tasks(tasks: Sequence[Tuple[str, QuantumCircuit]],
     serialisations — are byte-identical between serial and parallel runs.
 
     ``reorder`` applies uniformly to every task (engines without reordering
-    support ignore it), exactly like :func:`run`'s flag; so does
-    ``substrate`` (a performance-only backend choice, excluded from cache
-    and journal keys because every backend produces identical results).
+    support ignore it), exactly like :func:`run`'s flag.
 
     ``cache`` / ``sessions`` amortise repeated work exactly as in
     :func:`run`.  On the parallel path the cache is consulted and filled in
@@ -761,8 +743,7 @@ def run_tasks(tasks: Sequence[Tuple[str, QuantumCircuit]],
             note_dispatch(index)
             result = run(circuit, engine=engine_name, limits=limits,
                          shots=task_shots, seed=task_seed, reorder=reorder,
-                         substrate=substrate, cache=cache, sessions=sessions,
-                         cancel=cancel,
+                         cache=cache, sessions=sessions, cancel=cancel,
                          checkpoint_every=checkpoint_every,
                          checkpoint_dir=checkpoint_dir,
                          checkpoint_key=task_keys[index])
@@ -816,8 +797,8 @@ def run_tasks(tasks: Sequence[Tuple[str, QuantumCircuit]],
             note_dispatch(index)
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
             futures = [(index, pool.submit(_run_task, specs[index], limits,
-                                           reorder, substrate,
-                                           checkpoint_every, checkpoint_dir,
+                                           reorder, checkpoint_every,
+                                           checkpoint_dir,
                                            task_keys[index]))
                        for index in pending]
             for index, future in futures:
@@ -836,8 +817,8 @@ def run_tasks(tasks: Sequence[Tuple[str, QuantumCircuit]],
             # The owning task finished with a non-cacheable outcome (TO/MO);
             # reproduce it for this request the ordinary way.
             results[index] = _run_task(specs[index], limits, reorder,
-                                       substrate, checkpoint_every,
-                                       checkpoint_dir, task_keys[index])
+                                       checkpoint_every, checkpoint_dir,
+                                       task_keys[index])
         if journal is not None:
             journal.record(task_keys[index], results[index])
     return results
@@ -850,7 +831,6 @@ def run_sweep(circuits: Sequence[QuantumCircuit],
               shots: Optional[int] = None,
               seed: Optional[int] = None,
               reorder: Union[bool, int, None] = None,
-              substrate: Optional[str] = None,
               cache: Optional[ResultCache] = None,
               sessions: Optional[SessionPool] = None,
               journal=None,
@@ -864,9 +844,7 @@ def run_sweep(circuits: Sequence[QuantumCircuit],
     ``(circuit[0], engines...), (circuit[1], engines...), ...`` —
     deterministic regardless of ``jobs``.  ``shots`` / ``seed`` sample
     measurement counts per run exactly as in :func:`run_tasks`, ``reorder``
-    enables dynamic reordering on capable engines per run, ``substrate``
-    selects the node-storage backend on capable engines (performance-only;
-    results are backend-invariant), ``cache`` /
+    enables dynamic reordering on capable engines per run, ``cache`` /
     ``sessions`` amortise repeated work across the grid, ``journal``
     makes the grid crash-safe (a killed sweep resumes byte-identically
     from its manifest), ``checkpoint_every`` / ``checkpoint_dir``
@@ -877,7 +855,7 @@ def run_sweep(circuits: Sequence[QuantumCircuit],
     """
     tasks = [(engine, circuit) for circuit in circuits for engine in engines]
     return run_tasks(tasks, limits=limits, jobs=jobs, shots=shots, seed=seed,
-                     reorder=reorder, substrate=substrate, cache=cache,
+                     reorder=reorder, cache=cache,
                      sessions=sessions, journal=journal, cancel=cancel,
                      checkpoint_every=checkpoint_every,
                      checkpoint_dir=checkpoint_dir)

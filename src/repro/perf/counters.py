@@ -28,8 +28,6 @@ from repro.bdd.manager import OP_NAMES
 #: Snapshot keys that are point-in-time gauges, not monotone counters; a
 #: span reports their value at exit instead of a meaningless difference.
 GAUGE_KEYS = frozenset({
-    # Which substrate backend the manager runs on (constant per manager).
-    "backend",
     "live_nodes",
     "peak_live_nodes",
     "unique_size",

@@ -7,9 +7,8 @@ serialises all of it to a single file whose restore is *byte-exact*: the
 restored manager's storage columns (``_var`` / ``_low`` / ``_high``),
 free-list order, unique-table insertion order and external reference
 table are column-for-column identical to the source, so a resumed run
-produces results byte-identical to an uninterrupted one (PR 9's
-node-identity contract makes node ids a pure function of creation order,
-which this module preserves exactly).
+produces results byte-identical to an uninterrupted one (node ids are
+a pure function of creation order, which this module preserves exactly).
 
 Format
 ------
@@ -30,13 +29,12 @@ Integer sections use native-endian 64-bit arrays (snapshots are
 checkpoints, not an interchange format — they are read back by the
 machine that wrote them); scalar metadata uses canonical JSON.
 
-The three substrate backends (``dict`` / ``array`` / ``compiled``)
-share one on-disk format: node columns and the unique table's node-id
-insertion order are backend-independent, and backend-native unique-table
-keys (tuples vs. packed integers) are rebuilt from the columns on
-restore.  A snapshot written by the ``compiled`` backend restores on a
-machine without numba via the same degradation rule as
-:func:`repro.bdd.substrate.resolve_substrate`.
+Every snapshot restores onto :class:`~repro.bdd.BddManager`; its
+unique-table keys are rebuilt from the node columns.  The writer records
+``"dict"`` as the store name in ``meta``.  Checkpoints written while the
+``array`` and ``compiled`` stores existed name those instead; they
+restore onto the same manager, because node columns and unique-table
+insertion order never depended on the store.
 """
 
 from __future__ import annotations
@@ -49,8 +47,6 @@ from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bdd import Bdd, BddManager
-from repro.bdd.array_manager import ArrayBddManager, pack_key
-from repro.bdd.substrate import create_manager, resolve_substrate
 from repro.core.bitslice import VECTOR_NAMES, BitSlicedState
 from repro.core.gate_rules import GateRuleEngine
 from repro.core.simulator import BitSliceSimulator
@@ -86,6 +82,11 @@ _SIMULATOR_SECTIONS = _MANAGER_SECTIONS + ("state", "simulator", "extra")
 
 #: Free slots are stamped with this var value by the GC sweep.
 _FREED = -2
+
+#: Store names a snapshot's ``meta`` may carry: ``"dict"``, which the
+#: writer records, and the names of two removed stores whose checkpoints
+#: restore onto :class:`BddManager` unchanged.
+_STORE_NAMES = frozenset({"dict", "array", "compiled"})
 
 
 class SnapshotCorruptError(RuntimeError):
@@ -322,7 +323,7 @@ def _manager_sections(manager: BddManager) -> Dict[str, bytes]:
         refs.append(count)
     return {
         "meta": _pack_json({
-            "substrate": manager.substrate_name,
+            "substrate": "dict",
             "num_vars": manager.num_vars,
             "nodes": len(manager._var),
         }),
@@ -411,33 +412,14 @@ def _restore_manager(sections: Dict[str, bytes],
     _require(isinstance(knobs, dict) and isinstance(counters, dict),
              "malformed scalar payload", "knobs", path)
 
-    try:
-        substrate = resolve_substrate(meta["substrate"])
-    except ValueError as exc:
-        raise SnapshotCorruptError(f"unknown substrate: {exc}",
-                                   section="meta", path=path) from exc
-    manager = create_manager(num_vars, substrate=substrate)
-    int_columns = isinstance(manager._var, array)
-    if int_columns:
-        try:
-            manager._var = array("i", var)
-            manager._low = array("i", low)
-            manager._high = array("i", high)
-        except OverflowError as exc:
-            raise SnapshotCorruptError(f"column entry overflows int32: {exc}",
-                                       section="var", path=path) from exc
-    else:
-        manager._var = list(var)
-        manager._low = list(low)
-        manager._high = list(high)
-    packed_keys = isinstance(manager, ArrayBddManager)
-    table: Dict[Any, int] = {}
+    _require(meta["substrate"] in _STORE_NAMES,
+             f"unknown substrate {meta['substrate']!r}; expected one of "
+             f"{sorted(_STORE_NAMES)}", "meta", path)
+    manager = BddManager(num_vars)
+    manager._var, manager._low, manager._high = var, low, high
+    table: Dict[Tuple[int, int, int], int] = {}
     for node in unique:
-        if packed_keys:
-            key = pack_key(var[node], low[node], high[node])
-        else:
-            key = (var[node], low[node], high[node])
-        table[key] = node
+        table[(var[node], low[node], high[node])] = node
     _require(len(table) == len(unique), "colliding unique-table keys",
              "unique", path)
     manager._unique = table

@@ -4,28 +4,16 @@ One slot remembers the last multi-root query, so the per-gate peak count,
 the node-budget check and the final statistics of a state share one walk.
 It is cleared with the computed tables (garbage collection, reorders,
 adjacent swaps), holds one entry, and must never change a reported number:
-peaks and MO detection are pinned here against a memo-free walk on every
-node store.
+peaks and MO detection are pinned here against a memo-free walk.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro import ResourceLimits, run
-from repro.bdd import ArrayBddManager, BddManager
+from repro.bdd import BddManager
 from repro.core.simulator import BitSliceSimulator
 from repro.workloads.random_circuits import generate_random_circuit
 
-try:
-    from repro.bdd._compiled import CompiledBddManager
-except ImportError:  # pragma: no cover - numpy-less environments
-    CompiledBddManager = None
-
-STORES = [BddManager, ArrayBddManager]
-if CompiledBddManager is not None:
-    STORES.append(CompiledBddManager)
-SUBSTRATES = ["dict", "array", "compiled"]
 
 
 def walk_count(manager, roots) -> int:
@@ -50,9 +38,8 @@ def pair_functions(manager):
     return [(x[0] & x[1]) | (x[2] & x[3]), x[0] ^ x[3]]
 
 
-@pytest.mark.parametrize("store", STORES)
-def test_swap_between_counts_returns_the_post_swap_count(store):
-    manager = store(4)
+def test_swap_between_counts_returns_the_post_swap_count():
+    manager = BddManager(4)
     functions = pair_functions(manager)
     roots = [f.node for f in functions]
     before = manager.count_nodes(roots)
@@ -63,9 +50,8 @@ def test_swap_between_counts_returns_the_post_swap_count(store):
     assert after != before
 
 
-@pytest.mark.parametrize("store", STORES)
-def test_sift_between_counts_returns_the_post_sift_count(store):
-    manager = store(4)
+def test_sift_between_counts_returns_the_post_sift_count():
+    manager = BddManager(4)
     manager.set_order([0, 2, 1, 3])
     functions = pair_functions(manager)
     roots = [f.node for f in functions]
@@ -76,9 +62,8 @@ def test_sift_between_counts_returns_the_post_sift_count(store):
     assert after < before
 
 
-@pytest.mark.parametrize("store", STORES)
-def test_gc_between_counts_recounts(store):
-    manager = store(4)
+def test_gc_between_counts_recounts():
+    manager = BddManager(4)
     functions = pair_functions(manager)
     roots = [f.node for f in functions]
     garbage = [manager.var(0) & manager.var(2) & manager.var(3)]
@@ -104,9 +89,9 @@ def test_slot_holds_one_entry():
     assert manager._last_multi_count[0] == tuple(first)
 
 
-def reference_trace(circuit, substrate):
+def reference_trace(circuit):
     """Per-gate node counts of the state by a memo-free walk."""
-    simulator = BitSliceSimulator(circuit.num_qubits, substrate=substrate)
+    simulator = BitSliceSimulator(circuit.num_qubits)
     manager = simulator.state.manager
 
     def count():
@@ -119,22 +104,20 @@ def reference_trace(circuit, substrate):
     return counts
 
 
-@pytest.mark.parametrize("substrate", SUBSTRATES)
-def test_peak_matches_a_memo_free_walk(substrate):
+def test_peak_matches_a_memo_free_walk():
     circuit = generate_random_circuit(8, seed=8001)
-    result = run(circuit, engine="bitslice", substrate=substrate,
+    result = run(circuit, engine="bitslice",
                  limits=ResourceLimits(max_seconds=60.0, max_nodes=None))
     assert result.succeeded
-    assert result.peak_memory_nodes == max(reference_trace(circuit, substrate))
+    assert result.peak_memory_nodes == max(reference_trace(circuit))
 
 
-@pytest.mark.parametrize("substrate", SUBSTRATES)
-def test_memory_out_trips_at_the_same_gate_and_count(substrate):
+def test_memory_out_trips_at_the_same_gate_and_count():
     circuit = generate_random_circuit(8, seed=8001)
-    counts = reference_trace(circuit, substrate)
+    counts = reference_trace(circuit)
     budget = (max(counts) + counts[0]) // 2
     gate = next(index for index, nodes in enumerate(counts) if nodes > budget)
-    result = run(circuit, engine="bitslice", substrate=substrate,
+    result = run(circuit, engine="bitslice",
                  limits=ResourceLimits(max_seconds=60.0, max_nodes=budget))
     assert result.status == "MO"
     assert f"{counts[gate]} nodes > {budget} nodes" in result.detail

@@ -1,14 +1,12 @@
-"""Golden post-circuit BDD shapes, pinned across every substrate backend.
+"""Golden post-circuit BDD shapes.
 
 Each fixture under ``tests/fixtures/bdd_shapes/`` stores the canonical
 :func:`repro.bdd.dag_export` serialisation of the bit-sliced state after a
 named circuit (GHZ ladder, superposed Cuccaro adder, QAOA-style ansatz) plus
 the headline metadata (``r``, ``k``, shared node count).  The tests replay
-each circuit on every available backend and demand the exported shape match
-the golden file **exactly** — a structural regression pin far stronger than
-the ad-hoc inline node counts it replaces, and a second, fixture-anchored
-witness of the substrate interchangeability contract (the differential
-harness in ``tests/substrate/`` is the first).
+each circuit and demand the exported shape match the golden file
+**exactly** — a structural regression pin far stronger than the ad-hoc
+inline node counts it replaces.
 
 Regenerating after an intentional representation change::
 
@@ -26,22 +24,12 @@ from pathlib import Path
 import pytest
 
 from repro import QuantumCircuit
-from repro.bdd import ArrayBddManager, BddManager, count_nodes, dag_export
+from repro.bdd import BddManager, count_nodes, dag_export
 from repro.core.simulator import BitSliceSimulator
 from repro.workloads.revlib import h_augment, ripple_carry_adder
 from tests.conftest import ghz
 
-try:
-    from repro.bdd._compiled import CompiledBddManager
-except ImportError:  # pragma: no cover - numpy-less environments
-    CompiledBddManager = None
-
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "bdd_shapes"
-
-BACKENDS = [("dict", BddManager), ("array", ArrayBddManager)]
-if CompiledBddManager is not None:
-    BACKENDS.append(("compiled", CompiledBddManager))
-
 
 def qaoa_like(n: int = 6, layers: int = 2) -> QuantumCircuit:
     """A QAOA-style ansatz on a ring: H wall, then alternating ZZ-cost
@@ -83,10 +71,9 @@ FUNCTIONS = {
 }
 
 
-def compute_shape(circuit: QuantumCircuit, factory) -> dict:
-    """Simulate ``circuit`` on a ``factory`` manager and export the shape."""
-    simulator = BitSliceSimulator(circuit.num_qubits,
-                                  manager=factory(circuit.num_qubits))
+def compute_shape(circuit: QuantumCircuit) -> dict:
+    """Simulate ``circuit`` and export the shape."""
+    simulator = BitSliceSimulator(circuit.num_qubits)
     simulator.run(circuit)
     slices = simulator.state.all_slices()
     return {
@@ -100,11 +87,10 @@ def compute_shape(circuit: QuantumCircuit, factory) -> dict:
     }
 
 
-def compute_function_shape(name: str, factory) -> dict:
-    """Build a pinned raw-BDD function on a ``factory`` manager and export
-    its shape."""
+def compute_function_shape(name: str) -> dict:
+    """Build a pinned raw-BDD function and export its shape."""
     num_vars, build = FUNCTIONS[name]
-    manager = factory(num_vars)
+    manager = BddManager(num_vars)
     roots = build(manager)
     return {
         "function": name,
@@ -128,30 +114,24 @@ def load_golden(name: str) -> dict:
 def test_regenerate_golden_fixtures():
     assert not os.environ.get("CI"), "golden fixtures are inputs under CI"
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    shapes = {name: compute_shape(build(), BddManager)
-              for name, build in CIRCUITS.items()}
-    shapes.update({name: compute_function_shape(name, BddManager)
-                   for name in FUNCTIONS})
+    shapes = {name: compute_shape(build()) for name, build in CIRCUITS.items()}
+    shapes.update({name: compute_function_shape(name) for name in FUNCTIONS})
     for name, shape in shapes.items():
         with open(golden_path(name), "w", encoding="utf-8") as handle:
             json.dump(shape, handle, indent=1, sort_keys=True)
             handle.write("\n")
 
 
-@pytest.mark.parametrize("backend,factory", BACKENDS,
-                         ids=[name for name, _ in BACKENDS])
 @pytest.mark.parametrize("name", sorted(CIRCUITS))
-def test_shape_matches_golden(name, backend, factory):
+def test_shape_matches_golden(name):
     golden = load_golden(name)
-    assert compute_shape(CIRCUITS[name](), factory) == golden
+    assert compute_shape(CIRCUITS[name]()) == golden
 
 
-@pytest.mark.parametrize("backend,factory", BACKENDS,
-                         ids=[name for name, _ in BACKENDS])
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
-def test_function_shape_matches_golden(name, backend, factory):
+def test_function_shape_matches_golden(name):
     golden = load_golden(name)
-    assert compute_function_shape(name, factory) == golden
+    assert compute_function_shape(name) == golden
 
 
 @pytest.mark.parametrize("name", sorted(CIRCUITS))

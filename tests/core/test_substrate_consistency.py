@@ -16,6 +16,7 @@ from repro.bdd import BddManager
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.simulator import BitSliceSimulator
 from repro.harness.experiments import accuracy_circuit
+from tests.conftest import build_circuit_from_ops, random_ops
 
 
 def assert_matches_dense(circuit: QuantumCircuit, manager: BddManager = None):
@@ -62,6 +63,36 @@ class TestWidthGrowthKeepsCachesConsistent:
             exact.state.manager.garbage_collect()
         dense = StatevectorSimulator.simulate(circuit)
         np.testing.assert_allclose(exact.to_numpy(), dense.state, atol=1e-9)
+
+
+class TestStoreUpkeepRegimes:
+    """The upkeep regimes that broke early drafts of the node store, each
+    checked against the dense engine: a collection at every gate boundary
+    (constant id recycling through the free list), growth-triggered
+    sifting mid-run, and both at once on a deeper circuit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gc_at_every_gate(self, seed):
+        circuit = build_circuit_from_ops(4, random_ops(4, 24, seed))
+        exact = assert_matches_dense(
+            circuit, manager=BddManager(4, auto_gc_threshold=1))
+        assert exact.state.substrate_stats()["gc_runs"] >= circuit.num_gates
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sift_mid_run(self, seed):
+        circuit = build_circuit_from_ops(4, random_ops(4, 24, seed + 10))
+        exact = assert_matches_dense(
+            circuit, manager=BddManager(4, auto_reorder_threshold=8))
+        assert exact.state.substrate_stats()["reorder_count"] >= 1
+
+    def test_gc_and_sift_combined(self):
+        circuit = build_circuit_from_ops(5, random_ops(5, 80, seed=23),
+                                         name="squeeze5")
+        exact = assert_matches_dense(
+            circuit, manager=BddManager(5, auto_gc_threshold=64,
+                                        auto_reorder_threshold=32))
+        stats = exact.state.substrate_stats()
+        assert stats["gc_runs"] > 0 and stats["reorder_count"] > 0
 
 
 class TestStatisticsCarrySubstrateCounters:

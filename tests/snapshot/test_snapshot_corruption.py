@@ -4,8 +4,7 @@ The adversarial matrix behind the "never garbage restore" guarantee —
 torn writes (truncation at and around every structural boundary),
 single-bit flips across the whole file, header damage, semantic
 inconsistencies smuggled past the CRCs — every one raises
-:class:`SnapshotCorruptError` naming the offending section, on every
-substrate backend.
+:class:`SnapshotCorruptError` naming the offending section.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import struct
 
 import pytest
 
-from repro.bdd import ArrayBddManager, BddManager
+from repro.bdd import BddManager
 from repro.core.simulator import BitSliceSimulator
 from repro.snapshot import (
     SnapshotCorruptError,
@@ -28,24 +27,14 @@ from repro.snapshot import (
 )
 from tests.conftest import universal_mix
 
-try:
-    from repro.bdd._compiled import CompiledBddManager
-except ImportError:  # pragma: no cover - numpy-less environments
-    CompiledBddManager = None
-
-BACKENDS = [("dict", BddManager), ("array", ArrayBddManager)]
-if CompiledBddManager is not None:
-    BACKENDS.append(("compiled", CompiledBddManager))
-BACKEND_IDS = [name for name, _ in BACKENDS]
-
 _MAGIC_LEN = 10          # b"REPROSNAP1"
 _SECTION_HEAD = struct.Struct("<HQI")
 _COUNT = struct.Struct("<I")
 
 
-def simulator_blob(factory, path):
-    """A valid simulator snapshot for ``factory``'s backend, as bytes."""
-    manager = factory(3)
+def simulator_blob(path):
+    """A valid simulator snapshot, as bytes."""
+    manager = BddManager(3)
     simulator = BitSliceSimulator(3, manager=manager)
     simulator.run(universal_mix(3, seed=5, measure=False))
     # Collected scratch nodes give the snapshot a non-empty free list —
@@ -92,15 +81,13 @@ def expect_corrupt(path):
     return error
 
 
-@pytest.mark.parametrize("name,factory", BACKENDS, ids=BACKEND_IDS)
 class TestTornAndFlipped:
-    def test_truncation_at_every_structural_boundary(self, name, factory,
-                                                     tmp_path):
+    def test_truncation_at_every_structural_boundary(self, tmp_path):
         """Cut the file at every section boundary and just inside every
         payload (every field width a torn write can leave behind): the
         loader always reports corruption, never returns."""
         source = tmp_path / "good.snap"
-        blob = simulator_blob(factory, source)
+        blob = simulator_blob(source)
         cuts = {0, 1, _MAGIC_LEN - 1, _MAGIC_LEN, _MAGIC_LEN + 2,
                 _MAGIC_LEN + 4}
         for _name, start, end in section_layout(blob):
@@ -113,12 +100,11 @@ class TestTornAndFlipped:
             victim.write_bytes(blob[:cut])
             expect_corrupt(victim)
 
-    def test_single_bit_flips_across_the_file(self, name, factory,
-                                              tmp_path):
+    def test_single_bit_flips_across_the_file(self, tmp_path):
         """Flip one bit at a stride across the entire file (headers,
         section heads, every payload): always SnapshotCorruptError."""
         source = tmp_path / "good.snap"
-        blob = simulator_blob(factory, source)
+        blob = simulator_blob(source)
         victim = tmp_path / "flipped.snap"
         offsets = set(range(0, len(blob), 97))
         offsets.update({0, 3, len(blob) - 1, len(blob) // 2})
@@ -129,12 +115,11 @@ class TestTornAndFlipped:
                 victim.write_bytes(bytes(damaged))
                 expect_corrupt(victim)
 
-    def test_payload_flip_names_the_damaged_section(self, name, factory,
-                                                    tmp_path):
+    def test_payload_flip_names_the_damaged_section(self, tmp_path):
         """A bit flip inside a payload is caught by *that section's* CRC:
         the error names it, for every section in the container."""
         source = tmp_path / "good.snap"
-        blob = simulator_blob(factory, source)
+        blob = simulator_blob(source)
         victim = tmp_path / "flipped.snap"
         layout = section_layout(blob)
         assert {entry[0] for entry in layout} == {
@@ -165,7 +150,7 @@ class TestContainerDamage:
 
     def test_unknown_format_version_is_refused(self, tmp_path):
         path = tmp_path / "future.snap"
-        blob = bytearray(simulator_blob(BddManager, path))
+        blob = bytearray(simulator_blob(path))
         blob[_MAGIC_LEN:_MAGIC_LEN + 4] = struct.pack("<I", 99)
         path.write_bytes(bytes(blob))
         error = expect_corrupt(path)
@@ -180,13 +165,13 @@ class TestContainerDamage:
             load_simulator(manager_path)
         assert "'manager'" in str(excinfo.value)
         simulator_path = tmp_path / "sim.snap"
-        simulator_blob(BddManager, simulator_path)
+        simulator_blob(simulator_path)
         with pytest.raises(SnapshotCorruptError):
             load_manager(simulator_path)
 
     def test_trailing_garbage_and_duplicate_sections(self, tmp_path):
         path = tmp_path / "sim.snap"
-        blob = simulator_blob(BddManager, path)
+        blob = simulator_blob(path)
         path.write_bytes(blob + b"\x00" * 7)
         assert "trailing" in str(expect_corrupt(path))
 
@@ -194,7 +179,7 @@ class TestContainerDamage:
         """A structurally valid container lacking a required section is
         still SnapshotCorruptError — never a KeyError leaking out."""
         path = tmp_path / "sim.snap"
-        blob = simulator_blob(BddManager, path)
+        blob = simulator_blob(path)
         sections = read_snapshot(path, "simulator")
         for missing in ("meta", "var", "free", "state", "extra"):
             partial = {k: v for k, v in sections.items() if k != missing}
@@ -211,7 +196,7 @@ class TestSemanticInconsistency:
 
     def _recraft(self, tmp_path, mutate):
         path = tmp_path / "sim.snap"
-        simulator_blob(BddManager, path)
+        simulator_blob(path)
         sections = dict(read_snapshot(path, "simulator"))
         mutate(sections)
         crafted = tmp_path / "crafted.snap"

@@ -3,21 +3,18 @@
 The tentpole guarantee of the checkpointing PR: :func:`repro.snapshot.
 load_manager` / :func:`load_simulator` rebuild state whose storage columns,
 free-list order, unique-table insertion order, variable order and external
-reference table equal the dumped source *exactly* — on every substrate
-backend — so a run resumed from a snapshot is indistinguishable from one
-that never stopped (PR 9's node-identity contract makes node ids a pure
-function of creation order, which the snapshot preserves).
+reference table equal the dumped source *exactly*, so a run resumed from a
+snapshot is indistinguishable from one that never stopped (node ids are a
+pure function of creation order, which the snapshot preserves).
 """
 
 from __future__ import annotations
 
+import json
 import os
 
-import pytest
-
 from repro import QuantumCircuit
-from repro.bdd import ArrayBddManager, BddManager
-from repro.bdd.substrate import resolve_substrate
+from repro.bdd import BddManager
 from repro.core.simulator import BitSliceSimulator
 from repro.snapshot import (
     SNAPSHOT_VERSION,
@@ -25,22 +22,11 @@ from repro.snapshot import (
     dump_simulator,
     load_manager,
     load_simulator,
+    read_snapshot,
     snapshot_info,
+    write_snapshot,
 )
 from tests.conftest import ghz, layered, universal_mix
-
-try:  # the kernel module needs numpy; without numba it runs interpreted
-    from repro.bdd._compiled import CompiledBddManager
-except ImportError:  # pragma: no cover - numpy-less environments
-    CompiledBddManager = None
-
-#: (backend name, manager factory): the same matrix the differential
-#: harness proves node-for-node equal (tests/substrate).
-BACKENDS = [("dict", BddManager), ("array", ArrayBddManager)]
-if CompiledBddManager is not None:
-    BACKENDS.append(("compiled", CompiledBddManager))
-BACKEND_IDS = [name for name, _ in BACKENDS]
-
 
 def full_snapshot(manager):
     """Every identity-bearing manager field as plain python values."""
@@ -56,11 +42,11 @@ def full_snapshot(manager):
     }
 
 
-def warm_simulator(factory, circuit):
-    """Run ``circuit`` on a fresh manager from ``factory`` and leave the
-    store in a lived-in state: dead temporaries collected, so the free
-    list and recycled ids are non-trivial."""
-    manager = factory(circuit.num_qubits)
+def warm_simulator(circuit):
+    """Run ``circuit`` on a fresh manager and leave the store in a
+    lived-in state: dead temporaries collected, so the free list and
+    recycled ids are non-trivial."""
+    manager = BddManager(circuit.num_qubits)
     simulator = BitSliceSimulator(circuit.num_qubits, manager=manager)
     simulator.run(circuit)
     # Unreferenced scratch nodes -> a GC sweep -> a non-empty free list
@@ -80,12 +66,9 @@ def suffix_circuit(circuit, start):
     return suffix
 
 
-@pytest.mark.parametrize("name,factory", BACKENDS, ids=BACKEND_IDS)
 class TestManagerRoundTrip:
-    def test_storage_is_column_for_column_identical(self, name, factory,
-                                                    tmp_path):
-        simulator = warm_simulator(factory, universal_mix(4, seed=7,
-                                                          measure=False))
+    def test_storage_is_column_for_column_identical(self, tmp_path):
+        simulator = warm_simulator(universal_mix(4, seed=7, measure=False))
         manager = simulator.state.manager
         before = full_snapshot(manager)
         assert before["free"], "fixture must exercise the free list"
@@ -94,25 +77,20 @@ class TestManagerRoundTrip:
         restored = load_manager(path)
         assert full_snapshot(restored) == before
         assert restored.num_vars == manager.num_vars
-        assert restored.substrate_name == resolve_substrate(name)
 
-    def test_redump_of_restore_is_byte_identical(self, name, factory,
-                                                 tmp_path):
+    def test_redump_of_restore_is_byte_identical(self, tmp_path):
         """The strongest round-trip statement: dump(load(dump(m))) is the
-        same file, byte for byte (when the backend does not degrade —
-        ``compiled`` without numba legitimately re-dumps as ``array``)."""
-        if resolve_substrate(name) != name:
-            pytest.skip("backend degrades on restore in this environment")
-        simulator = warm_simulator(factory, layered(4, layers=3))
+        same file, byte for byte."""
+        simulator = warm_simulator(layered(4, layers=3))
         first = tmp_path / "first.snap"
         second = tmp_path / "second.snap"
         dump_manager(simulator.state.manager, first)
         dump_manager(load_manager(first), second)
         assert second.read_bytes() == first.read_bytes()
 
-    def test_counters_and_knobs_survive(self, name, factory, tmp_path):
-        manager = factory(3, auto_gc_threshold=123456,
-                          cache_size_limit=4096)
+    def test_counters_and_knobs_survive(self, tmp_path):
+        manager = BddManager(3, auto_gc_threshold=123456,
+                             cache_size_limit=4096)
         simulator = BitSliceSimulator(3, manager=manager)
         simulator.run(ghz(3))
         path = tmp_path / "manager.snap"
@@ -126,18 +104,15 @@ class TestManagerRoundTrip:
         assert restored._op_misses == list(manager._op_misses)
 
 
-@pytest.mark.parametrize("name,factory", BACKENDS, ids=BACKEND_IDS)
 class TestSimulatorRoundTrip:
-    def test_restored_run_continues_identically(self, name, factory,
-                                                tmp_path):
+    def test_restored_run_continues_identically(self, tmp_path):
         """Dump mid-circuit, restore, run the remaining gates on both: the
         interrupted-and-resumed simulator ends in the *identical* node
         store, amplitudes and distribution as the uninterrupted one."""
         circuit = universal_mix(4, seed=3, measure=False)
         split = circuit.num_gates // 2
         # Run the prefix on a fresh simulator, snapshot it, restore.
-        manager = factory(4)
-        simulator = BitSliceSimulator(4, manager=manager)
+        simulator = BitSliceSimulator(4)
         prefix = QuantumCircuit(4, name="prefix")
         for gate in circuit.gates[:split]:
             prefix.append(gate)
@@ -160,12 +135,11 @@ class TestSimulatorRoundTrip:
         for basis in range(2 ** 4):
             assert restored.amplitude(basis) == simulator.amplitude(basis)
 
-    def test_slice_handle_sharing_pattern_survives(self, name, factory,
-                                                   tmp_path):
+    def test_slice_handle_sharing_pattern_survives(self, tmp_path):
         """Positions of the 4r slice table that share one handle object
         before the dump share one handle object after the restore — the
         refcount accounting depends on it."""
-        simulator = warm_simulator(factory, ghz(3))
+        simulator = warm_simulator(ghz(3))
         path = tmp_path / "sim.snap"
         dump_simulator(simulator, path)
         restored, _ = load_simulator(path)
@@ -183,10 +157,8 @@ class TestSimulatorRoundTrip:
         assert (restored.state.manager._external_refs
                 == simulator.state.manager._external_refs)
 
-    def test_scalars_and_limits_survive(self, name, factory, tmp_path):
-        manager = factory(3)
-        simulator = BitSliceSimulator(3, manager=manager,
-                                      max_seconds=12.5, max_nodes=9999)
+    def test_scalars_and_limits_survive(self, tmp_path):
+        simulator = BitSliceSimulator(3, max_seconds=12.5, max_nodes=9999)
         simulator.run(universal_mix(3, seed=11, measure=False))
         path = tmp_path / "sim.snap"
         dump_simulator(simulator, path, extra={"who": "tests", "depth": 9})
@@ -200,7 +172,7 @@ class TestSimulatorRoundTrip:
 
 
 def test_snapshot_info_probe(tmp_path):
-    simulator = warm_simulator(BddManager, ghz(3))
+    simulator = warm_simulator(ghz(3))
     path = tmp_path / "sim.snap"
     dump_simulator(simulator, path)
     info = snapshot_info(path)
@@ -215,7 +187,7 @@ def test_snapshot_info_probe(tmp_path):
 def test_atomic_write_replaces_never_tears(tmp_path):
     """An existing snapshot is replaced atomically: no ``.tmp`` residue
     and the destination is always one complete snapshot."""
-    simulator = warm_simulator(BddManager, ghz(2))
+    simulator = warm_simulator(ghz(2))
     path = tmp_path / "sim.snap"
     dump_simulator(simulator, path)
     first = path.read_bytes()
@@ -226,18 +198,25 @@ def test_atomic_write_replaces_never_tears(tmp_path):
     assert [p for p in os.listdir(tmp_path) if ".tmp" in p] == []
 
 
-def test_cross_backend_snapshot_restores_on_writer_backend(tmp_path):
-    """A snapshot names its substrate; the loader re-creates that backend
-    (modulo the documented compiled->array degradation), and the columns
-    are bit-equal across the dict/array divide because the differential
-    contract already makes the source stores equal."""
-    stores = {}
-    for name, factory in BACKENDS:
-        simulator = warm_simulator(factory, layered(3, layers=2))
-        path = tmp_path / f"{name}.snap"
-        dump_simulator(simulator, path)
-        restored, _ = load_simulator(path)
-        stores[name] = full_snapshot(restored.state.manager)
-    reference = stores["dict"]
-    for name, store in stores.items():
-        assert store == reference, name
+def test_legacy_store_names_restore_onto_the_one_store(tmp_path):
+    """Checkpoints written while the ``array`` and ``compiled`` stores
+    existed name them in ``meta``.  They restore onto the same manager as
+    a ``dict`` snapshot, column for column, and re-dump to the ``dict``
+    file byte for byte."""
+    simulator = warm_simulator(layered(3, layers=2))
+    original = tmp_path / "dict.snap"
+    dump_simulator(simulator, original)
+    reference, _ = load_simulator(original)
+    sections = read_snapshot(original, "simulator")
+    for name in ("array", "compiled"):
+        meta = json.loads(sections["meta"].decode())
+        meta["substrate"] = name
+        legacy = tmp_path / f"{name}.snap"
+        write_snapshot(legacy, "simulator",
+                       dict(sections, meta=json.dumps(meta).encode()))
+        restored, extra = load_simulator(legacy)
+        assert (full_snapshot(restored.state.manager)
+                == full_snapshot(reference.state.manager)), name
+        redump = tmp_path / f"{name}-redump.snap"
+        dump_simulator(restored, redump, extra=extra)
+        assert redump.read_bytes() == original.read_bytes(), name

@@ -197,39 +197,6 @@ class TestChaosSuiteJob:
                 "chaos suite must stay in the default collection")
 
 
-class TestNoNumbaJob:
-    def test_fallback_job_exists_and_runs_the_substrate_suites(self):
-        """The compiled substrate degrades to the array backend when numba
-        is absent; a dedicated job runs the differential and golden-shape
-        suites in exactly that environment so the fallback path cannot rot
-        unexercised."""
-        jobs = job_sections(ci_text(), "ci.yml")
-        assert "no-numba" in jobs, "ci.yml lost the no-numba fallback job"
-        section = jobs["no-numba"]
-        assert "tests/substrate" in section
-        assert "tests/bdd" in section
-        assert (REPO_ROOT / "tests" / "substrate").is_dir()
-
-    def test_fallback_job_asserts_numba_absence(self):
-        """Without the absence assertion the job silently tests the normal
-        path the moment numba becomes a transitive dependency."""
-        section = job_sections(ci_text(), "ci.yml")["no-numba"]
-        assert 'find_spec("numba") is None' in section
-
-    def test_fallback_job_pins_the_degradation_rule(self):
-        section = job_sections(ci_text(), "ci.yml")["no-numba"]
-        assert 'resolve_substrate("compiled") == "array"' in section
-        assert 'resolve_substrate("auto") == "dict"' in section
-
-    def test_compiled_extra_is_declared_but_not_default(self):
-        """numba lives in an opt-in extra: the base install (and therefore
-        the tier-1 matrix) must not pull it in."""
-        pyproject = PYPROJECT.read_text(encoding="utf-8")
-        assert re.search(r"^compiled\s*=\s*\[", pyproject, re.MULTILINE)
-        dependencies = pyproject.split("[project.optional-dependencies]")[0]
-        assert "numba" not in dependencies
-
-
 class TestJobTimeouts:
     @staticmethod
     def assert_every_job_times_out(text, source):
