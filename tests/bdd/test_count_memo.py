@@ -9,11 +9,15 @@ peaks and MO detection are pinned here against a memo-free walk.
 
 from __future__ import annotations
 
+import pytest
+
 from repro import ResourceLimits, run
 from repro.bdd import BddManager
 from repro.core.simulator import BitSliceSimulator
 from repro.workloads.random_circuits import generate_random_circuit
 
+#: Seeds of the 8-qubit random circuits whose per-gate counts are replayed.
+SEEDS = [8001, 8002, 8003]
 
 
 def walk_count(manager, roots) -> int:
@@ -104,16 +108,18 @@ def reference_trace(circuit):
     return counts
 
 
-def test_peak_matches_a_memo_free_walk():
-    circuit = generate_random_circuit(8, seed=8001)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_peak_matches_a_memo_free_walk(seed):
+    circuit = generate_random_circuit(8, seed=seed)
     result = run(circuit, engine="bitslice",
                  limits=ResourceLimits(max_seconds=60.0, max_nodes=None))
     assert result.succeeded
     assert result.peak_memory_nodes == max(reference_trace(circuit))
 
 
-def test_memory_out_trips_at_the_same_gate_and_count():
-    circuit = generate_random_circuit(8, seed=8001)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_memory_out_trips_at_the_same_gate_and_count(seed):
+    circuit = generate_random_circuit(8, seed=seed)
     counts = reference_trace(circuit)
     budget = (max(counts) + counts[0]) // 2
     gate = next(index for index, nodes in enumerate(counts) if nodes > budget)

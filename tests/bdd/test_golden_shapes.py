@@ -6,7 +6,9 @@ named circuit (GHZ ladder, superposed Cuccaro adder, QAOA-style ansatz) plus
 the headline metadata (``r``, ``k``, shared node count).  The tests replay
 each circuit and demand the exported shape match the golden file
 **exactly** — a structural regression pin far stronger than the ad-hoc
-inline node counts it replaces.
+inline node counts it replaces.  Each circuit replays under every store
+upkeep regime: the exported shape is canonical, so collecting at every gate
+boundary or evicting from tiny computed tables must not change it.
 
 Regenerating after an intentional representation change::
 
@@ -70,10 +72,21 @@ FUNCTIONS = {
     "parity3": (3, lambda m: [m.var(0) ^ m.var(1) ^ m.var(2)]),
 }
 
+#: Node-store knobs each circuit replays under (name -> BddManager kwargs):
+#: the defaults, a collection at every gate boundary (ids recycled through
+#: the free list), and computed tables small enough to evict constantly.
+REGIMES = {
+    "default": {},
+    "gc-every-gate": {"auto_gc_threshold": 1},
+    "bounded-cache": {"cache_size_limit": 64},
+}
 
-def compute_shape(circuit: QuantumCircuit) -> dict:
-    """Simulate ``circuit`` and export the shape."""
-    simulator = BitSliceSimulator(circuit.num_qubits)
+
+def compute_shape(circuit: QuantumCircuit, **knobs) -> dict:
+    """Simulate ``circuit`` on a manager built with ``knobs`` and export
+    the shape."""
+    simulator = BitSliceSimulator(
+        circuit.num_qubits, manager=BddManager(circuit.num_qubits, **knobs))
     simulator.run(circuit)
     slices = simulator.state.all_slices()
     return {
@@ -122,10 +135,11 @@ def test_regenerate_golden_fixtures():
             handle.write("\n")
 
 
+@pytest.mark.parametrize("regime", sorted(REGIMES))
 @pytest.mark.parametrize("name", sorted(CIRCUITS))
-def test_shape_matches_golden(name):
+def test_shape_matches_golden(name, regime):
     golden = load_golden(name)
-    assert compute_shape(CIRCUITS[name]()) == golden
+    assert compute_shape(CIRCUITS[name](), **REGIMES[regime]) == golden
 
 
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))

@@ -68,8 +68,10 @@ class TestWidthGrowthKeepsCachesConsistent:
 class TestStoreUpkeepRegimes:
     """The upkeep regimes that broke early drafts of the node store, each
     checked against the dense engine: a collection at every gate boundary
-    (constant id recycling through the free list), growth-triggered
-    sifting mid-run, and both at once on a deeper circuit."""
+    (constant id recycling through the free list), computed tables small
+    enough to evict constantly, sifting mid-run (growth-triggered or
+    called between two gates), and GC plus sifting at once on a deeper
+    circuit."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gc_at_every_gate(self, seed):
@@ -84,6 +86,32 @@ class TestStoreUpkeepRegimes:
         exact = assert_matches_dense(
             circuit, manager=BddManager(4, auto_reorder_threshold=8))
         assert exact.state.substrate_stats()["reorder_count"] >= 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bounded_cache_eviction(self, seed):
+        circuit = build_circuit_from_ops(4, random_ops(4, 24, seed + 20))
+        exact = assert_matches_dense(
+            circuit, manager=BddManager(4, cache_size_limit=16))
+        assert exact.state.substrate_stats()["cache_evictions"] > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_explicit_sift_between_gates(self, seed):
+        """An explicit sift halfway through moves the variable order under
+        live slices; the remaining gates must run on the new order."""
+        circuit = build_circuit_from_ops(4, random_ops(4, 24, seed + 30))
+        exact = BitSliceSimulator(4)
+        manager = exact.state.manager
+        half = circuit.num_gates // 2
+        for gate in circuit.gates[:half]:
+            exact.apply_gate(gate)
+        manager.set_order([3, 1, 2, 0])
+        reorders = manager.perf_stats()["reorder_count"]
+        manager.sift()
+        assert manager.perf_stats()["reorder_count"] == reorders + 1
+        for gate in circuit.gates[half:]:
+            exact.apply_gate(gate)
+        dense = StatevectorSimulator.simulate(circuit)
+        np.testing.assert_allclose(exact.to_numpy(), dense.state, atol=1e-9)
 
     def test_gc_and_sift_combined(self):
         circuit = build_circuit_from_ops(5, random_ops(5, 80, seed=23),

@@ -9,6 +9,7 @@ inconsistencies smuggled past the CRCs — every one raises
 
 from __future__ import annotations
 
+import json
 import struct
 
 import pytest
@@ -31,9 +32,15 @@ _MAGIC_LEN = 10          # b"REPROSNAP1"
 _SECTION_HEAD = struct.Struct("<HQI")
 _COUNT = struct.Struct("<I")
 
+#: Every store name the reader accepts in ``meta``: ``dict`` is what the
+#: writer emits, ``array`` and ``compiled`` name the retired stores.  A
+#: damaged checkpoint is refused whichever of them it names.
+STORE_NAMES = ["dict", "array", "compiled"]
 
-def simulator_blob(path):
-    """A valid simulator snapshot, as bytes."""
+
+def simulator_blob(path, store_name="dict"):
+    """A valid simulator snapshot whose ``meta`` names ``store_name``, as
+    bytes."""
     manager = BddManager(3)
     simulator = BitSliceSimulator(3, manager=manager)
     simulator.run(universal_mix(3, seed=5, measure=False))
@@ -44,6 +51,12 @@ def simulator_blob(path):
         manager.var_node(2))
     manager.garbage_collect()
     dump_simulator(simulator, path)
+    if store_name != "dict":
+        sections = read_snapshot(path, "simulator")
+        meta = json.loads(sections["meta"].decode())
+        meta["substrate"] = store_name
+        write_snapshot(path, "simulator",
+                       dict(sections, meta=json.dumps(meta).encode()))
     return path.read_bytes()
 
 
@@ -81,13 +94,15 @@ def expect_corrupt(path):
     return error
 
 
+@pytest.mark.parametrize("store_name", STORE_NAMES)
 class TestTornAndFlipped:
-    def test_truncation_at_every_structural_boundary(self, tmp_path):
+    def test_truncation_at_every_structural_boundary(self, store_name,
+                                                     tmp_path):
         """Cut the file at every section boundary and just inside every
         payload (every field width a torn write can leave behind): the
         loader always reports corruption, never returns."""
         source = tmp_path / "good.snap"
-        blob = simulator_blob(source)
+        blob = simulator_blob(source, store_name)
         cuts = {0, 1, _MAGIC_LEN - 1, _MAGIC_LEN, _MAGIC_LEN + 2,
                 _MAGIC_LEN + 4}
         for _name, start, end in section_layout(blob):
@@ -100,11 +115,11 @@ class TestTornAndFlipped:
             victim.write_bytes(blob[:cut])
             expect_corrupt(victim)
 
-    def test_single_bit_flips_across_the_file(self, tmp_path):
+    def test_single_bit_flips_across_the_file(self, store_name, tmp_path):
         """Flip one bit at a stride across the entire file (headers,
         section heads, every payload): always SnapshotCorruptError."""
         source = tmp_path / "good.snap"
-        blob = simulator_blob(source)
+        blob = simulator_blob(source, store_name)
         victim = tmp_path / "flipped.snap"
         offsets = set(range(0, len(blob), 97))
         offsets.update({0, 3, len(blob) - 1, len(blob) // 2})
@@ -115,11 +130,12 @@ class TestTornAndFlipped:
                 victim.write_bytes(bytes(damaged))
                 expect_corrupt(victim)
 
-    def test_payload_flip_names_the_damaged_section(self, tmp_path):
+    def test_payload_flip_names_the_damaged_section(self, store_name,
+                                                    tmp_path):
         """A bit flip inside a payload is caught by *that section's* CRC:
         the error names it, for every section in the container."""
         source = tmp_path / "good.snap"
-        blob = simulator_blob(source)
+        blob = simulator_blob(source, store_name)
         victim = tmp_path / "flipped.snap"
         layout = section_layout(blob)
         assert {entry[0] for entry in layout} == {
@@ -243,9 +259,20 @@ class TestSemanticInconsistency:
         assert error.section == "meta"
         assert "JSON" in str(error)
 
-    def test_state_slice_to_dead_node(self, tmp_path):
-        import json
+    @pytest.mark.parametrize("column", ["var", "low", "high"])
+    def test_out_of_range_column_entry(self, column, tmp_path):
+        """A node column pointing past the store (or below the freed-slot
+        marker) is refused before any node is rebuilt from it."""
+        for value in (10 ** 6, -3):
+            def poison(sections, value=value):
+                payload = bytearray(sections[column])
+                payload[-8:] = struct.pack("<q", value)
+                sections[column] = bytes(payload)
+            error = self._recraft(tmp_path, poison)
+            assert error.section == column
+            assert f"out-of-range column entry {value}" in str(error)
 
+    def test_state_slice_to_dead_node(self, tmp_path):
         def point_into_space(sections):
             payload = json.loads(sections["state"].decode())
             payload["slices"]["a"][0] = 10 ** 9
@@ -254,8 +281,6 @@ class TestSemanticInconsistency:
         assert error.section == "state"
 
     def test_unknown_substrate_name(self, tmp_path):
-        import json
-
         def rename(sections):
             payload = json.loads(sections["meta"].decode())
             payload["substrate"] = "quantum-foam"

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
 from repro import QuantumCircuit
 from repro.bdd import BddManager
 from repro.core.simulator import BitSliceSimulator
@@ -27,6 +29,24 @@ from repro.snapshot import (
     write_snapshot,
 )
 from tests.conftest import ghz, layered, universal_mix
+
+#: Every store name the reader accepts in ``meta``.  The writer emits
+#: ``dict``; ``array`` and ``compiled`` name the retired stores, whose
+#: checkpoints restore onto the same manager because columns and
+#: unique-table insertion order never depended on the store.
+STORE_NAMES = ["dict", "array", "compiled"]
+
+
+def relabel(path, kind, store_name):
+    """Rewrite the snapshot at ``path`` so its ``meta`` names
+    ``store_name``, as a checkpoint written by that store would."""
+    if store_name == "dict":
+        return
+    sections = read_snapshot(path, kind)
+    meta = json.loads(sections["meta"].decode())
+    meta["substrate"] = store_name
+    write_snapshot(path, kind, dict(sections, meta=json.dumps(meta).encode()))
+
 
 def full_snapshot(manager):
     """Every identity-bearing manager field as plain python values."""
@@ -66,35 +86,44 @@ def suffix_circuit(circuit, start):
     return suffix
 
 
+@pytest.mark.parametrize("store_name", STORE_NAMES)
 class TestManagerRoundTrip:
-    def test_storage_is_column_for_column_identical(self, tmp_path):
+    def test_storage_is_column_for_column_identical(self, store_name,
+                                                    tmp_path):
         simulator = warm_simulator(universal_mix(4, seed=7, measure=False))
         manager = simulator.state.manager
         before = full_snapshot(manager)
         assert before["free"], "fixture must exercise the free list"
         path = tmp_path / "manager.snap"
         dump_manager(manager, path)
+        relabel(path, "manager", store_name)
         restored = load_manager(path)
         assert full_snapshot(restored) == before
         assert restored.num_vars == manager.num_vars
 
-    def test_redump_of_restore_is_byte_identical(self, tmp_path):
+    def test_redump_of_restore_is_byte_identical(self, store_name,
+                                                 tmp_path):
         """The strongest round-trip statement: dump(load(dump(m))) is the
-        same file, byte for byte."""
+        same file, byte for byte — also when the loaded file names a
+        retired store, since the re-dump always names ``dict``."""
         simulator = warm_simulator(layered(4, layers=3))
         first = tmp_path / "first.snap"
+        labelled = tmp_path / "labelled.snap"
         second = tmp_path / "second.snap"
         dump_manager(simulator.state.manager, first)
-        dump_manager(load_manager(first), second)
+        dump_manager(simulator.state.manager, labelled)
+        relabel(labelled, "manager", store_name)
+        dump_manager(load_manager(labelled), second)
         assert second.read_bytes() == first.read_bytes()
 
-    def test_counters_and_knobs_survive(self, tmp_path):
+    def test_counters_and_knobs_survive(self, store_name, tmp_path):
         manager = BddManager(3, auto_gc_threshold=123456,
                              cache_size_limit=4096)
         simulator = BitSliceSimulator(3, manager=manager)
         simulator.run(ghz(3))
         path = tmp_path / "manager.snap"
         dump_manager(manager, path)
+        relabel(path, "manager", store_name)
         restored = load_manager(path)
         assert restored._auto_gc_threshold == 123456
         assert restored._cache_size_limit == 4096
@@ -104,8 +133,10 @@ class TestManagerRoundTrip:
         assert restored._op_misses == list(manager._op_misses)
 
 
+@pytest.mark.parametrize("store_name", STORE_NAMES)
 class TestSimulatorRoundTrip:
-    def test_restored_run_continues_identically(self, tmp_path):
+    def test_restored_run_continues_identically(self, store_name,
+                                                tmp_path):
         """Dump mid-circuit, restore, run the remaining gates on both: the
         interrupted-and-resumed simulator ends in the *identical* node
         store, amplitudes and distribution as the uninterrupted one."""
@@ -119,6 +150,7 @@ class TestSimulatorRoundTrip:
         simulator.run(prefix)
         path = tmp_path / "sim.snap"
         dump_simulator(simulator, path)
+        relabel(path, "simulator", store_name)
         restored, extra = load_simulator(path)
         assert extra == {}
         assert full_snapshot(restored.state.manager) == full_snapshot(
@@ -135,13 +167,15 @@ class TestSimulatorRoundTrip:
         for basis in range(2 ** 4):
             assert restored.amplitude(basis) == simulator.amplitude(basis)
 
-    def test_slice_handle_sharing_pattern_survives(self, tmp_path):
+    def test_slice_handle_sharing_pattern_survives(self, store_name,
+                                                   tmp_path):
         """Positions of the 4r slice table that share one handle object
         before the dump share one handle object after the restore — the
         refcount accounting depends on it."""
         simulator = warm_simulator(ghz(3))
         path = tmp_path / "sim.snap"
         dump_simulator(simulator, path)
+        relabel(path, "simulator", store_name)
         restored, _ = load_simulator(path)
 
         def sharing(sim):
@@ -157,11 +191,12 @@ class TestSimulatorRoundTrip:
         assert (restored.state.manager._external_refs
                 == simulator.state.manager._external_refs)
 
-    def test_scalars_and_limits_survive(self, tmp_path):
+    def test_scalars_and_limits_survive(self, store_name, tmp_path):
         simulator = BitSliceSimulator(3, max_seconds=12.5, max_nodes=9999)
         simulator.run(universal_mix(3, seed=11, measure=False))
         path = tmp_path / "sim.snap"
         dump_simulator(simulator, path, extra={"who": "tests", "depth": 9})
+        relabel(path, "simulator", store_name)
         restored, extra = load_simulator(path)
         assert extra == {"who": "tests", "depth": 9}
         assert restored.max_seconds == 12.5
@@ -198,7 +233,8 @@ def test_atomic_write_replaces_never_tears(tmp_path):
     assert [p for p in os.listdir(tmp_path) if ".tmp" in p] == []
 
 
-def test_legacy_store_names_restore_onto_the_one_store(tmp_path):
+@pytest.mark.parametrize("store_name", ["array", "compiled"])
+def test_legacy_store_names_restore_onto_the_one_store(store_name, tmp_path):
     """Checkpoints written while the ``array`` and ``compiled`` stores
     existed name them in ``meta``.  They restore onto the same manager as
     a ``dict`` snapshot, column for column, and re-dump to the ``dict``
@@ -207,16 +243,13 @@ def test_legacy_store_names_restore_onto_the_one_store(tmp_path):
     original = tmp_path / "dict.snap"
     dump_simulator(simulator, original)
     reference, _ = load_simulator(original)
-    sections = read_snapshot(original, "simulator")
-    for name in ("array", "compiled"):
-        meta = json.loads(sections["meta"].decode())
-        meta["substrate"] = name
-        legacy = tmp_path / f"{name}.snap"
-        write_snapshot(legacy, "simulator",
-                       dict(sections, meta=json.dumps(meta).encode()))
-        restored, extra = load_simulator(legacy)
-        assert (full_snapshot(restored.state.manager)
-                == full_snapshot(reference.state.manager)), name
-        redump = tmp_path / f"{name}-redump.snap"
-        dump_simulator(restored, redump, extra=extra)
-        assert redump.read_bytes() == original.read_bytes(), name
+    legacy = tmp_path / f"{store_name}.snap"
+    dump_simulator(simulator, legacy)
+    relabel(legacy, "simulator", store_name)
+    assert legacy.read_bytes() != original.read_bytes()
+    restored, extra = load_simulator(legacy)
+    assert (full_snapshot(restored.state.manager)
+            == full_snapshot(reference.state.manager))
+    redump = tmp_path / f"{store_name}-redump.snap"
+    dump_simulator(restored, redump, extra=extra)
+    assert redump.read_bytes() == original.read_bytes()
