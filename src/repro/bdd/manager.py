@@ -33,6 +33,13 @@ here, so the constant factors of this file dominate end-to-end runtime):
   2-operand applies that materialise intermediate BDDs.
   :meth:`BddManager.apply_swap_vars` exchanges the roles of two variables in
   one cofactor-based pass, replacing the compose/cube-algebra SWAP path.
+* **One-pass literal kernels**: :meth:`BddManager.apply_flip` computes
+  ``f[x := not x]`` (the X action) by rebuilding only the region above
+  ``x``'s level and exchanging the children at that level, instead of two
+  cofactor sweeps plus an ITE; it memoises under the ``compose`` key and
+  counters.  A conditional negation ``ite(c, not f, f)`` is the plain XOR
+  ``c ^ f``, which touches ``not`` only below ``c`` instead of sweeping it
+  over all of ``f`` first.
 * **Batched application**: :class:`BatchApplier` runs one operation over many
   operand tuples sharing a single computed-table binding and one interner
   transaction, so a 4r-slice gate update pays the per-operation setup once
@@ -1250,6 +1257,126 @@ class BddManager:
         self._after_operation(OP_COMPOSE, table)
         return results[0]
 
+    def apply_flip(self, f: int, var: int) -> int:
+        """``f`` with ``x_var`` negated: ``f[x_var := not x_var]``.
+
+        The Boolean action of the X gate in one pass: the region above
+        ``var``'s level is rebuilt structurally, a node at that level has its
+        children exchanged, and everything below is returned unchanged.  A
+        flip *is* ``apply_compose(f, var, not x_var)``, so it memoises under
+        that operation's ``OP_COMPOSE`` key and counts its traffic as
+        ``compose``; either operation can serve the other's entries.
+        """
+        self._check_var(var)
+        if f < 2:
+            return f
+        table = self._tables[OP_COMPOSE]
+        if self._recursion_safe():
+            rec, finish = self._make_flip_rec(var, table)
+            result = rec(f)
+            finish()
+            return result
+        return self._apply_flip_iter(f, var, table)
+
+    def _make_flip_rec(self, var: int, table: Dict):
+        """Recursive variable-flip worker factory (``(rec, finish)``
+        contract of :meth:`_make_binary_rec`)."""
+        var_arr = self._var
+        low_arr = self._low
+        high_arr = self._high
+        v2l = self._var_to_level
+        target_level = v2l[var]
+        table_get = table.get
+        make, ucounts = self._interner()
+        # apply_compose's key names the substituted function by node id.
+        not_var = make(var, TRUE, FALSE)
+        hits = 0
+        misses = 0
+
+        def rec(a: int) -> int:
+            nonlocal hits, misses
+            if a < 2:
+                return a
+            avar = var_arr[a]
+            level = v2l[avar]
+            if level > target_level:
+                # Variable does not appear in this subgraph.
+                return a
+            if level == target_level:
+                return make(var, high_arr[a], low_arr[a])
+            key = (a, var, not_var)
+            node = table_get(key)
+            if node is not None:
+                hits += 1
+                return node
+            misses += 1
+            node = make(avar, rec(low_arr[a]), rec(high_arr[a]))
+            table[key] = node
+            return node
+
+        def finish() -> None:
+            self._op_hits[OP_COMPOSE] += hits
+            self._op_misses[OP_COMPOSE] += misses
+            self._unique_probes += ucounts[0]
+            self._unique_inserts += ucounts[1]
+            self._after_operation(OP_COMPOSE, table)
+
+        return rec, finish
+
+    def _apply_flip_iter(self, f: int, var: int, table: Dict) -> int:
+        """Variable flip on an explicit work stack (deep managers)."""
+        var_arr = self._var
+        low_arr = self._low
+        high_arr = self._high
+        v2l = self._var_to_level
+        target_level = v2l[var]
+        table_get = table.get
+        make, ucounts = self._interner()
+        not_var = make(var, TRUE, FALSE)
+        hits = 0
+        misses = 0
+        tasks: List[Tuple[int, int]] = [(0, f)]
+        push = tasks.append
+        pop = tasks.pop
+        results: List[int] = []
+        rpush = results.append
+        rpop = results.pop
+        while tasks:
+            kind, a = pop()
+            if kind:
+                # Build: a is the original node being rebuilt structurally.
+                high = rpop()
+                low = rpop()
+                node = make(var_arr[a], low, high)
+                table[(a, var, not_var)] = node
+                rpush(node)
+                continue
+            if a < 2:
+                rpush(a)
+                continue
+            level = v2l[var_arr[a]]
+            if level > target_level:
+                rpush(a)
+                continue
+            if level == target_level:
+                rpush(make(var, high_arr[a], low_arr[a]))
+                continue
+            node = table_get((a, var, not_var))
+            if node is not None:
+                hits += 1
+                rpush(node)
+                continue
+            misses += 1
+            push((1, a))
+            push((0, high_arr[a]))
+            push((0, low_arr[a]))
+        self._op_hits[OP_COMPOSE] += hits
+        self._op_misses[OP_COMPOSE] += misses
+        self._unique_probes += ucounts[0]
+        self._unique_inserts += ucounts[1]
+        self._after_operation(OP_COMPOSE, table)
+        return results[0]
+
     # ------------------------------------------------------------------ #
     # fused multi-operand kernels
     # ------------------------------------------------------------------ #
@@ -1921,6 +2048,21 @@ class BddManager:
             finish()
             return out
         return [self.apply_restrict(f, var, value) for f in nodes]
+
+    def batch_flip(self, nodes: Sequence[int], var: int) -> List[int]:
+        """Negate ``x_var`` in every node id in one batch transaction (the
+        4r-slice sweep of an X-style gate)."""
+        nodes = list(nodes)
+        if not nodes:
+            return []
+        self._check_var(var)
+        self._count_batch(len(nodes))
+        if self._recursion_safe():
+            rec, finish = self._make_flip_rec(var, self._tables[OP_COMPOSE])
+            out = [rec(f) for f in nodes]
+            finish()
+            return out
+        return [self.apply_flip(f, var) for f in nodes]
 
     def batch_swap_vars(self, nodes: Sequence[int], var_a: int, var_b: int) -> List[int]:
         """Exchange ``var_a`` / ``var_b`` in every node id in one batch."""
@@ -2714,6 +2856,10 @@ class BatchApplier:
     def restrict_many(self, nodes: Sequence[int], var: int, value: bool) -> List[int]:
         """Cofactor of every node id with respect to ``var = value``."""
         return self.manager.batch_restrict(nodes, var, value)
+
+    def flip_many(self, nodes: Sequence[int], var: int) -> List[int]:
+        """``f[x_var := not x_var]`` of every node id."""
+        return self.manager.batch_flip(nodes, var)
 
     def swap_vars_many(self, nodes: Sequence[int], var_a: int, var_b: int) -> List[int]:
         """Variable swap of every node id."""

@@ -40,6 +40,12 @@ Hot-path design (this file issues every substrate operation of a gate):
 * SWAP / CSWAP route through the fused
   :meth:`~repro.bdd.manager.BddManager.apply_swap_vars` cofactor kernel
   instead of the three-cofactor / five-connective formula.
+* The X action (X, CX, CCX, Y, Rx(pi/2)) is one batched
+  :meth:`~repro.bdd.manager.BddManager.apply_flip` sweep,
+  ``F[q_t := not q_t]``, instead of two cofactor sweeps and an ITE sweep.
+* Conditional negation (Z, CZ, Y, and the second addend of H and
+  Ry(pi/2)) is one batched XOR sweep with the condition — ``ite(c, not F,
+  F) = c ^ F`` — instead of a full NOT sweep followed by an ITE sweep.
 * Multi-control cubes are memoised per sorted controls tuple, so repeated
   Toffoli / Fredkin gates on the same controls stop rebuilding the cube.
 * **Reorder tolerance**: handlers address qubits exclusively by variable
@@ -52,10 +58,10 @@ Hot-path design (this file issues every substrate operation of a gate):
   bump anyway.  Property tests pin this invariant.
 
 The naive 2-operand composition formulas are kept (``_ripple_add``,
-``_swap_two_vars``, ...) as the *reference path*: property tests assert the
-fused kernels are node-for-node equivalent to them, and
-``benchmarks/bench_gate_kernels.py`` measures the fusion speedup against
-them.
+``_swap_two_vars``, ``_swap_on``, ``_conditional_negate_add``, ...) as the
+*reference path*: property tests assert the fused kernels are node-for-node
+equivalent to them, and ``benchmarks/bench_gate_kernels.py`` measures the
+fusion speedup against them.
 
 Every handler returns a :class:`GateUpdate` carrying the new slices, the
 ``k`` increment and the symbolic overflow predicate of all additions
@@ -217,14 +223,8 @@ class GateRuleEngine:
 
     def _swap_on_many(self, nodes: Sequence[int], qubit: int) -> List[int]:
         """X-gate action on every node: the value at ``q = b`` becomes the
-        old value at ``q = not b`` (both cofactor sweeps and the recombining
-        ITE sweep run as single batches)."""
-        var = self.state.qubit_var(qubit)
-        qt = self._qvar_node(qubit)
-        batch = self.batch
-        low = batch.restrict_many(nodes, var, False)
-        high = batch.restrict_many(nodes, var, True)
-        return batch.ite_many([(qt, lo, hi) for lo, hi in zip(low, high)])
+        old value at ``q = not b`` (one batched variable-flip sweep)."""
+        return self.batch.flip_many(nodes, self.state.qubit_var(qubit))
 
     def _control_conjunction(self, controls: Sequence[int]) -> Bdd:
         """Conjunction of the positive control literals, memoised per sorted
@@ -405,11 +405,9 @@ class GateRuleEngine:
         return self._conditional_negate_all(condition)
 
     def _conditional_negate_all(self, condition: int) -> GateUpdate:
-        batch = self.batch
-        flat = self._all_node_bits()
-        nots = batch.not_many(flat)
-        complemented = batch.ite_many(
-            [(condition, nb, old) for nb, old in zip(nots, flat)])
+        # ite(cond, not F, F) is cond ^ F: complement where cond holds.
+        complemented = self.batch.xor_many(
+            [(condition, old) for old in self._all_node_bits()])
         per_vector = self._unflatten(complemented)
         zeros = [FALSE] * self.state.r
         sums, overflowed = self._ripple_add_many(
@@ -502,7 +500,6 @@ class GateRuleEngine:
         target = gate.targets[0]
         qt = self._qvar_node(target)
         not_qt = self.manager.apply_not(qt)
-        batch = self.batch
         fa, fb, fc, fd = (self._node_bits(name) for name in VECTOR_NAMES)
         r = self.state.r
         # (source vector, negate-on-branch) per destination vector, in
@@ -511,9 +508,7 @@ class GateRuleEngine:
         sources = fc + fd + fa + fb
         negate_when = [not_qt] * (2 * r) + [qt] * (2 * r)
         swapped = self._swap_on_many(sources, target)
-        nots = batch.not_many(swapped)
-        conditional = batch.ite_many(
-            [(cond, nb, sb) for cond, nb, sb in zip(negate_when, nots, swapped)])
+        conditional = self.batch.xor_many(list(zip(negate_when, swapped)))
         per_vector = self._unflatten(conditional)
         zeros = [FALSE] * r
         carries = {"a": not_qt, "b": not_qt, "c": qt, "d": qt}
@@ -533,9 +528,8 @@ class GateRuleEngine:
         flat = self._all_node_bits()
         low = batch.restrict_many(flat, var, False)
         high = batch.restrict_many(flat, var, True)
-        nots = batch.not_many(flat)
-        second = batch.ite_many(
-            [(qt, nb, hi) for nb, hi in zip(nots, high)])
+        # ite(q_t, not F, F|q_t=1) is q_t ^ F|q_t=1 (no full NOT sweep).
+        second = batch.xor_many([(qt, hi) for hi in high])
         r = self.state.r
         adders = [(low[index * r:(index + 1) * r],
                    second[index * r:(index + 1) * r], qt)
@@ -553,9 +547,8 @@ class GateRuleEngine:
         flat = self._all_node_bits()
         low = batch.restrict_many(flat, var, False)
         high = batch.restrict_many(flat, var, True)
-        not_high = batch.not_many(high)
-        second = batch.ite_many(
-            [(qt, old, nh) for old, nh in zip(flat, not_high)])
+        # ite(q_t, F, not F|q_t=1) is (not q_t) ^ F|q_t=1.
+        second = batch.xor_many([(not_qt, hi) for hi in high])
         r = self.state.r
         adders = [(low[index * r:(index + 1) * r],
                    second[index * r:(index + 1) * r], not_qt)

@@ -10,6 +10,11 @@ the strongest possible check.  Coverage:
   adjacent, distant, absent-variable and involution cases,
 * every :class:`~repro.bdd.manager.BatchApplier` method vs the equivalent
   sequence of single-shot operations,
+* the one-pass literal kernels: ``apply_flip`` / ``flip_many`` vs
+  ``ite(x_v, f|v=0, f|v=1)`` and the condition XOR vs ``ite(c, not f, f)``
+  (including the H and Ry(pi/2) second addends), on hypothesis-drawn BDDs
+  in the default order, after ``sift`` / ``set_order`` and after a garbage
+  collection that recycles node ids,
 * all of the above on a manager past the recursion-safe threshold under an
   artificially tiny recursion limit (the explicit-stack twins).
 """
@@ -20,8 +25,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BatchApplier, Bdd, BddManager
+from repro.bdd.manager import OP_NAMES
 
 
 def random_function(manager: BddManager, rng: random.Random,
@@ -205,6 +212,124 @@ class TestBatchApplier:
         assert stats["batch_items"] == before["batch_items"] + 5 + 3
 
 
+def reference_flip(manager: BddManager, f: int, var: int) -> int:
+    """The X action the long way: two cofactors recombined by an ITE."""
+    return manager.apply_ite(manager.var_node(var),
+                             manager.apply_restrict(f, var, False),
+                             manager.apply_restrict(f, var, True))
+
+
+def reference_negate_where(manager: BddManager, condition: int, f: int) -> int:
+    """Conditional negation the long way: a NOT, then an ITE."""
+    return manager.apply_ite(condition, manager.apply_not(f), f)
+
+
+def check_literal_kernels(manager: BddManager, functions, variables,
+                          rng: random.Random) -> None:
+    """Every literal-kernel form returns the node ids its composition
+    builds in the same manager.  Each kernel runs cache-cold first, so its
+    results are computed, not served by the reference's table entries."""
+    nodes = [f.node for f in functions]
+    batch = BatchApplier(manager)
+    for var in variables:
+        manager.clear_cache()
+        flipped = batch.flip_many(nodes, var)
+        manager.clear_cache()
+        single = [manager.apply_flip(f, var) for f in nodes]
+        assert flipped == single == [reference_flip(manager, f, var) for f in nodes]
+    literal_a, literal_b = (manager.var_node(var) for var in rng.sample(variables, 2))
+    conditions = [literal_a, manager.apply_not(literal_a),
+                  manager.apply_and(literal_a, literal_b), nodes[0]]
+    for condition in conditions:
+        manager.clear_cache()
+        negated = batch.xor_many([(condition, f) for f in nodes])
+        assert negated == [reference_negate_where(manager, condition, f)
+                           for f in nodes]
+    for var in rng.sample(variables, 2):
+        literal = manager.var_node(var)
+        not_literal = manager.apply_not(literal)
+        high = batch.restrict_many(nodes, var, True)
+        manager.clear_cache()
+        # H's second addend: ite(q, not F, F|q=1) == q ^ F|q=1.
+        h_second = batch.xor_many([(literal, hi) for hi in high])
+        # Ry's second addend: ite(q, F, not F|q=1) == (not q) ^ F|q=1.
+        ry_second = batch.xor_many([(not_literal, hi) for hi in high])
+        assert h_second == [manager.apply_ite(literal, manager.apply_not(f), hi)
+                            for f, hi in zip(nodes, high)]
+        assert ry_second == [manager.apply_ite(literal, f, manager.apply_not(hi))
+                             for f, hi in zip(nodes, high)]
+
+
+class TestLiteralKernels:
+    NUM_VARS = 9
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           regime=st.sampled_from(("default", "sift", "set_order", "gc")))
+    def test_literal_kernels_match_compositions(self, seed, regime):
+        rng = random.Random(seed)
+        manager = BddManager(self.NUM_VARS)
+        functions = [random_function(manager, rng, max_terms=12)
+                     for _ in range(5)]
+        if regime == "sift":
+            manager.sift()
+        elif regime == "set_order":
+            order = list(range(self.NUM_VARS))
+            rng.shuffle(order)
+            manager.set_order(order)
+            assert manager.current_order() == order
+        elif regime == "gc":
+            garbage = [random_function(manager, rng) for _ in range(4)]
+            del garbage
+            manager.garbage_collect()
+            free_after_gc = len(manager._free)
+            assert free_after_gc > 0
+            functions += [random_function(manager, rng) for _ in range(3)]
+            assert len(manager._free) < free_after_gc  # ids were recycled
+        check_literal_kernels(manager, functions, list(range(self.NUM_VARS)), rng)
+
+    def test_flip_is_a_size_preserving_involution(self):
+        manager = BddManager(10)
+        rng = random.Random(61)
+        for _ in range(30):
+            f = random_function(manager, rng).node
+            var = rng.randrange(10)
+            flipped = manager.apply_flip(f, var)
+            assert manager.apply_flip(flipped, var) == f
+            assert manager.count_nodes([flipped]) == manager.count_nodes([f])
+
+    def test_flip_of_absent_variable_and_terminals(self):
+        manager = BddManager(6)
+        f = manager.var(1) & ~manager.var(2)
+        assert manager.apply_flip(f.node, 4) == f.node
+        assert manager.apply_flip(0, 3) == 0 and manager.apply_flip(1, 3) == 1
+        assert manager.apply_flip(manager.var_node(5), 5) == manager.apply_not(
+            manager.var_node(5))
+        with pytest.raises(ValueError):
+            manager.apply_flip(f.node, 6)
+        assert BatchApplier(manager).flip_many([], 0) == []
+
+    def test_flip_shares_the_compose_table_and_counters(self):
+        manager = BddManager(8)
+        rng = random.Random(67)
+        functions = [random_function(manager, rng) for _ in range(4)]
+        nodes = [f.node for f in functions]
+        not_x3 = manager.apply_not(manager.var_node(3))
+        before = manager.perf_stats()
+        flipped = BatchApplier(manager).flip_many(nodes, 3)
+        middle = manager.perf_stats()
+        assert set(middle) == set(before)
+        assert OP_NAMES == ("and", "or", "xor", "not", "ite", "restrict",
+                            "exists", "compose", "maj3", "xor3", "swapvars")
+        assert middle["cache_compose_misses"] > before["cache_compose_misses"]
+        composed = [manager.apply_compose(f, 3, not_x3) for f in nodes]
+        after = manager.perf_stats()
+        assert composed == flipped
+        # The compose walk is served by the flip's entries: no new misses.
+        assert after["cache_compose_misses"] == middle["cache_compose_misses"]
+        assert after["cache_compose_hits"] > middle["cache_compose_hits"]
+
+
 class TestDeepManagerFusedKernels:
     """Managers past the recursion-safe threshold must run the fused kernels
     on the explicit stack, even under a tiny recursion limit."""
@@ -236,5 +361,37 @@ class TestDeepManagerFusedKernels:
             assert batch.xor3_many(triples) == [manager.apply_xor3(*t) for t in triples]
             assert (batch.swap_vars_many([f.node, g.node], 5, 1400)
                     == [manager.apply_swap_vars(n, 5, 1400) for n in (f.node, g.node)])
+        finally:
+            sys.setrecursionlimit(old_limit)
+
+    @pytest.mark.parametrize("regime", ["default", "set_order", "gc"])
+    def test_deep_literal_kernels_under_low_recursion_limit(self, regime):
+        num_vars = 640  # > _MAX_RECURSIVE_VARS, and far deeper than 220 frames
+        manager = BddManager(num_vars)
+        rng = random.Random(73)
+        chain = manager.true
+        parity = manager.false
+        for index in range(num_vars):
+            chain = chain & manager.literal(index, index % 3 != 0)
+            if index % 2 == 0:
+                parity = parity ^ manager.var(index)
+        functions = [chain, parity, chain | parity,
+                     random_function(manager, rng, max_terms=6),
+                     random_function(manager, rng, max_terms=6)]
+        if regime == "set_order":
+            order = list(range(num_vars))
+            order[:40] = reversed(order[:40])
+            manager.set_order(order)
+        elif regime == "gc":
+            garbage = [random_function(manager, rng, max_terms=6) for _ in range(3)]
+            del garbage
+            assert manager.garbage_collect() > 0
+            free_after_gc = len(manager._free)
+            functions.append(random_function(manager, rng, max_terms=6))
+            assert len(manager._free) < free_after_gc
+        old_limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(220)
+            check_literal_kernels(manager, functions, [0, 2, 5, 320, 638, 639], rng)
         finally:
             sys.setrecursionlimit(old_limit)

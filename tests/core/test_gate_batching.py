@@ -2,13 +2,19 @@
 
 The full gate semantics are already pinned against the dense oracle in
 ``test_gate_rules.py``; these tests cover the new machinery specifically:
-the lockstep batched adder vs the reference composition adder, the memoised
-control cubes, and the one-pass widen / shrink of the state.
+the lockstep batched adder vs the reference composition adder, the one-pass
+literal kernels (variable flip, condition XOR) vs the restrict/restrict/ITE
+and NOT + ITE forms they replace, the memoised control cubes, and the
+one-pass widen / shrink of the state.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bdd import Bdd
 from repro.circuit.circuit import QuantumCircuit
@@ -16,6 +22,7 @@ from repro.circuit.gates import Gate, GateKind
 from repro.core.bitslice import VECTOR_NAMES, BitSlicedState
 from repro.core.gate_rules import GateRuleEngine
 from repro.core.simulator import BitSliceSimulator
+from tests.conftest import build_circuit_from_ops, random_ops
 
 
 def _prepared_engine(num_qubits=4, seed=11):
@@ -64,10 +71,198 @@ class TestBatchedAdder:
 
     def test_mismatched_widths_rejected(self):
         engine = _prepared_engine()
-        import pytest
-
         with pytest.raises(ValueError):
             engine._ripple_add_many([([0, 0], [0], 0)])
+
+
+#: The gate kinds whose rules run the flip kernel or the condition XOR.
+LITERAL_KERNEL_GATES = (GateKind.X, GateKind.Y, GateKind.Z, GateKind.H,
+                        GateKind.RX_PI_2, GateKind.RY_PI_2, GateKind.CX,
+                        GateKind.CZ, GateKind.CCX)
+
+
+def _reference_update(engine, gate):
+    """Table II through the handle-level reference forms: the X action as
+    restrict/restrict/ITE (``_swap_on``) and every conditional negation as
+    NOT + ITE.  Returns ``(slices, overflowed)`` at the state's width."""
+    state = engine.state
+    manager = state.manager
+    target = gate.targets[0]
+    var = state.qubit_var(target)
+    qt = engine._qvar(target)
+    bits = {name: engine._bits(name) for name in VECTOR_NAMES}
+    zeros = engine._zeros()
+    kind = gate.kind
+
+    def swapped(name):
+        return [engine._swap_on(bit, target) for bit in bits[name]]
+
+    def negate_where(condition, functions):
+        return [condition.ite(~f, f) for f in functions]
+
+    if kind is GateKind.X:
+        return {name: swapped(name) for name in VECTOR_NAMES}, False
+    if kind in (GateKind.CX, GateKind.CCX):
+        condition = manager.true
+        for control in gate.controls:
+            condition = condition & engine._qvar(control)
+        return {name: [condition.ite(sw, bit)
+                       for sw, bit in zip(swapped(name), bits[name])]
+                for name in VECTOR_NAMES}, False
+    adders = {}
+    if kind in (GateKind.Z, GateKind.CZ):
+        condition = qt
+        for control in gate.controls:
+            condition = engine._qvar(control) & condition
+        for name in VECTOR_NAMES:
+            adders[name] = (negate_where(condition, bits[name]), zeros, condition)
+    elif kind is GateKind.Y:
+        for name, source, condition in (("a", "c", ~qt), ("b", "d", ~qt),
+                                        ("c", "a", qt), ("d", "b", qt)):
+            adders[name] = (negate_where(condition, swapped(source)), zeros,
+                            condition)
+    elif kind in (GateKind.H, GateKind.RY_PI_2):
+        for name in VECTOR_NAMES:
+            low = [bit.cofactor(var, False) for bit in bits[name]]
+            high = [bit.cofactor(var, True) for bit in bits[name]]
+            if kind is GateKind.H:
+                second = [qt.ite(~bit, hi) for bit, hi in zip(bits[name], high)]
+                adders[name] = (low, second, qt)
+            else:
+                second = [qt.ite(bit, ~hi) for bit, hi in zip(bits[name], high)]
+                adders[name] = (low, second, ~qt)
+    elif kind is GateKind.RX_PI_2:
+        for name, other, carry in (("a", "c", manager.true), ("b", "d", manager.true),
+                                   ("c", "a", manager.false), ("d", "b", manager.false)):
+            second = swapped(other)
+            if carry.is_true():
+                second = [~bit for bit in second]
+            adders[name] = (bits[name], second, carry)
+    else:
+        raise AssertionError(f"no reference for {kind}")
+    slices = {}
+    overflowed = False
+    for name, (addend_a, addend_b, carry) in adders.items():
+        slices[name], over = engine._ripple_add(addend_a, addend_b, carry)
+        overflowed = overflowed or over
+    return slices, overflowed
+
+
+def _assert_gate_matches_reference(engine, gate):
+    """The production handler's update equals the reference update node for
+    node (same manager), then the gate is applied to advance the state."""
+    update = engine._handler_for(gate.kind)(gate)
+    reference, overflowed = _reference_update(engine, gate)
+    assert update.overflowed == overflowed
+    for name in VECTOR_NAMES:
+        assert update.slices[name] == reference[name], (gate, name)
+    engine.apply(gate)
+
+
+def _literal_gates(num_qubits, rng, count):
+    gates = []
+    for _ in range(count):
+        kind = rng.choice(LITERAL_KERNEL_GATES)
+        qubits = rng.sample(range(num_qubits), 3 if kind is GateKind.CCX else 2)
+        if kind is GateKind.CCX:
+            gates.append(Gate(kind, (qubits[2],), (qubits[0], qubits[1])))
+        elif kind in (GateKind.CX, GateKind.CZ):
+            gates.append(Gate(kind, (qubits[1],), (qubits[0],)))
+        else:
+            gates.append(Gate(kind, (qubits[0],)))
+    return gates
+
+
+class TestLiteralKernelGateRules:
+    NUM_QUBITS = 5
+
+    def test_swap_on_many_matches_restrict_restrict_ite(self):
+        engine = _prepared_engine(num_qubits=5, seed=37)
+        state = engine.state
+        manager = state.manager
+        flat = engine._all_node_bits()
+        handles = [bit for name in VECTOR_NAMES for bit in state.slices[name]]
+        for qubit in range(5):
+            var = state.qubit_var(qubit)
+            manager.clear_cache()
+            flipped = engine._swap_on_many(flat, qubit)
+            low = engine.batch.restrict_many(flat, var, False)
+            high = engine.batch.restrict_many(flat, var, True)
+            qt = engine._qvar_node(qubit)
+            assert flipped == engine.batch.ite_many(
+                [(qt, lo, hi) for lo, hi in zip(low, high)])
+            assert flipped == [engine._swap_on(bit, qubit).node for bit in handles]
+
+    def test_condition_xor_matches_not_ite(self):
+        engine = _prepared_engine(num_qubits=5, seed=41)
+        manager = engine.manager
+        flat = engine._all_node_bits()
+        batch = engine.batch
+        qt = engine._qvar_node(2)
+        conditions = [qt, manager.apply_not(qt),
+                      manager.apply_and(engine._qvar_node(0), qt)]
+        for condition in conditions:
+            manager.clear_cache()
+            xored = batch.xor_many([(condition, f) for f in flat])
+            nots = batch.not_many(flat)
+            assert xored == batch.ite_many(
+                [(condition, nf, f) for nf, f in zip(nots, flat)])
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           regime=st.sampled_from(("default", "sift", "set_order", "gc")))
+    def test_gates_match_reference_forms(self, seed, regime):
+        rng = random.Random(seed)
+        circuit = build_circuit_from_ops(
+            self.NUM_QUBITS, random_ops(self.NUM_QUBITS, 10, seed))
+        simulator = BitSliceSimulator(self.NUM_QUBITS)
+        simulator.run(circuit)
+        engine = GateRuleEngine(simulator.state)
+        manager = engine.manager
+        if regime == "sift":
+            manager.sift()
+        elif regime == "set_order":
+            order = list(range(self.NUM_QUBITS))
+            rng.shuffle(order)
+            manager.set_order(order)
+        elif regime == "gc":
+            engine.apply(Gate(GateKind.H, (rng.randrange(self.NUM_QUBITS),)))
+            engine.apply(Gate(GateKind.T, (rng.randrange(self.NUM_QUBITS),)))
+            manager.garbage_collect()
+            free_after_gc = len(manager._free)
+        for gate in _literal_gates(self.NUM_QUBITS, rng, 8):
+            _assert_gate_matches_reference(engine, gate)
+        if regime == "gc" and free_after_gc:
+            assert len(manager._free) < free_after_gc  # recycled ids in use
+
+    def test_deep_state_under_low_recursion_limit(self):
+        num_qubits = 640  # past the recursion-safe manager size
+        rng = random.Random(43)
+        simulator = BitSliceSimulator(num_qubits)
+        prefix = QuantumCircuit(num_qubits)
+        for qubit in range(0, num_qubits, 2):
+            prefix.h(qubit)
+        for qubit in range(0, num_qubits - 2, 2):
+            prefix.cx(qubit, qubit + 1)
+        prefix.t(0).h(1).t(num_qubits - 1).cz(3, num_qubits - 2)
+        simulator.run(prefix)
+        engine = GateRuleEngine(simulator.state)
+        old_limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(220)
+            far = (0, 1, 3, 320, num_qubits - 2, num_qubits - 1)
+            for kind in LITERAL_KERNEL_GATES:
+                qubits = rng.sample(far, 3)
+                if kind is GateKind.CCX:
+                    gate = Gate(kind, (qubits[2],), (qubits[0], qubits[1]))
+                elif kind in (GateKind.CX, GateKind.CZ):
+                    gate = Gate(kind, (qubits[1],), (qubits[0],))
+                else:
+                    gate = Gate(kind, (qubits[0],))
+                _assert_gate_matches_reference(engine, gate)
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert not engine.manager._recursion_safe()
 
 
 class TestControlCubeMemo:
