@@ -36,10 +36,9 @@ here, so the constant factors of this file dominate end-to-end runtime):
 * **One-pass literal kernels**: :meth:`BddManager.apply_flip` computes
   ``f[x := not x]`` (the X action) by rebuilding only the region above
   ``x``'s level and exchanging the children at that level, instead of two
-  cofactor sweeps plus an ITE; it memoises under the ``compose`` key and
-  counters.  A conditional negation ``ite(c, not f, f)`` is the plain XOR
-  ``c ^ f``, which touches ``not`` only below ``c`` instead of sweeping it
-  over all of ``f`` first.
+  cofactor sweeps plus an ITE; it memoises and counts as ``compose``.  A
+  conditional negation ``ite(c, not f, f)`` is the plain XOR ``c ^ f``,
+  with no NOT sweep over all of ``f`` first.
 * **Batched application**: :class:`BatchApplier` runs one operation over many
   operand tuples sharing a single computed-table binding and one interner
   transaction, so a 4r-slice gate update pays the per-operation setup once

@@ -528,7 +528,7 @@ class GateRuleEngine:
         flat = self._all_node_bits()
         low = batch.restrict_many(flat, var, False)
         high = batch.restrict_many(flat, var, True)
-        # ite(q_t, not F, F|q_t=1) is q_t ^ F|q_t=1 (no full NOT sweep).
+        # ite(q_t, not F, F|q_t=1) is q_t ^ F|q_t=1.
         second = batch.xor_many([(qt, hi) for hi in high])
         r = self.state.r
         adders = [(low[index * r:(index + 1) * r],

@@ -176,38 +176,6 @@ def _literal_gates(num_qubits, rng, count):
 class TestLiteralKernelGateRules:
     NUM_QUBITS = 5
 
-    def test_swap_on_many_matches_restrict_restrict_ite(self):
-        engine = _prepared_engine(num_qubits=5, seed=37)
-        state = engine.state
-        manager = state.manager
-        flat = engine._all_node_bits()
-        handles = [bit for name in VECTOR_NAMES for bit in state.slices[name]]
-        for qubit in range(5):
-            var = state.qubit_var(qubit)
-            manager.clear_cache()
-            flipped = engine._swap_on_many(flat, qubit)
-            low = engine.batch.restrict_many(flat, var, False)
-            high = engine.batch.restrict_many(flat, var, True)
-            qt = engine._qvar_node(qubit)
-            assert flipped == engine.batch.ite_many(
-                [(qt, lo, hi) for lo, hi in zip(low, high)])
-            assert flipped == [engine._swap_on(bit, qubit).node for bit in handles]
-
-    def test_condition_xor_matches_not_ite(self):
-        engine = _prepared_engine(num_qubits=5, seed=41)
-        manager = engine.manager
-        flat = engine._all_node_bits()
-        batch = engine.batch
-        qt = engine._qvar_node(2)
-        conditions = [qt, manager.apply_not(qt),
-                      manager.apply_and(engine._qvar_node(0), qt)]
-        for condition in conditions:
-            manager.clear_cache()
-            xored = batch.xor_many([(condition, f) for f in flat])
-            nots = batch.not_many(flat)
-            assert xored == batch.ite_many(
-                [(condition, nf, f) for nf, f in zip(nots, flat)])
-
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
            regime=st.sampled_from(("default", "sift", "set_order", "gc")))
