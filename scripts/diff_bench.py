@@ -33,9 +33,9 @@ def load(path: str) -> Dict:
         return json.load(handle)
 
 
-def end_to_end_names(benchmark_path: str = BENCHMARK) -> List[str]:
+def end_to_end_names() -> List[str]:
     """The end-to-end metric names ``BENCHMARK.json`` declares, in order."""
-    return [metric["name"] for metric in load(benchmark_path)["end_to_end"]]
+    return [metric["name"] for metric in load(BENCHMARK)["end_to_end"]]
 
 
 def diff_rows(a: Dict, b: Dict, metrics: List[str]) -> Tuple[List[Row], List[str]]:
@@ -65,11 +65,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", help="the earlier BENCH_*.json")
     parser.add_argument("b", help="the later BENCH_*.json")
-    parser.add_argument("--benchmark", default=BENCHMARK,
-                        help="BENCHMARK.json naming the end-to-end metrics")
     args = parser.parse_args(argv)
     rows, unmatched = diff_rows(load(args.a), load(args.b),
-                                end_to_end_names(args.benchmark))
+                                end_to_end_names())
     print(f"{'workload':<26} {'metric':<12} {'unit':<6} "
           f"{'A median':>12} {'B median':>12} {'B/A':>7}")
     for workload, name, unit, median_a, median_b, ratio in rows:

@@ -1269,13 +1269,12 @@ class BddManager:
         self._check_var(var)
         if f < 2:
             return f
-        table = self._tables[OP_COMPOSE]
         if self._recursion_safe():
-            rec, finish = self._make_flip_rec(var, table)
+            rec, finish = self._make_flip_rec(var, self._tables[OP_COMPOSE])
             result = rec(f)
             finish()
             return result
-        return self._apply_flip_iter(f, var, table)
+        return self._flip((f,), var)[0]
 
     def _make_flip_rec(self, var: int, table: Dict):
         """Recursive variable-flip worker factory (``(rec, finish)``
@@ -1322,59 +1321,67 @@ class BddManager:
 
         return rec, finish
 
-    def _apply_flip_iter(self, f: int, var: int, table: Dict) -> int:
-        """Variable flip on an explicit work stack (deep managers)."""
+    def _flip(self, roots: Sequence[int], var: int) -> List[int]:
+        """Variable flip of every root in one operation, on an explicit work
+        stack (deep managers).  A pushed ``~a`` (negative) marks node ``a``
+        for rebuilding from the two results above it."""
         var_arr = self._var
         low_arr = self._low
         high_arr = self._high
         v2l = self._var_to_level
         target_level = v2l[var]
+        table = self._tables[OP_COMPOSE]
         table_get = table.get
         make, ucounts = self._interner()
+        # apply_compose's key names the substituted function by node id.
         not_var = make(var, TRUE, FALSE)
         hits = 0
         misses = 0
-        tasks: List[Tuple[int, int]] = [(0, f)]
+        out: List[int] = []
+        tasks: List[int] = []
         push = tasks.append
         pop = tasks.pop
         results: List[int] = []
         rpush = results.append
         rpop = results.pop
-        while tasks:
-            kind, a = pop()
-            if kind:
-                # Build: a is the original node being rebuilt structurally.
-                high = rpop()
-                low = rpop()
-                node = make(var_arr[a], low, high)
-                table[(a, var, not_var)] = node
-                rpush(node)
-                continue
-            if a < 2:
-                rpush(a)
-                continue
-            level = v2l[var_arr[a]]
-            if level > target_level:
-                rpush(a)
-                continue
-            if level == target_level:
-                rpush(make(var, high_arr[a], low_arr[a]))
-                continue
-            node = table_get((a, var, not_var))
-            if node is not None:
-                hits += 1
-                rpush(node)
-                continue
-            misses += 1
-            push((1, a))
-            push((0, high_arr[a]))
-            push((0, low_arr[a]))
+        for root in roots:
+            push(root)
+            while tasks:
+                a = pop()
+                if a < 0:
+                    a = ~a
+                    high = rpop()
+                    node = make(var_arr[a], rpop(), high)
+                    table[(a, var, not_var)] = node
+                    rpush(node)
+                    continue
+                if a < 2:
+                    rpush(a)
+                    continue
+                level = v2l[var_arr[a]]
+                if level > target_level:
+                    # Variable does not appear in this subgraph.
+                    rpush(a)
+                    continue
+                if level == target_level:
+                    rpush(make(var, high_arr[a], low_arr[a]))
+                    continue
+                node = table_get((a, var, not_var))
+                if node is not None:
+                    hits += 1
+                    rpush(node)
+                    continue
+                misses += 1
+                push(~a)
+                push(high_arr[a])
+                push(low_arr[a])
+            out.append(rpop())
         self._op_hits[OP_COMPOSE] += hits
         self._op_misses[OP_COMPOSE] += misses
         self._unique_probes += ucounts[0]
         self._unique_inserts += ucounts[1]
         self._after_operation(OP_COMPOSE, table)
-        return results[0]
+        return out
 
     # ------------------------------------------------------------------ #
     # fused multi-operand kernels
@@ -2061,7 +2068,7 @@ class BddManager:
             out = [rec(f) for f in nodes]
             finish()
             return out
-        return [self.apply_flip(f, var) for f in nodes]
+        return self._flip(nodes, var)
 
     def batch_swap_vars(self, nodes: Sequence[int], var_a: int, var_b: int) -> List[int]:
         """Exchange ``var_a`` / ``var_b`` in every node id in one batch."""
