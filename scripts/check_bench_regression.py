@@ -14,12 +14,17 @@ regresses:
   pinned exactly by the deterministic counters below instead of a timing
   (max-round timings proved too jittery to gate: one stray GC pause in
   a microsecond-scale round exceeds any reasonable band);
-* **calibration** — both the baseline and the checking machine time the
-  same self-contained synthetic workload (dict/int churn shaped like BDD
-  node operations, deliberately *not* using the code under test so a
-  substrate regression cannot rescale its own gate), and the ratio
-  rescales the baseline, so a slower CI runner does not produce false
-  regressions;
+* **calibration** — a self-contained synthetic workload (dict/int churn
+  shaped like BDD node operations, deliberately *not* using the code
+  under test so a substrate regression cannot rescale its own gate) is
+  timed right before and right after every benchmark, inside the
+  benchmark session (``benchmarks/conftest.py`` stores the two samples as
+  ``calibration_s``).  Each benchmark's baseline is rescaled by the ratio
+  of its own run samples to its own baseline samples, so a host whose
+  speed swings during the session does not produce false regressions.
+  Only when the baseline or the run lacks samples for a benchmark does the
+  older single loop, timed once at check time against the baseline's
+  ``_meta.calibration_seconds``, scale it instead;
 * **determinism** — integer ``extra_info`` metrics (node counts, cache
   miss counts, unique-table probes) must match the baseline exactly; the
   benchmarks are fixed-seed and these counters only accrue on first-time
@@ -47,6 +52,7 @@ import argparse
 import json
 import os
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -55,8 +61,13 @@ from typing import Dict, List, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "baseline.json"
 
+#: Loop length and repeats of the per-benchmark samples (shorter than the
+#: check-time loop: two samples are taken around every benchmark).
+SAMPLE_STEPS = 30_000
+SAMPLE_REPEATS = 2
 
-def calibration_seconds(repeats: int = 3) -> float:
+
+def calibration_seconds(repeats: int = 3, steps: int = 120_000) -> float:
     """Best-of-N timing of a fixed, self-contained synthetic workload.
 
     The loop mirrors what BDD node operations stress — dict probes and
@@ -71,7 +82,7 @@ def calibration_seconds(repeats: int = 3) -> float:
         unique = {}
         store = []
         start = time.perf_counter()
-        for step in range(120_000):
+        for step in range(steps):
             a = rng.randrange(1 << 20)
             b = rng.randrange(1 << 20)
             key = (a << 30) | b
@@ -89,17 +100,25 @@ def calibration_seconds(repeats: int = 3) -> float:
     return min(once() for _ in range(repeats))
 
 
+def sample_calibration() -> float:
+    """One per-benchmark calibration sample (``benchmarks/conftest.py``
+    takes one before and one after each benchmark)."""
+    return calibration_seconds(SAMPLE_REPEATS, SAMPLE_STEPS)
+
+
 def load_run(path: Path) -> Dict[str, Dict]:
-    """Parse a pytest-benchmark JSON report into name -> metrics."""
+    """Parse a pytest-benchmark JSON report into name -> metrics; the
+    ``calibration_s`` samples move out of the extras into their own key."""
     with open(path, encoding="utf-8") as handle:
         report = json.load(handle)
     entries: Dict[str, Dict] = {}
     for bench in report.get("benchmarks", []):
-        name = bench["name"]
-        entries[name] = {
-            "min_seconds": bench["stats"]["min"],
-            "extra": bench.get("extra_info", {}),
-        }
+        extra = dict(bench.get("extra_info", {}))
+        entry = {"min_seconds": bench["stats"]["min"], "extra": extra}
+        samples = extra.pop("calibration_s", None)
+        if samples:
+            entry["calibration_s"] = samples
+        entries[bench["name"]] = entry
     return entries
 
 
@@ -113,6 +132,19 @@ def build_baseline(run: Dict[str, Dict]) -> Dict:
     }
 
 
+def check_time_scale(base_cal, notes: List[str]) -> float:
+    """Machine scale from the check-time loop against the baseline's
+    ``_meta.calibration_seconds`` (1.0 when the baseline has none)."""
+    if not base_cal:
+        return 1.0
+    local_cal = calibration_seconds()
+    scale = local_cal / base_cal
+    notes.append(f"calibration (check-time fallback): baseline "
+                 f"{base_cal * 1e3:.4g} ms, here {local_cal * 1e3:.4g} ms "
+                 f"-> machine scale {scale:.2f}x")
+    return scale
+
+
 def check(run: Dict[str, Dict], baseline: Dict,
           threshold: float) -> Tuple[List[str], List[str], List[Dict]]:
     """Returns (failures, notes, rows) — rows feed the markdown summary."""
@@ -120,12 +152,8 @@ def check(run: Dict[str, Dict], baseline: Dict,
     notes: List[str] = []
     rows: List[Dict] = []
     base_cal = baseline.get("_meta", {}).get("calibration_seconds")
-    scale = 1.0
-    if base_cal:
-        local_cal = calibration_seconds()
-        scale = local_cal / base_cal
-        notes.append(f"calibration: baseline {base_cal * 1e3:.4g} ms, "
-                     f"here {local_cal * 1e3:.4g} ms -> machine scale {scale:.2f}x")
+    fallback_scale = None  # the check-time loop's scale, timed at most once
+    own_scales: List[float] = []
     base_benchmarks = baseline.get("benchmarks", {})
     for name, base_entry in sorted(base_benchmarks.items()):
         entry = run.get(name)
@@ -134,6 +162,15 @@ def check(run: Dict[str, Dict], baseline: Dict,
             rows.append({"name": name, "baseline_seconds": base_entry["min_seconds"],
                          "run_seconds": None, "status": "missing"})
             continue
+        run_samples = entry.get("calibration_s")
+        base_samples = base_entry.get("calibration_s")
+        if run_samples and base_samples:
+            scale = statistics.fmean(run_samples) / statistics.fmean(base_samples)
+            own_scales.append(scale)
+        else:
+            if fallback_scale is None:
+                fallback_scale = check_time_scale(base_cal, notes)
+            scale = fallback_scale
         allowed = base_entry["min_seconds"] * scale * threshold
         actual = entry["min_seconds"]
         status = "ok"
@@ -168,6 +205,10 @@ def check(run: Dict[str, Dict], baseline: Dict,
         rows.append({"name": name, "baseline_seconds": base_entry["min_seconds"],
                      "run_seconds": actual, "scale": scale, "status": status,
                      "extra": extra, "baseline_extra": base_extra})
+    if own_scales:
+        notes.insert(0, f"calibration: {len(own_scales)} benchmark(s) scaled by "
+                        f"their own samples, machine scale {min(own_scales):.2f}x"
+                        f"-{max(own_scales):.2f}x")
     for name in sorted(set(run) - set(base_benchmarks)):
         # Run-only benchmarks are *new*, not failures: a freshly added
         # family shows up here on the PR that introduces it, before its
@@ -209,10 +250,9 @@ def write_markdown_summary(rows: List[Dict], notes: List[str],
     shows its deltas against the committed baseline in the job summary."""
     lines = ["", "## Benchmark delta vs committed baseline", ""]
     for note in notes:
-        if note.startswith("calibration:"):
+        if note.startswith("calibration"):
             lines.append(f"_{note}_")
             lines.append("")
-            break
     lines.append("| benchmark | baseline (ms) | this run (ms) | delta "
                  "| nodes | status |")
     lines.append("|---|---:|---:|---:|---:|---|")

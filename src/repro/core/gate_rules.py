@@ -14,7 +14,11 @@ Derivation conventions (matching the paper's worked H-gate example):
   coefficients ``(a, b, c, d) -> (c, d, -a, -b)``; by ``w`` (the T gate)
   ``(a, b, c, d) -> (b, c, d, -a)``; negation is two's-complement negation
   (bitwise complement plus an initial carry-in), which is where the
-  ``Ca0 = q_t`` style carry seeds of Table II come from.
+  ``Ca0 = q_t`` style carry seeds of Table II come from.  Adding that seed
+  to the complement with a zero addend has a closed form: the carry into
+  bit i is ``c and not (F_0 or ... or F_{i-1})``, so bit i of the result is
+  ``F_i xor (c and (F_0 or ... or F_{i-1}))``, and the rules compute that
+  directly instead of running the adder.
 * H, Rx(pi/2) and Ry(pi/2) add amplitudes, so they run a full symbolic adder
   and increment the shared exponent ``k`` by one (their 1/sqrt(2) factor).
 
@@ -43,9 +47,15 @@ Hot-path design (this file issues every substrate operation of a gate):
 * The X action (X, CX, CCX, Y, Rx(pi/2)) is one batched
   :meth:`~repro.bdd.manager.BddManager.apply_flip` sweep,
   ``F[q_t := not q_t]``, instead of two cofactor sweeps and an ITE sweep.
-* Conditional negation (Z, CZ, Y, and the second addend of H and
-  Ry(pi/2)) is one batched XOR sweep with the condition — ``ite(c, not F,
-  F) = c ^ F`` — instead of a full NOT sweep followed by an ITE sweep.
+* Conditional negation (Z, CZ, Y, S, S†, T and T†) is
+  :meth:`GateRuleEngine._negate_where_many`, the closed form of Table II's
+  complement-plus-carry: per bit one OR for the prefix ``P_{i+1} = P_i or
+  F_i``, one AND ``c and P_i`` and one XOR with ``F_i``, batched across
+  vectors, with no complement sweep and no ternary adder kernel.  The
+  phase gates' ITE selects the un-negated source first.  Only H, Rx(pi/2)
+  and Ry(pi/2) run the adder; the complemented second addend of H and
+  Ry(pi/2) is one XOR sweep with the condition — ``ite(c, not F, F) = c ^
+  F`` — instead of a NOT sweep followed by an ITE sweep.
 * Multi-control cubes are memoised per sorted controls tuple, so repeated
   Toffoli / Fredkin gates on the same controls stop rebuilding the cube.
 * **Reorder tolerance**: handlers address qubits exclusively by variable
@@ -59,9 +69,9 @@ Hot-path design (this file issues every substrate operation of a gate):
 
 The naive 2-operand composition formulas are kept (``_ripple_add``,
 ``_swap_two_vars``, ``_swap_on``, ``_conditional_negate_add``, ...) as the
-*reference path*: property tests assert the fused kernels are node-for-node
-equivalent to them, and ``benchmarks/bench_gate_kernels.py`` measures the
-fusion speedup against them.
+*reference path*: property tests assert the fused kernels and the closed-form
+negation are node-for-node equivalent to them, and
+``benchmarks/bench_gate_kernels.py`` measures the speedup against them.
 
 Every handler returns a :class:`GateUpdate` carrying the new slices, the
 ``k`` increment and the symbolic overflow predicate of all additions
@@ -281,6 +291,52 @@ class GateRuleEngine:
         overflow = batch.xor_many(list(zip(carries, carry_into_sign)))
         return sums, any(node != FALSE for node in overflow)
 
+    def _negate_where_many(self, vectors: Sequence[Sequence[int]],
+                           conditions: Sequence[int],
+                           ) -> Tuple[List[List[int]], bool]:
+        """Two's-complement negate each equal-width vector wherever its
+        condition holds, in closed form (no carry chain).
+
+        Bit i of -x is x_i xor (x_0 or ... or x_{i-1}), so with the prefix
+        disjunctions P_1 = F_0, P_{i+1} = P_i or F_i, the result is
+        G_0 = F_0 and G_i = F_i xor (c and P_i).  The P chain is one OR
+        batch per bit position across all vectors; the ``c and P_i`` terms
+        and the XORs are then one batch each over every position.
+
+        Returns ``(negated_bit_lists, overflowed)``.  The negation overflows
+        only on the minimum value -2^(r-1), i.e. where
+        ``c and F_{r-1} and not P_{r-1}`` holds: the same predicate as the
+        carry-out xor carry-into-sign of Table II's complement-plus-carry
+        adder (:meth:`_conditional_negate_add`).
+        """
+        width = len(vectors[0])
+        if any(len(bits) != width for bits in vectors):
+            raise ValueError("negated vectors must have the same width")
+        batch = self.batch
+        span = width - 1
+        # prefixes[v][i] is P_i = F_0 or ... or F_{i-1} of vector v, i < r.
+        prefixes: List[List[int]] = [[FALSE] for _ in vectors]
+        if span:
+            for prefix, bits in zip(prefixes, vectors):
+                prefix.append(bits[0])
+        for position in range(1, span):
+            extended = batch.or_many([(prefix[-1], bits[position])
+                                      for prefix, bits in zip(prefixes, vectors)])
+            for prefix, node in zip(prefixes, extended):
+                prefix.append(node)
+        terms = batch.and_many(
+            [(condition, node) for condition, prefix in zip(conditions, prefixes)
+             for node in prefix[1:]]
+            + [(condition, bits[-1]) for condition, bits in zip(conditions, vectors)])
+        split = len(vectors) * span
+        negated = batch.xor_many(list(zip(
+            (bit for bits in vectors for bit in bits[1:]), terms[:split])))
+        overflow = batch.ite_many([(prefix[-1], FALSE, sign_term) for prefix, sign_term
+                                   in zip(prefixes, terms[split:])])
+        results = [[bits[0]] + negated[index * span:(index + 1) * span]
+                   for index, bits in enumerate(vectors)]
+        return results, any(node != FALSE for node in overflow)
+
     # ------------------------------------------------------------------ #
     # reference composition path (kept for equivalence tests / benchmarks)
     # ------------------------------------------------------------------ #
@@ -405,116 +461,57 @@ class GateRuleEngine:
         return self._conditional_negate_all(condition)
 
     def _conditional_negate_all(self, condition: int) -> GateUpdate:
-        # ite(cond, not F, F) is cond ^ F: complement where cond holds.
-        complemented = self.batch.xor_many(
-            [(condition, old) for old in self._all_node_bits()])
-        per_vector = self._unflatten(complemented)
-        zeros = [FALSE] * self.state.r
-        sums, overflowed = self._ripple_add_many(
-            [(per_vector[name], zeros, condition) for name in VECTOR_NAMES])
-        return self._update(dict(zip(VECTOR_NAMES, sums)), 0, overflowed)
+        vectors = [self._node_bits(name) for name in VECTOR_NAMES]
+        negated, overflowed = self._negate_where_many(
+            vectors, [condition] * len(vectors))
+        return self._update(dict(zip(VECTOR_NAMES, negated)), 0, overflowed)
 
     def _apply_s(self, gate: Gate) -> GateUpdate:
         # On q_t = 1 multiply by i: (a, b, c, d) -> (c, d, -a, -b).
-        qt = self._qvar_node(gate.targets[0])
-        batch = self.batch
-        fa, fb, fc, fd = (self._node_bits(name) for name in VECTOR_NAMES)
-        nots = batch.not_many(fa + fb)
-        r = self.state.r
-        not_a, not_b = nots[:r], nots[r:]
-        mixed = batch.ite_many(
-            [(qt, c, a) for a, c in zip(fa, fc)]
-            + [(qt, d, b) for b, d in zip(fb, fd)]
-            + [(qt, na, c) for na, c in zip(not_a, fc)]
-            + [(qt, nb, d) for nb, d in zip(not_b, fd)])
-        new_a, new_b = mixed[:r], mixed[r:2 * r]
-        pre_c, pre_d = mixed[2 * r:3 * r], mixed[3 * r:]
-        zeros = [FALSE] * r
-        (new_c, new_d), overflowed = self._ripple_add_many(
-            [(pre_c, zeros, qt), (pre_d, zeros, qt)])
-        return self._update({"a": new_a, "b": new_b, "c": new_c, "d": new_d},
-                            0, overflowed)
+        return self._permute_negate(gate, "cdab", "cd")
 
     def _apply_sdg(self, gate: Gate) -> GateUpdate:
         # On q_t = 1 multiply by -i: (a, b, c, d) -> (-c, -d, a, b).
-        qt = self._qvar_node(gate.targets[0])
-        batch = self.batch
-        fa, fb, fc, fd = (self._node_bits(name) for name in VECTOR_NAMES)
-        nots = batch.not_many(fc + fd)
-        r = self.state.r
-        not_c, not_d = nots[:r], nots[r:]
-        mixed = batch.ite_many(
-            [(qt, nc, a) for nc, a in zip(not_c, fa)]
-            + [(qt, nd, b) for nd, b in zip(not_d, fb)]
-            + [(qt, a, c) for c, a in zip(fc, fa)]
-            + [(qt, b, d) for d, b in zip(fd, fb)])
-        pre_a, pre_b = mixed[:r], mixed[r:2 * r]
-        new_c, new_d = mixed[2 * r:3 * r], mixed[3 * r:]
-        zeros = [FALSE] * r
-        (new_a, new_b), overflowed = self._ripple_add_many(
-            [(pre_a, zeros, qt), (pre_b, zeros, qt)])
-        return self._update({"a": new_a, "b": new_b, "c": new_c, "d": new_d},
-                            0, overflowed)
+        return self._permute_negate(gate, "cdab", "ab")
 
     def _apply_t(self, gate: Gate) -> GateUpdate:
         # On q_t = 1 multiply by w: (a, b, c, d) -> (b, c, d, -a).
-        qt = self._qvar_node(gate.targets[0])
-        batch = self.batch
-        fa, fb, fc, fd = (self._node_bits(name) for name in VECTOR_NAMES)
-        not_a = batch.not_many(fa)
-        r = self.state.r
-        mixed = batch.ite_many(
-            [(qt, b, a) for a, b in zip(fa, fb)]
-            + [(qt, c, b) for b, c in zip(fb, fc)]
-            + [(qt, d, c) for c, d in zip(fc, fd)]
-            + [(qt, na, d) for na, d in zip(not_a, fd)])
-        new_a, new_b = mixed[:r], mixed[r:2 * r]
-        new_c, pre_d = mixed[2 * r:3 * r], mixed[3 * r:]
-        zeros = [FALSE] * r
-        (new_d,), overflowed = self._ripple_add_many([(pre_d, zeros, qt)])
-        return self._update({"a": new_a, "b": new_b, "c": new_c, "d": new_d},
-                            0, overflowed)
+        return self._permute_negate(gate, "bcda", "d")
 
     def _apply_tdg(self, gate: Gate) -> GateUpdate:
         # On q_t = 1 multiply by w**-1: (a, b, c, d) -> (-d, a, b, c).
+        return self._permute_negate(gate, "dabc", "a")
+
+    def _permute_negate(self, gate: Gate, sources: str,
+                        negated: str) -> GateUpdate:
+        """Where ``q_t = 1``, vector ``VECTOR_NAMES[i]`` takes the old
+        vector ``sources[i]``, and the vectors named in ``negated`` are then
+        two's-complement negated there.  One ITE batch selects the
+        un-negated sources; :meth:`_negate_where_many` negates under q_t."""
         qt = self._qvar_node(gate.targets[0])
-        batch = self.batch
-        fa, fb, fc, fd = (self._node_bits(name) for name in VECTOR_NAMES)
-        not_d = batch.not_many(fd)
-        r = self.state.r
-        mixed = batch.ite_many(
-            [(qt, nd, a) for nd, a in zip(not_d, fa)]
-            + [(qt, a, b) for b, a in zip(fb, fa)]
-            + [(qt, b, c) for c, b in zip(fc, fb)]
-            + [(qt, c, d) for d, c in zip(fd, fc)])
-        pre_a, new_b = mixed[:r], mixed[r:2 * r]
-        new_c, new_d = mixed[2 * r:3 * r], mixed[3 * r:]
-        zeros = [FALSE] * r
-        (new_a,), overflowed = self._ripple_add_many([(pre_a, zeros, qt)])
-        return self._update({"a": new_a, "b": new_b, "c": new_c, "d": new_d},
-                            0, overflowed)
+        old = {name: self._node_bits(name) for name in VECTOR_NAMES}
+        mixed = self._unflatten(self.batch.ite_many(
+            [(qt, src, own)
+             for name, source in zip(VECTOR_NAMES, sources)
+             for src, own in zip(old[source], old[name])]))
+        negated_bits, overflowed = self._negate_where_many(
+            [mixed[name] for name in negated], [qt] * len(negated))
+        mixed.update(zip(negated, negated_bits))
+        return self._update(mixed, 0, overflowed)
 
     def _apply_y(self, gate: Gate) -> GateUpdate:
         # new(q_t=0) = -i * old(q_t=1), new(q_t=1) = +i * old(q_t=0);
-        # i * (a,b,c,d) = (c, d, -a, -b).
+        # i * (a,b,c,d) = (c, d, -a, -b).  So a' <- c and b' <- d swapped,
+        # negated on q_t = 0; c' <- a and d' <- b swapped, negated on q_t = 1.
         target = gate.targets[0]
         qt = self._qvar_node(target)
         not_qt = self.manager.apply_not(qt)
         fa, fb, fc, fd = (self._node_bits(name) for name in VECTOR_NAMES)
-        r = self.state.r
-        # (source vector, negate-on-branch) per destination vector, in
-        # VECTOR_NAMES order: a' <- c, b' <- d (negate on q_t=0);
-        # c' <- a, d' <- b (negate on q_t=1).
-        sources = fc + fd + fa + fb
-        negate_when = [not_qt] * (2 * r) + [qt] * (2 * r)
-        swapped = self._swap_on_many(sources, target)
-        conditional = self.batch.xor_many(list(zip(negate_when, swapped)))
-        per_vector = self._unflatten(conditional)
-        zeros = [FALSE] * r
-        carries = {"a": not_qt, "b": not_qt, "c": qt, "d": qt}
-        sums, overflowed = self._ripple_add_many(
-            [(per_vector[name], zeros, carries[name]) for name in VECTOR_NAMES])
-        return self._update(dict(zip(VECTOR_NAMES, sums)), 0, overflowed)
+        swapped = self._unflatten(self._swap_on_many(fc + fd + fa + fb, target))
+        negated, overflowed = self._negate_where_many(
+            [swapped[name] for name in VECTOR_NAMES],
+            [not_qt, not_qt, qt, qt])
+        return self._update(dict(zip(VECTOR_NAMES, negated)), 0, overflowed)
 
     # ------------------------------------------------------------------ #
     # superposing gates (symbolic adders, k increments)

@@ -2,10 +2,11 @@
 
 The full gate semantics are already pinned against the dense oracle in
 ``test_gate_rules.py``; these tests cover the new machinery specifically:
-the lockstep batched adder vs the reference composition adder, the one-pass
-literal kernels (variable flip, condition XOR) vs the restrict/restrict/ITE
-and NOT + ITE forms they replace, the memoised control cubes, and the
-one-pass widen / shrink of the state.
+the lockstep batched adder vs the reference composition adder, the
+closed-form conditional negation vs Table II's complement-plus-carry adder,
+the one-pass literal kernels (variable flip, condition XOR) vs the
+restrict/restrict/ITE and NOT + ITE forms they replace, the memoised control
+cubes, and the one-pass widen / shrink of the state.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bdd import Bdd
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import Gate, GateKind
+from repro.bdd.manager import FALSE
 from repro.core.bitslice import VECTOR_NAMES, BitSlicedState
 from repro.core.gate_rules import GateRuleEngine
 from repro.core.simulator import BitSliceSimulator
@@ -75,16 +77,132 @@ class TestBatchedAdder:
             engine._ripple_add_many([([0, 0], [0], 0)])
 
 
-#: The gate kinds whose rules run the flip kernel or the condition XOR.
+def _random_function(manager, rng, num_vars):
+    """A uniformly random Boolean function of the first ``num_vars``
+    variables, built from its truth table."""
+    function = manager.false
+    for minterm in range(1 << num_vars):
+        if rng.random() < 0.5:
+            cube = manager.true
+            for var in range(num_vars):
+                cube = cube & manager.literal(var, bool(minterm >> var & 1))
+            function = function | cube
+    return function
+
+
+def _random_condition(manager, rng, num_vars):
+    """A negation condition: constant, literal, negated literal,
+    conjunction of two literals, or an arbitrary function."""
+    kind = rng.randrange(6)
+    var_a, var_b = rng.sample(range(num_vars), 2)
+    if kind == 0:
+        return manager.true
+    if kind == 1:
+        return manager.false
+    if kind == 2:
+        return manager.var(var_a)
+    if kind == 3:
+        return ~manager.var(var_a)
+    if kind == 4:
+        return manager.var(var_a) & manager.var(var_b)
+    return _random_function(manager, rng, num_vars)
+
+
+class TestClosedFormNegation:
+    NUM_VARS = 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           width=st.integers(min_value=1, max_value=6),
+           count=st.integers(min_value=1, max_value=4))
+    def test_matches_complement_plus_carry_adder(self, seed, width, count):
+        rng = random.Random(seed)
+        state = BitSlicedState(self.NUM_VARS)
+        manager = state.manager
+        vectors = [[_random_function(manager, rng, self.NUM_VARS)
+                    for _ in range(width)] for _ in range(count)]
+        if width > 1 and rng.random() < 0.5:  # sign-extended: cannot overflow
+            vectors = [bits[:-1] + [bits[-2]] for bits in vectors]
+        if rng.random() < 0.3:  # a vector holding the minimum value somewhere
+            vectors[0] = [manager.false] * (width - 1) + [manager.true]
+        # The reference forms run at the state's width: hold the vectors.
+        state.replace_slices({name: vectors[index % count]
+                              for index, name in enumerate(VECTOR_NAMES)})
+        engine = GateRuleEngine(state)
+        conditions = [_random_condition(manager, rng, self.NUM_VARS)
+                      for _ in range(count)]
+        negated, overflowed = engine._negate_where_many(
+            [[bit.node for bit in bits] for bits in vectors],
+            [condition.node for condition in conditions])
+        any_reference_overflow = False
+        for bits, condition, closed_form in zip(vectors, conditions, negated):
+            reference, reference_overflow = engine._conditional_negate_add(
+                bits, condition)
+            assert closed_form == [bit.node for bit in reference]
+            any_reference_overflow = any_reference_overflow or reference_overflow
+        assert overflowed == any_reference_overflow
+
+    def test_minimum_value_overflows_then_widens(self):
+        # Vector a holds -4 = 100b where q0 = 1 (and 0 elsewhere) at r = 3:
+        # negating it there overflows, so Z widens once and retries.
+        state = BitSlicedState(2)
+        manager = state.manager
+        q0 = manager.var(state.qubit_var(0))
+        false = manager.false
+        state.replace_slices({"a": [false, false, q0], "b": [false] * 3,
+                              "c": [false] * 3, "d": [false] * 3})
+        engine = GateRuleEngine(state)
+        vectors = [engine._node_bits(name) for name in VECTOR_NAMES]
+        _, overflowed = engine._negate_where_many(vectors, [q0.node] * 4)
+        assert overflowed
+        _, reference_overflow = engine._conditional_negate_add(
+            state.slices["a"], q0)
+        assert reference_overflow
+
+        engine.apply(Gate(GateKind.Z, (0,)))
+        assert state.r == 4
+        widened = BitSlicedState(2, manager=manager)
+        widened.replace_slices({"a": [false, false, q0, q0],
+                                "b": [false] * 4, "c": [false] * 4,
+                                "d": [false] * 4})
+        reference_engine = GateRuleEngine(widened)
+        for name in VECTOR_NAMES:
+            reference, over = reference_engine._conditional_negate_add(
+                widened.slices[name], q0)
+            assert not over
+            assert state.slices[name] == reference
+        # +4 = 0100b where q0 = 1.
+        assert [bit.node for bit in state.slices["a"]] == [FALSE, FALSE, q0.node, FALSE]
+
+    def test_mismatched_widths_rejected(self):
+        engine = _prepared_engine()
+        with pytest.raises(ValueError):
+            engine._negate_where_many([[0, 0], [0]], [0, 0])
+
+
+#: The gate kinds whose rules run the flip kernel, the condition XOR or the
+#: closed-form negation.
 LITERAL_KERNEL_GATES = (GateKind.X, GateKind.Y, GateKind.Z, GateKind.H,
                         GateKind.RX_PI_2, GateKind.RY_PI_2, GateKind.CX,
-                        GateKind.CZ, GateKind.CCX)
+                        GateKind.CZ, GateKind.CCX, GateKind.S, GateKind.SDG,
+                        GateKind.T, GateKind.TDG)
+
+#: Table II's phase gates as a multiplication on q_t = 1: per destination
+#: vector a, b, c, d, the source vector and whether it is negated.
+PHASE_MULTIPLIERS = {
+    GateKind.S: (("c", False), ("d", False), ("a", True), ("b", True)),
+    GateKind.SDG: (("c", True), ("d", True), ("a", False), ("b", False)),
+    GateKind.T: (("b", False), ("c", False), ("d", False), ("a", True)),
+    GateKind.TDG: (("d", True), ("a", False), ("b", False), ("c", False)),
+}
 
 
 def _reference_update(engine, gate):
     """Table II through the handle-level reference forms: the X action as
-    restrict/restrict/ITE (``_swap_on``) and every conditional negation as
-    NOT + ITE.  Returns ``(slices, overflowed)`` at the state's width."""
+    restrict/restrict/ITE (``_swap_on``), every conditional negation as
+    NOT + ITE plus the carry-seeded ``_ripple_add``, and the phase gates'
+    permutation as an ITE per slice.  Returns ``(slices, overflowed)`` at
+    the state's width."""
     state = engine.state
     manager = state.manager
     target = gate.targets[0]
@@ -110,7 +228,16 @@ def _reference_update(engine, gate):
                        for sw, bit in zip(swapped(name), bits[name])]
                 for name in VECTOR_NAMES}, False
     adders = {}
-    if kind in (GateKind.Z, GateKind.CZ):
+    slices = {}
+    if kind in PHASE_MULTIPLIERS:
+        for name, (source, negated) in zip(VECTOR_NAMES, PHASE_MULTIPLIERS[kind]):
+            selected = [qt.ite(src, own)
+                        for src, own in zip(bits[source], bits[name])]
+            if negated:
+                adders[name] = (negate_where(qt, selected), zeros, qt)
+            else:
+                slices[name] = selected
+    elif kind in (GateKind.Z, GateKind.CZ):
         condition = qt
         for control in gate.controls:
             condition = engine._qvar(control) & condition
@@ -140,7 +267,6 @@ def _reference_update(engine, gate):
             adders[name] = (bits[name], second, carry)
     else:
         raise AssertionError(f"no reference for {kind}")
-    slices = {}
     overflowed = False
     for name, (addend_a, addend_b, carry) in adders.items():
         slices[name], over = engine._ripple_add(addend_a, addend_b, carry)
