@@ -315,10 +315,7 @@ class GateRuleEngine:
         batch = self.batch
         span = width - 1
         # prefixes[v][i] is P_i = F_0 or ... or F_{i-1} of vector v, i < r.
-        prefixes: List[List[int]] = [[FALSE] for _ in vectors]
-        if span:
-            for prefix, bits in zip(prefixes, vectors):
-                prefix.append(bits[0])
+        prefixes = [[FALSE, bits[0]] if span else [FALSE] for bits in vectors]
         for position in range(1, span):
             extended = batch.or_many([(prefix[-1], bits[position])
                                       for prefix, bits in zip(prefixes, vectors)])
