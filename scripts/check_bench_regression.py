@@ -17,11 +17,13 @@ regresses:
 * **calibration** — a self-contained synthetic workload (dict/int churn
   shaped like BDD node operations, deliberately *not* using the code
   under test so a substrate regression cannot rescale its own gate) is
-  timed right before and right after every benchmark, inside the
-  benchmark session (``benchmarks/conftest.py`` stores the two samples as
+  timed in short samples right before and right after every benchmark,
+  inside the benchmark session (``benchmarks/conftest.py`` stores them as
   ``calibration_s``).  Each benchmark's baseline is rescaled by the ratio
-  of its own run samples to its own baseline samples, so a host whose
-  speed swings during the session does not produce false regressions.
+  of the fastest of its own run samples to the fastest of its own
+  baseline samples — a best case against a best case, like the min
+  timing it scales — so a host whose speed swings between benchmarks
+  does not rescale one benchmark by another's conditions.
   Only when the baseline or the run lacks samples for a benchmark does the
   older single loop, timed once at check time against the baseline's
   ``_meta.calibration_seconds``, scale it instead;
@@ -52,7 +54,6 @@ import argparse
 import json
 import os
 import random
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -61,10 +62,11 @@ from typing import Dict, List, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "baseline.json"
 
-#: Loop length and repeats of the per-benchmark samples (shorter than the
-#: check-time loop: two samples are taken around every benchmark).
-SAMPLE_STEPS = 30_000
-SAMPLE_REPEATS = 2
+#: Loop length of one per-benchmark sample (a few ms), and samples taken on
+#: each side of a benchmark: many short samples catch the host's fast
+#: moments, as the benchmark's min over many rounds does.
+SAMPLE_STEPS = 3_000
+SAMPLES_PER_SIDE = 8
 
 
 def calibration_seconds(repeats: int = 3, steps: int = 120_000) -> float:
@@ -100,10 +102,10 @@ def calibration_seconds(repeats: int = 3, steps: int = 120_000) -> float:
     return min(once() for _ in range(repeats))
 
 
-def sample_calibration() -> float:
-    """One per-benchmark calibration sample (``benchmarks/conftest.py``
-    takes one before and one after each benchmark)."""
-    return calibration_seconds(SAMPLE_REPEATS, SAMPLE_STEPS)
+def sample_calibration() -> List[float]:
+    """Calibration samples for one side of a benchmark
+    (``benchmarks/conftest.py`` takes them before and after each one)."""
+    return [calibration_seconds(1, SAMPLE_STEPS) for _ in range(SAMPLES_PER_SIDE)]
 
 
 def load_run(path: Path) -> Dict[str, Dict]:
@@ -165,7 +167,7 @@ def check(run: Dict[str, Dict], baseline: Dict,
         run_samples = entry.get("calibration_s")
         base_samples = base_entry.get("calibration_s")
         if run_samples and base_samples:
-            scale = statistics.fmean(run_samples) / statistics.fmean(base_samples)
+            scale = min(run_samples) / min(base_samples)
             own_scales.append(scale)
         else:
             if fallback_scale is None:

@@ -106,9 +106,10 @@ class TestPerBenchmarkCalibration:
         assert any(note.startswith("calibration: 2 benchmark(s)")
                    for note in notes)
 
-    def test_scale_is_the_mean_of_the_samples(self, script, no_check_time_loop):
-        base = {"test_a": timed(0.010, [0.08, 0.12])}
-        run = {"test_a": timed(0.010, [0.15, 0.25])}
+    def test_scale_is_the_ratio_of_the_fastest_samples(self, script,
+                                                       no_check_time_loop):
+        base = {"test_a": timed(0.010, [0.12, 0.08, 0.10])}
+        run = {"test_a": timed(0.010, [0.25, 0.16, 0.30])}
         _, _, rows = script.check(run, baseline_of(base), threshold=1.25)
         assert rows[0]["scale"] == pytest.approx(2.0)
 
@@ -164,7 +165,7 @@ class TestPerBenchmarkCalibration:
         baseline = script.build_baseline(run)
         assert baseline["benchmarks"]["test_a"]["calibration_s"] == [0.1, 0.2]
 
-    def test_benchmark_session_records_samples(self, tmp_path):
+    def test_benchmark_session_records_samples(self, script, tmp_path):
         """The benchmarks' conftest times the loop around each benchmark and
         the samples land in the pytest-benchmark JSON."""
         report = tmp_path / "run.json"
@@ -176,7 +177,8 @@ class TestPerBenchmarkCalibration:
         assert completed.returncode == 0, completed.stdout + completed.stderr
         (bench,) = json.loads(report.read_text(encoding="utf-8"))["benchmarks"]
         samples = bench["extra_info"]["calibration_s"]
-        assert len(samples) == 2 and all(sample > 0 for sample in samples)
+        assert len(samples) == 2 * script.SAMPLES_PER_SIDE
+        assert all(sample > 0 for sample in samples)
 
 
 class TestMarkdownSummary:
