@@ -256,7 +256,7 @@ def test_closed_form_negation(benchmark):
 
     misses, probes = cold_counters(cold_closed_form)
     adder_misses, adder_probes = cold_counters(cold_adder_form)
-    (negated, _) = benchmark(cold_closed_form)
+    negated, _ = benchmark(cold_closed_form)
     benchmark.extra_info["result_nodes"] = manager.count_nodes(
         [bit for bits in negated for bit in bits])
     benchmark.extra_info["cache_misses"] = misses

@@ -55,14 +55,12 @@ def bench_limits():
 @pytest.fixture(autouse=True)
 def calibration_samples(request):
     """Time the regression gate's calibration loop right before and right
-    after each benchmark, and store both samples in the benchmark's
+    after each benchmark, and store the samples in the benchmark's
     ``extra_info["calibration_s"]`` (so in the run JSON): the gate scales
     every benchmark by the host's speed while that benchmark ran."""
-    if "benchmark" not in request.fixturenames:
-        yield
-        return
-    benchmark = request.getfixturevalue("benchmark")
-    if not benchmark.enabled:
+    benchmark = (request.getfixturevalue("benchmark")
+                 if "benchmark" in request.fixturenames else None)
+    if benchmark is None or not benchmark.enabled:
         yield
         return
     before = _REGRESSION_GATE.sample_calibration()
