@@ -14,6 +14,10 @@ benchmarks pin that plumbing:
   denominator for the overhead ratio.
 * ``test_auto_selection`` times capability-based selection alone, which
   runs per circuit in every ``engine="auto"`` call.
+* ``test_statevector_gate_loop`` times ``repro.run`` on the dense engine
+  with a 12-qubit random circuit of a few hundred gates, the engine
+  ``auto`` picks for small non-Clifford circuits; its gate kernel
+  dominates the time.
 
 Deterministic ``extra_info`` (statuses, node counts) is gated exactly by
 ``scripts/check_bench_regression.py``; the fixed-seed workload must not
@@ -30,6 +34,8 @@ from repro.workloads.random_circuits import generate_random_circuit
 CIRCUIT = generate_random_circuit(6, seed=2021)
 LIMITS = ResourceLimits(max_seconds=30.0, max_nodes=100_000)
 QUERY_QUBITS = list(range(CIRCUIT.num_qubits))
+#: Fixed dense workload: enough gates that the gate loop, not dispatch, shows.
+DENSE_CIRCUIT = generate_random_circuit(12, num_gates=240, seed=2021)
 
 
 def test_dispatch_overhead_vs_native(benchmark):
@@ -66,3 +72,16 @@ def test_auto_selection(benchmark):
     benchmark.extra_info["selected"] = selected
     # The fixed circuit is non-Clifford and below the dense cutoff.
     assert selected == "statevector"
+
+
+def test_statevector_gate_loop(benchmark):
+    """The dense engine's gate loop through the front door."""
+
+    def dense():
+        return run(DENSE_CIRCUIT, engine="statevector", limits=LIMITS)
+
+    result = benchmark(dense)
+    assert result.succeeded
+    benchmark.extra_info["status"] = result.status
+    benchmark.extra_info["num_gates"] = DENSE_CIRCUIT.num_gates
+    benchmark.extra_info["num_qubits"] = DENSE_CIRCUIT.num_qubits

@@ -2,8 +2,11 @@
 
 This is the "array-based" simulator class discussed in the paper's
 introduction (Quipper / LIQUi|> / QX / ProjectQ style): the full
-``2**n``-entry complex vector is held in memory and every gate is applied by
-in-place slicing.  In the reproduction it serves two roles:
+``2**n``-entry complex vector is held in memory.  A gate is one ``np.dot`` of
+its 2x2 matrix with the control-1 subspace laid out target-first as a
+``(2, N)`` operand (the operand and call ``np.tensordot`` makes, so amplitudes
+are bit-identical to that form), and outcome queries read one ``|state|**2``
+per state.  In the reproduction it serves two roles:
 
 * the floating-point oracle for the test-suite (every other engine is
   validated against it on small circuits), and
@@ -18,7 +21,7 @@ worked example and every other engine in the repository.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +52,7 @@ class StatevectorSimulator:
         self.num_qubits = num_qubits
         self._state = np.zeros(1 << num_qubits, dtype=complex)
         self._state[initial_state] = 1.0
+        self._probabilities: Optional[np.ndarray] = None  # see _probability_tensor
 
     # ------------------------------------------------------------------ #
     # state access
@@ -63,8 +67,15 @@ class StatevectorSimulator:
         return complex(self._state[basis_index])
 
     def probabilities(self) -> np.ndarray:
-        """``|amplitude|**2`` for every basis state."""
+        """``|amplitude|**2`` for every basis state (a fresh array)."""
         return np.abs(self._state) ** 2
+
+    def _probability_tensor(self) -> np.ndarray:
+        """``|state|**2`` shaped ``(2,) * n``, squared once per state: every
+        mutation drops it, and it never leaves this class."""
+        if self._probabilities is None:
+            self._probabilities = np.abs(self._state.reshape((2,) * self.num_qubits)) ** 2
+        return self._probabilities
 
     def norm(self) -> float:
         """The 2-norm of the state (should stay 1 up to rounding)."""
@@ -73,10 +84,6 @@ class StatevectorSimulator:
     # ------------------------------------------------------------------ #
     # gate application
     # ------------------------------------------------------------------ #
-    def _axis_of(self, qubit: int) -> int:
-        """Tensor axis of ``qubit`` when the state is reshaped to (2,)*n."""
-        return qubit  # qubit 0 is the most significant bit == first axis
-
     def apply_gate(self, gate: Gate) -> None:
         """Apply one :class:`Gate` in place."""
         if gate.kind is GateKind.MEASURE:
@@ -84,39 +91,33 @@ class StatevectorSimulator:
         if gate.kind in (GateKind.SWAP, GateKind.CSWAP):
             self._apply_swap(gate)
             return
-        matrix = gate_matrix(gate.kind)
-        self._apply_controlled_single(matrix, gate.controls, gate.targets[0])
+        self._apply_controlled_single(gate_matrix(gate.kind), gate.controls, gate.targets[0])
+
+    def _control_subspace(self, controls: Tuple[int, ...]) -> np.ndarray:
+        """Writable view of the state where every control is 1 (axes: the
+        other qubits, ascending)."""
+        selector: List[object] = [slice(None)] * self.num_qubits
+        for control in controls:
+            selector[control] = 1
+        return self._state.reshape((2,) * self.num_qubits)[tuple(selector)]
 
     def _apply_controlled_single(self, matrix: np.ndarray,
                                  controls: Tuple[int, ...], target: int) -> None:
-        n = self.num_qubits
-        tensor = self._state.reshape((2,) * n)
-        # Build an index selecting the subspace where all controls are 1.
-        selector: List[object] = [slice(None)] * n
-        for control in controls:
-            selector[self._axis_of(control)] = 1
-        sub = tensor[tuple(selector)]
-        # Move the target axis (its position among the remaining axes) first.
-        remaining_axes = [q for q in range(n) if q not in controls]
-        target_position = remaining_axes.index(target)
-        moved = np.moveaxis(sub, target_position, 0)
-        updated = np.tensordot(matrix, moved, axes=([1], [0]))
-        tensor[tuple(selector)] = np.moveaxis(updated, 0, target_position)
-        self._state = tensor.reshape(-1)
+        """One ``np.dot`` of ``matrix`` with the control-1 subspace viewed as
+        ``(lead, 2, rest)`` and transposed target-first to ``(2, N)``."""
+        sub = self._control_subspace(controls)
+        lead = 1 << (target - sum(control < target for control in controls))
+        operand = sub.reshape(lead, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+        updated = np.dot(matrix, operand)
+        sub[...] = updated.reshape(2, lead, -1).transpose(1, 0, 2).reshape(sub.shape)
+        self._probabilities = None
 
     def _apply_swap(self, gate: Gate) -> None:
-        qubit_a, qubit_b = gate.targets
-        n = self.num_qubits
-        tensor = self._state.reshape((2,) * n)
-        selector: List[object] = [slice(None)] * n
-        for control in gate.controls:
-            selector[self._axis_of(control)] = 1
-        sub = tensor[tuple(selector)]
-        remaining_axes = [q for q in range(n) if q not in gate.controls]
-        axis_a = remaining_axes.index(qubit_a)
-        axis_b = remaining_axes.index(qubit_b)
-        tensor[tuple(selector)] = np.swapaxes(sub, axis_a, axis_b)
-        self._state = tensor.reshape(-1)
+        sub = self._control_subspace(gate.controls)
+        axis_a, axis_b = (qubit - sum(control < qubit for control in gate.controls)
+                          for qubit in gate.targets)
+        sub[...] = np.swapaxes(sub, axis_a, axis_b)
+        self._probabilities = None
 
     def run(self, circuit: QuantumCircuit) -> "StatevectorSimulator":
         """Apply every gate of ``circuit`` in order.  Returns ``self``."""
@@ -139,20 +140,21 @@ class StatevectorSimulator:
     # ------------------------------------------------------------------ #
     def probability_of_qubit(self, qubit: int, value: int = 0) -> float:
         """``Pr[qubit == value]`` without collapsing the state."""
-        n = self.num_qubits
-        tensor = np.abs(self._state.reshape((2,) * n)) ** 2
-        axis = self._axis_of(qubit)
-        marginal = tensor.sum(axis=tuple(a for a in range(n) if a != axis))
+        tensor = self._probability_tensor()
+        marginal = tensor.sum(axis=tuple(a for a in range(self.num_qubits) if a != qubit))
         return float(marginal[value])
 
     def probability_of_outcome(self, qubits: Sequence[int], outcome: Sequence[int]) -> float:
-        """Probability of observing ``outcome`` when measuring ``qubits`` jointly."""
-        n = self.num_qubits
-        tensor = np.abs(self._state.reshape((2,) * n)) ** 2
-        selector: List[object] = [slice(None)] * n
+        """Probability of observing ``outcome`` when measuring ``qubits`` jointly
+        (0 if a qubit is listed twice with different values); sums a slice of
+        the memoised ``|state|**2``."""
+        selector: List[object] = [slice(None)] * self.num_qubits
         for qubit, value in zip(qubits, outcome):
-            selector[self._axis_of(qubit)] = int(value)
-        return float(tensor[tuple(selector)].sum())
+            selector[qubit] = int(value)
+        if len(set(qubits)) < len(qubits) and any(
+                selector[qubit] != int(value) for qubit, value in zip(qubits, outcome)):
+            return 0.0
+        return float(self._probability_tensor()[tuple(selector)].sum())
 
     def measurement_distribution(self, qubits: Optional[Sequence[int]] = None) -> Dict[int, float]:
         """Joint outcome distribution over ``qubits`` (default: all qubits).
@@ -160,25 +162,21 @@ class StatevectorSimulator:
         Keys are outcome integers with the first listed qubit as the most
         significant bit; entries below 1e-15 are omitted.
         """
-        if qubits is None:
-            qubits = list(range(self.num_qubits))
-        qubits = list(qubits)
+        qubits = list(range(self.num_qubits)) if qubits is None else list(qubits)
         distribution: Dict[int, float] = {}
-        n = self.num_qubits
-        probabilities = np.abs(self._state.reshape((2,) * n)) ** 2
-        other_axes = tuple(q for q in range(n) if q not in qubits)
+        probabilities = self._probability_tensor()
+        other_axes = tuple(q for q in range(self.num_qubits) if q not in qubits)
         marginal = probabilities.sum(axis=other_axes) if other_axes else probabilities
-        # ``marginal`` axes follow ascending qubit index; build outcomes by
-        # reading bits in the order requested by the caller.
-        ascending = sorted(qubits)
+        # ``marginal`` axes follow ascending qubit index, so qubit ``q`` is bit
+        # ``shift[q]`` of a flat index; outcomes read bits in the caller's order.
+        ascending = sorted(set(qubits))
+        shift = {q: len(ascending) - 1 - pos for pos, q in enumerate(ascending)}
         for flat_index, probability in enumerate(marginal.reshape(-1)):
             if probability < 1e-15:
                 continue
-            bits = {q: (flat_index >> (len(ascending) - 1 - pos)) & 1
-                    for pos, q in enumerate(ascending)}
             outcome = 0
-            for position, qubit in enumerate(qubits):
-                outcome |= bits[qubit] << (len(qubits) - 1 - position)
+            for qubit in qubits:
+                outcome = (outcome << 1) | ((flat_index >> shift[qubit]) & 1)
             distribution[outcome] = distribution.get(outcome, 0.0) + float(probability)
         return distribution
 
@@ -194,12 +192,11 @@ class StatevectorSimulator:
         probability = probability_zero if outcome == 0 else 1.0 - probability_zero
         if probability <= 0.0:
             raise ValueError("attempted to collapse onto a zero-probability outcome")
-        n = self.num_qubits
-        tensor = self._state.reshape((2,) * n)
-        selector: List[object] = [slice(None)] * n
-        selector[self._axis_of(qubit)] = 1 - outcome
-        tensor[tuple(selector)] = 0.0
-        self._state = tensor.reshape(-1) / math.sqrt(probability)
+        selector: List[object] = [slice(None)] * self.num_qubits
+        selector[qubit] = 1 - outcome
+        self._state.reshape((2,) * self.num_qubits)[tuple(selector)] = 0.0
+        self._state = self._state / math.sqrt(probability)
+        self._probabilities = None
         return outcome
 
     def sample(self, shots: int, qubits: Optional[Sequence[int]] = None,

@@ -21,6 +21,7 @@ Each gate kind carries:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -75,16 +76,18 @@ class GateSpec:
     k_increment: int
     base_matrix_exact: Optional[Tuple[Tuple[AlgebraicComplex, ...], ...]]
 
-    @property
+    @functools.cached_property
     def base_matrix(self) -> Optional[np.ndarray]:
-        """The base single-qubit matrix as a complex numpy array (or ``None``
-        for SWAP-style and measurement pseudo-gates)."""
+        """The base single-qubit matrix as a read-only complex numpy array,
+        built once per kind (``None`` for SWAP-style and measurement gates)."""
         if self.base_matrix_exact is None:
             return None
-        return np.array(
+        matrix = np.array(
             [[entry.to_complex() for entry in row] for row in self.base_matrix_exact],
             dtype=complex,
         )
+        matrix.flags.writeable = False
+        return matrix
 
 
 def _m(rows: Sequence[Sequence[AlgebraicComplex]]) -> Tuple[Tuple[AlgebraicComplex, ...], ...]:
@@ -241,7 +244,7 @@ def gate_matrix_exact(kind: GateKind) -> Tuple[Tuple[AlgebraicComplex, ...], ...
 
 
 def gate_matrix(kind: GateKind) -> np.ndarray:
-    """Numpy 2x2 base matrix of a single-target gate kind."""
+    """Numpy 2x2 base matrix of a single-target gate kind (shared, read-only)."""
     spec = GATE_SPECS[kind]
     matrix = spec.base_matrix
     if matrix is None:

@@ -61,6 +61,15 @@ class TestLifecycle:
         assert instance.probability([0], [1]) == pytest.approx(0.5, abs=1e-9)
         assert instance.memory_nodes() > 0
 
+    def test_repeated_qubit_in_query(self, engine):
+        """A qubit listed twice with different values has probability 0;
+        equal repeats count once."""
+        instance = create_engine(engine)
+        instance.run(QuantumCircuit(2, name="h0").h(0), LIMITS)
+        assert instance.probability([0, 0], [0, 1]) == 0.0
+        assert instance.probability([0, 1, 0], [1, 0, 0]) == 0.0
+        assert instance.probability([0, 0], [1, 1]) == pytest.approx(0.5, abs=1e-9)
+
     def test_limit_enforcer_execution(self, engine):
         circuit = ghz_circuit(4)
         instance = LimitEnforcer(create_engine(engine), LIMITS).execute(circuit)
