@@ -22,6 +22,8 @@ from conftest import scale_choice
 NUM_VARS = scale_choice(24, 48)
 NUM_TERMS = scale_choice(40, 120)
 DEEP_VARS = scale_choice(900, 2500)
+#: Just past the manager's 600-variable recursive-path limit.
+DEEP_KERNEL_VARS = 640
 
 
 def _random_dnf(manager: BddManager, rng: random.Random, num_terms: int):
@@ -141,3 +143,47 @@ def test_bdd_deep_chain(benchmark):
     benchmark.extra_info["result_nodes"] = result
     _record_substrate(benchmark, manager)
     assert result >= 1
+
+
+def test_deep_manager_kernels(benchmark):
+    """One cache-cold round of every operation on a manager past the
+    recursion-safe threshold, so every kernel runs on the explicit-stack
+    driver instead of the recursive closures."""
+    manager = BddManager(DEEP_KERNEL_VARS)
+    assert not manager._recursion_safe()
+    chain = manager.true
+    parity = manager.false
+    band = manager.false
+    for index in range(DEEP_KERNEL_VARS):
+        chain = chain & manager.literal(index, index % 3 != 0)
+        if index % 2 == 0:
+            parity = parity ^ manager.var(index)
+        if index % 5 == 0 and index + 3 < DEEP_KERNEL_VARS:
+            band = band | (manager.var(index) & manager.nvar(index + 2)
+                           & manager.var(index + 3))
+    f, g, h = chain.node, parity.node, band.node
+    last = DEEP_KERNEL_VARS - 1
+    ops = {
+        "and": lambda: manager.apply_and(f, g),
+        "or": lambda: manager.apply_or(g, h),
+        "xor": lambda: manager.apply_xor(g, h),
+        "not": lambda: manager.apply_not(h),
+        "ite": lambda: manager.apply_ite(h, f, g),
+        "restrict": lambda: manager.apply_restrict(g, last // 2, True),
+        "exists": lambda: manager.apply_exists(h, range(0, DEEP_KERNEL_VARS, 7)),
+        "compose": lambda: manager.apply_compose(g, 4, h),
+        "flip": lambda: manager.apply_flip(g, last // 2),
+        "maj3": lambda: manager.apply_maj3(f, g, h),
+        "xor3": lambda: manager.apply_xor3(f, g, h),
+        "swapvars": lambda: manager.apply_swap_vars(f, 5, last),
+    }
+
+    def deep_round():
+        manager.clear_cache()
+        return {name: op() for name, op in ops.items()}
+
+    results = benchmark(deep_round)
+    benchmark.extra_info["num_vars"] = DEEP_KERNEL_VARS
+    for name, node in results.items():
+        benchmark.extra_info[f"result_nodes_{name}"] = manager.count_nodes([node])
+    assert min(manager.count_nodes([node]) for node in results.values()) > 2

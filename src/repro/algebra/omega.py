@@ -33,6 +33,29 @@ OMEGA = cmath.exp(1j * math.pi / 4)
 #: Numerical value of ``sqrt(2)`` for float conversions.
 SQRT2 = math.sqrt(2.0)
 
+#: Integers of at most this many bits convert to float, and ``x + y*SQRT2``
+#: stays finite, when both ``x`` and ``y`` fit in it.
+_FLOAT_SAFE_BITS = 1021
+
+
+def sqrt2_ratio_to_float(x: int, y: int, k: int) -> float:
+    """``(x + y*sqrt(2)) / 2**k`` as a float, for any ``k`` and integer size.
+
+    The direct formula ``(x + y*SQRT2) / 2.0**k`` overflows once ``k``
+    reaches 1024 (past ~510-qubit Bernstein-Vazirani, or 1024 Hadamards)
+    and when ``x`` or ``y`` outgrow the float range.  Scaling by an exact
+    power of two with :func:`math.ldexp` instead gives the same bits
+    wherever that formula was finite, and underflows gracefully to ``0.0``.
+    Numerators too wide for a float drop low bits first, which lie far
+    below the 53-bit mantissa.
+    """
+    excess = max(x.bit_length(), y.bit_length()) - _FLOAT_SAFE_BITS
+    if excess > 0:
+        x >>= excess
+        y >>= excess
+        k -= excess
+    return math.ldexp(x + y * SQRT2, -k)
+
 
 def _poly_mul(p: Tuple[int, int, int, int], q: Tuple[int, int, int, int]) -> Tuple[int, int, int, int]:
     """Multiply two elements of ``Z[w]`` given as ``(a, b, c, d)`` coefficient
@@ -198,8 +221,7 @@ class AlgebraicComplex:
 
     def abs_squared(self) -> float:
         """``|alpha|**2`` as a float."""
-        x, y, k = self.abs_squared_exact()
-        return (x + y * SQRT2) / (2.0 ** k)
+        return sqrt2_ratio_to_float(*self.abs_squared_exact())
 
     def to_complex(self) -> complex:
         """The value as a Python ``complex`` (floating point)."""

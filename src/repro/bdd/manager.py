@@ -23,9 +23,13 @@ here, so the constant factors of this file dominate end-to-end runtime):
   ``ite(f, g, 0)`` to AND, ``ite(f, 0, h)`` to ``~f & h`` and
   ``ite(f, g, 1)`` to ``~f | g``, so ITE-heavy workloads share the binary
   computed tables instead of fragmenting their memoisation.
-* **Iterative applies**: the core operations run an explicit work stack, not
-  Python recursion, so 30+ qubit supremacy circuits (BDD depth well past the
-  interpreter's recursion limit) cannot crash the simulator.
+* **Recursive closures, one explicit-stack driver for deep managers**: up to
+  ``_MAX_RECURSIVE_VARS`` (600) variables every operation runs as a
+  recursive closure (the fast path); past that, apply depth could reach the
+  interpreter's recursion limit, so every operation runs on
+  :meth:`BddManager._stack_apply`, one work-stack driver to which each
+  operation contributes only its terminal rules and cofactor step.  Both
+  forms return the same node ids and count the same table traffic.
 * **Fused multi-operand kernels**: :meth:`BddManager.apply_maj3` (the
   full-adder carry ``ab + ac + bc``) and :meth:`BddManager.apply_xor3` (the
   full-adder sum ``a ^ b ^ c``) traverse all three operands in a single
@@ -105,6 +109,10 @@ _KEY_BITS = 30
 #: keeps a wide margin below CPython's default 1000-frame recursion limit);
 #: deeper managers switch to the explicit-stack implementations.
 _MAX_RECURSIVE_VARS = 600
+
+#: Marks a build step on the explicit-stack driver's work stack; the
+#: computed-table key and the branching variable sit right below it.
+_BUILD = object()
 
 
 class BddManager:
@@ -397,6 +405,118 @@ class BddManager:
 
         return make, counts
 
+    @staticmethod
+    def _apply_once(worker, *args) -> int:
+        """Run a ``(rec, finish)`` worker on one operand tuple as a
+        transaction of its own (the single-shot operations' front end)."""
+        rec, finish = worker
+        result = rec(*args)
+        finish()
+        return result
+
+    def _stack_apply(self, op: int, table: Dict, visit, make, ucounts,
+                     combine=None, nested=()):
+        """The explicit-stack driver behind every operation on managers too
+        deep for the recursive closures.
+
+        Returns ``(rec, finish)`` with the contract of
+        :meth:`_make_binary_rec`, but ``rec(*args)`` runs a work stack
+        instead of Python recursion, so no apply depth can reach the
+        interpreter's recursion limit.  The driver owns what every operation
+        shares: the computed-table lookup and its hit / miss counts, the
+        build step and memo store, and (in ``finish``) the counter fold and
+        :meth:`_after_operation`.  The operation supplies only
+        ``visit(args)``, which applies its terminal and normalisation rules
+        to one operand tuple and returns one of
+
+        * a finished node id;
+        * ``(key, var, low_args, high_args)``, a cofactor step: on a table
+          miss both operand tuples are solved and ``make(var, low, high)``
+          (or ``combine(var, low, high)``) is stored under ``key``;
+        * ``(key, thunk)``: on a table miss ``thunk()`` gives the node.
+
+        ``make`` / ``ucounts`` are the :meth:`_interner` that ``visit``
+        builds with.  ``nested`` holds the ``finish`` callbacks of workers
+        that ``visit`` delegates to; they fold first, as in the recursive
+        factories, so both twins bound their tables at the same moments.
+        """
+        table_get = table.get
+        build = make if combine is None else combine
+        hits = 0
+        misses = 0
+
+        def rec(*args) -> int:
+            nonlocal hits, misses
+            tasks = [args]
+            push = tasks.append
+            pop = tasks.pop
+            results: List[int] = []
+            rpush = results.append
+            rpop = results.pop
+            while tasks:
+                task = pop()
+                if task is _BUILD:
+                    key = pop()
+                    var = pop()
+                    high = rpop()
+                    node = build(var, rpop(), high)
+                    table[key] = node
+                    rpush(node)
+                    continue
+                step = visit(task)
+                if step.__class__ is int:
+                    rpush(step)
+                    continue
+                key = step[0]
+                node = table_get(key)
+                if node is not None:
+                    hits += 1
+                    rpush(node)
+                    continue
+                misses += 1
+                if len(step) == 2:
+                    node = step[1]()
+                    table[key] = node
+                    rpush(node)
+                    continue
+                # Flat entries: a stack of int-only tuples stays out of the
+                # cyclic collector's way on deep walks.
+                _, var, low_args, high_args = step
+                push(var)
+                push(key)
+                push(_BUILD)
+                push(high_args)
+                push(low_args)
+            return results[0]
+
+        def finish() -> None:
+            for nested_finish in nested:
+                nested_finish()
+            self._op_hits[op] += hits
+            self._op_misses[op] += misses
+            self._unique_probes += ucounts[0]
+            self._unique_inserts += ucounts[1]
+            self._after_operation(op, table)
+
+        return rec, finish
+
+    def _top_cofactors(self, a: int, b: int, c: int):
+        """Cofactor an operand triple on its top variable:
+        ``(var, (a0, b0, c0), (a1, b1, c1))``.  Shared by the three-operand
+        visits (ITE, maj3, xor3) of the explicit-stack driver."""
+        var_arr = self._var
+        low_arr = self._low
+        high_arr = self._high
+        v2l = self._var_to_level
+        alev = v2l[var_arr[a]]
+        blev = v2l[var_arr[b]]
+        clev = v2l[var_arr[c]]
+        top = min(alev, blev, clev)
+        a0, a1 = (low_arr[a], high_arr[a]) if alev == top else (a, a)
+        b0, b1 = (low_arr[b], high_arr[b]) if blev == top else (b, b)
+        c0, c1 = (low_arr[c], high_arr[c]) if clev == top else (c, c)
+        return self._level_to_var[top], (a0, b0, c0), (a1, b1, c1)
+
     def _make_binary_rec(self, op: int, table: Dict):
         """Build the recursive worker for a commutative binary connective.
 
@@ -526,115 +646,53 @@ class BddManager:
 
         return rec, finish
 
-    def _apply_binary_rec(self, op: int, f: int, g: int, table: Dict) -> int:
-        """Single-pair front end of :meth:`_make_binary_rec`."""
-        rec, finish = self._make_binary_rec(op, table)
-        result = rec(f, g)
-        finish()
-        return result
-
-    def _apply_binary(self, op: int, f: int, g: int) -> int:
-        """Iterative apply for the commutative binary connectives.
-
-        Runs an explicit work stack of visit/build tasks instead of Python
-        recursion: a *visit* task resolves terminal rules and the computed
-        table, or expands cofactors; a *build* task pops the two child
-        results, interns the node and memoises it under the packed key.
-        Used for managers too deep for :meth:`_apply_binary_rec`.
-        """
+    def _make_binary_stack(self, op: int, table: Dict):
+        """Explicit-stack twin of :meth:`_make_binary_rec` (deep managers)."""
         var_arr = self._var
         low_arr = self._low
         high_arr = self._high
         v2l = self._var_to_level
-        table = self._tables[op]
-        table_get = table.get
-        make, ucounts = self._interner()
-        hits = 0
-        misses = 0
-        tasks: List[Tuple[int, int, int]] = [(0, f, g)]
-        push = tasks.append
-        pop = tasks.pop
-        results: List[int] = []
-        rpush = results.append
-        rpop = results.pop
-        while tasks:
-            kind, a, b = pop()
-            if kind:
-                # Build: a = branching variable, b = computed-table key.
-                high = rpop()
-                low = rpop()
-                node = make(a, low, high)
-                table[b] = node
-                rpush(node)
-                continue
-            # Visit: a, b are operand node ids.  Terminal rules first.
-            if op == OP_AND:
-                if a == 0 or b == 0:
-                    rpush(0)
-                    continue
-                if a == 1:
-                    rpush(b)
-                    continue
-                if b == 1 or a == b:
-                    rpush(a)
-                    continue
-            elif op == OP_OR:
-                if a == 1 or b == 1:
-                    rpush(1)
-                    continue
-                if a == 0:
-                    rpush(b)
-                    continue
-                if b == 0 or a == b:
-                    rpush(a)
-                    continue
-            else:  # OP_XOR
+        apply_not = self.apply_not
+        xor = op == OP_XOR
+        # AND absorbs FALSE and passes TRUE through, OR the reverse.
+        absorbing = FALSE if op == OP_AND else TRUE
+        neutral = absorbing ^ 1
+
+        def visit(args):
+            a, b = args
+            if xor:
                 if a == b:
-                    rpush(0)
-                    continue
+                    return 0
                 if a == 0:
-                    rpush(b)
-                    continue
+                    return b
                 if b == 0:
-                    rpush(a)
-                    continue
+                    return a
                 if a == 1:
-                    rpush(self.apply_not(b))
-                    continue
+                    return apply_not(b)
                 if b == 1:
-                    rpush(self.apply_not(a))
-                    continue
+                    return apply_not(a)
+            else:
+                if a == absorbing or b == absorbing:
+                    return absorbing
+                if a == neutral:
+                    return b
+                if b == neutral or a == b:
+                    return a
             if a > b:
                 a, b = b, a
             key = (a << _KEY_BITS) | b
-            node = table_get(key)
-            if node is not None:
-                hits += 1
-                rpush(node)
-                continue
-            misses += 1
             avar = var_arr[a]
             bvar = var_arr[b]
             alev = v2l[avar]
             blev = v2l[bvar]
             if alev == blev:
-                push((1, avar, key))
-                push((0, high_arr[a], high_arr[b]))
-                push((0, low_arr[a], low_arr[b]))
-            elif alev < blev:
-                push((1, avar, key))
-                push((0, high_arr[a], b))
-                push((0, low_arr[a], b))
-            else:
-                push((1, bvar, key))
-                push((0, a, high_arr[b]))
-                push((0, a, low_arr[b]))
-        self._op_hits[op] += hits
-        self._op_misses[op] += misses
-        self._unique_probes += ucounts[0]
-        self._unique_inserts += ucounts[1]
-        self._after_operation(op, table)
-        return results[0]
+                return key, avar, (low_arr[a], low_arr[b]), (high_arr[a], high_arr[b])
+            if alev < blev:
+                return key, avar, (low_arr[a], b), (high_arr[a], b)
+            return key, bvar, (a, low_arr[b]), (a, high_arr[b])
+
+        make, ucounts = self._interner()
+        return self._stack_apply(op, table, visit, make, ucounts)
 
     def apply_and(self, f: int, g: int) -> int:
         """Conjunction of two node ids."""
@@ -651,9 +709,8 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_AND] += 1
             return node
-        if self._recursion_safe():
-            return self._apply_binary_rec(OP_AND, f, g, table)
-        return self._apply_binary(OP_AND, f, g)
+        factory = self._make_binary_rec if self._recursion_safe() else self._make_binary_stack
+        return self._apply_once(factory(OP_AND, table), f, g)
 
     def apply_or(self, f: int, g: int) -> int:
         """Disjunction of two node ids."""
@@ -670,9 +727,8 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_OR] += 1
             return node
-        if self._recursion_safe():
-            return self._apply_binary_rec(OP_OR, f, g, table)
-        return self._apply_binary(OP_OR, f, g)
+        factory = self._make_binary_rec if self._recursion_safe() else self._make_binary_stack
+        return self._apply_once(factory(OP_OR, table), f, g)
 
     def apply_xor(self, f: int, g: int) -> int:
         """Exclusive-or of two node ids."""
@@ -693,9 +749,8 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_XOR] += 1
             return node
-        if self._recursion_safe():
-            return self._apply_binary_rec(OP_XOR, f, g, table)
-        return self._apply_binary(OP_XOR, f, g)
+        factory = self._make_binary_rec if self._recursion_safe() else self._make_binary_stack
+        return self._apply_once(factory(OP_XOR, table), f, g)
 
     def apply_not(self, f: int) -> int:
         """Negation of a node id."""
@@ -706,9 +761,8 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_NOT] += 1
             return node
-        if self._recursion_safe():
-            return self._apply_not_rec(f, table)
-        return self._apply_not_iter(f, table)
+        factory = self._make_not_rec if self._recursion_safe() else self._make_not_stack
+        return self._apply_once(factory(table), f)
 
     def _make_not_rec(self, table: Dict):
         """Recursive negation worker factory (``(rec, finish)`` contract of
@@ -743,56 +797,20 @@ class BddManager:
 
         return rec, finish
 
-    def _apply_not_rec(self, f: int, table: Dict) -> int:
-        """Single-root front end of :meth:`_make_not_rec`."""
-        rec, finish = self._make_not_rec(table)
-        result = rec(f)
-        finish()
-        return result
-
-    def _apply_not_iter(self, f: int, table: Dict) -> int:
-        """Negation on an explicit work stack (deep managers)."""
+    def _make_not_stack(self, table: Dict):
+        """Explicit-stack twin of :meth:`_make_not_rec` (deep managers)."""
         var_arr = self._var
         low_arr = self._low
         high_arr = self._high
-        table_get = table.get
-        make, ucounts = self._interner()
-        hits = 0
-        misses = 0
-        tasks: List[Tuple[int, int]] = [(0, f)]
-        push = tasks.append
-        pop = tasks.pop
-        results: List[int] = []
-        rpush = results.append
-        rpop = results.pop
-        while tasks:
-            kind, a = pop()
-            if kind:
-                # Build: a is the original node whose negation completes.
-                high = rpop()
-                low = rpop()
-                node = make(var_arr[a], low, high)
-                table[a] = node
-                rpush(node)
-                continue
+
+        def visit(args):
+            a = args[0]
             if a < 2:
-                rpush(a ^ 1)
-                continue
-            node = table_get(a)
-            if node is not None:
-                hits += 1
-                rpush(node)
-                continue
-            misses += 1
-            push((1, a))
-            push((0, high_arr[a]))
-            push((0, low_arr[a]))
-        self._op_hits[OP_NOT] += hits
-        self._op_misses[OP_NOT] += misses
-        self._unique_probes += ucounts[0]
-        self._unique_inserts += ucounts[1]
-        self._after_operation(OP_NOT, table)
-        return results[0]
+                return a ^ 1
+            return a, var_arr[a], (low_arr[a],), (high_arr[a],)
+
+        make, ucounts = self._interner()
+        return self._stack_apply(OP_NOT, table, visit, make, ucounts)
 
     def apply_ite(self, f: int, g: int, h: int) -> int:
         """If-then-else: ``(f and g) or (not f and h)``.
@@ -828,9 +846,8 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_ITE] += 1
             return node
-        if self._recursion_safe():
-            return self._apply_ite_rec(f, g, h, table)
-        return self._apply_ite_iter(f, g, h, table)
+        factory = self._make_ite_rec if self._recursion_safe() else self._make_ite_stack
+        return self._apply_once(factory(table), f, g, h)
 
     def _make_ite_rec(self, table: Dict):
         """Recursive ITE worker factory (see :meth:`_make_binary_rec` for the
@@ -910,111 +927,43 @@ class BddManager:
 
         return rec, finish
 
-    def _apply_ite_rec(self, f: int, g: int, h: int, table: Dict) -> int:
-        """Single-triple front end of :meth:`_make_ite_rec`."""
-        rec, finish = self._make_ite_rec(table)
-        result = rec(f, g, h)
-        finish()
-        return result
+    def _make_ite_stack(self, table: Dict):
+        """Explicit-stack twin of :meth:`_make_ite_rec` (deep managers)."""
+        apply_and = self.apply_and
+        apply_or = self.apply_or
+        apply_not = self.apply_not
+        top_cofactors = self._top_cofactors
 
-    def _apply_ite_iter(self, f: int, g: int, h: int, table: Dict) -> int:
-        """ITE on an explicit work stack (deep managers)."""
-        var_arr = self._var
-        low_arr = self._low
-        high_arr = self._high
-        v2l = self._var_to_level
-        l2v = self._level_to_var
-        table_get = table.get
-        make, ucounts = self._interner()
-        hits = 0
-        misses = 0
-        tasks: List[Tuple[int, int, int, int]] = [(0, f, g, h)]
-        push = tasks.append
-        pop = tasks.pop
-        results: List[int] = []
-        rpush = results.append
-        rpop = results.pop
-        while tasks:
-            kind, a, b, c = pop()
-            if kind:
-                # Build: a = branching variable, b = computed-table key.
-                high = rpop()
-                low = rpop()
-                node = make(a, low, high)
-                table[b] = node
-                rpush(node)
-                continue
-            # Visit: a = condition, b = then, c = else.
+        def visit(args):
+            a, b, c = args
             if a == 1:
-                rpush(b)
-                continue
+                return b
             if a == 0:
-                rpush(c)
-                continue
-            # Standard triples: equal-argument substitution...
+                return c
             if b == a:
                 b = 1
             if c == a:
                 c = 0
             if b == c:
-                rpush(b)
-                continue
-            # ...then delegation of the degenerate shapes to the binary ops.
+                return b
             if b == 1:
                 if c == 0:
-                    rpush(a)
-                else:
-                    rpush(self.apply_or(a, c))
-                continue
+                    return a
+                return apply_or(a, c)
             if c == 0:
-                rpush(self.apply_and(a, b))
-                continue
+                return apply_and(a, b)
             if b == 0:
-                rpush(self.apply_and(self.apply_not(a), c))
-                continue
+                return apply_and(apply_not(a), c)
             if c == 1:
-                rpush(self.apply_or(self.apply_not(a), b))
-                continue
-            key = (((a << _KEY_BITS) | b) << _KEY_BITS) | c
-            node = table_get(key)
-            if node is not None:
-                hits += 1
-                rpush(node)
-                continue
-            misses += 1
-            alev = v2l[var_arr[a]]
-            blev = v2l[var_arr[b]]
-            clev = v2l[var_arr[c]]
-            top = alev
-            if blev < top:
-                top = blev
-            if clev < top:
-                top = clev
-            var = l2v[top]
-            if alev == top:
-                a0, a1 = low_arr[a], high_arr[a]
-            else:
-                a0 = a1 = a
-            if blev == top:
-                b0, b1 = low_arr[b], high_arr[b]
-            else:
-                b0 = b1 = b
-            if clev == top:
-                c0, c1 = low_arr[c], high_arr[c]
-            else:
-                c0 = c1 = c
-            push((1, var, key, 0))
-            push((0, a1, b1, c1))
-            push((0, a0, b0, c0))
-        self._op_hits[OP_ITE] += hits
-        self._op_misses[OP_ITE] += misses
-        self._unique_probes += ucounts[0]
-        self._unique_inserts += ucounts[1]
-        self._after_operation(OP_ITE, table)
-        return results[0]
+                return apply_or(apply_not(a), b)
+            return ((((a << _KEY_BITS) | b) << _KEY_BITS) | c, *top_cofactors(a, b, c))
+
+        make, ucounts = self._interner()
+        return self._stack_apply(OP_ITE, table, visit, make, ucounts)
 
     def apply_restrict(self, f: int, var: int, value: bool) -> int:
         """Cofactor ``f`` with respect to literal ``var = value``."""
+        self._check_var(var)
         value = bool(value)
         if f < 2:
             return f
@@ -1024,9 +973,8 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_RESTRICT] += 1
             return node
-        if self._recursion_safe():
-            return self._apply_restrict_rec(f, var, value, table)
-        return self._apply_restrict_iter(f, var, value, table)
+        factory = self._make_restrict_rec if self._recursion_safe() else self._make_restrict_stack
+        return self._apply_once(factory(var, value, table), f)
 
     def _make_restrict_rec(self, var: int, value: bool, table: Dict):
         """Recursive cofactor worker factory for one ``var = value`` literal
@@ -1074,69 +1022,30 @@ class BddManager:
 
         return rec, finish
 
-    def _apply_restrict_rec(self, f: int, var: int, value: bool, table: Dict) -> int:
-        """Single-root front end of :meth:`_make_restrict_rec`."""
-        rec, finish = self._make_restrict_rec(var, value, table)
-        result = rec(f)
-        finish()
-        return result
-
-    def _apply_restrict_iter(self, f: int, var: int, value: bool, table: Dict) -> int:
-        """Cofactor on an explicit work stack (deep managers)."""
+    def _make_restrict_stack(self, var: int, value: bool, table: Dict):
+        """Explicit-stack twin of :meth:`_make_restrict_rec` (deep managers)."""
         target_level = self._var_to_level[var]
         var_arr = self._var
         low_arr = self._low
         high_arr = self._high
         v2l = self._var_to_level
-        table_get = table.get
-        make, ucounts = self._interner()
-        value_bit = 1 if value else 0
-        hits = 0
-        misses = 0
-        tasks: List[Tuple[int, int]] = [(0, f)]
-        push = tasks.append
-        pop = tasks.pop
-        results: List[int] = []
-        rpush = results.append
-        rpop = results.pop
-        while tasks:
-            kind, a = pop()
-            if kind:
-                # Build: a is the original node being rebuilt.
-                high = rpop()
-                low = rpop()
-                node = make(var_arr[a], low, high)
-                table[(a << (_KEY_BITS + 1)) | (var << 1) | value_bit] = node
-                rpush(node)
-                continue
+        key_shift = _KEY_BITS + 1
+        key_tail = (var << 1) | (1 if value else 0)
+
+        def visit(args):
+            a = args[0]
             if a < 2:
-                rpush(a)
-                continue
+                return a
             level = v2l[var_arr[a]]
             if level > target_level:
                 # Variable does not appear in this subgraph.
-                rpush(a)
-                continue
+                return a
             if level == target_level:
-                # Levels identify variables uniquely, so this is the target.
-                rpush(high_arr[a] if value else low_arr[a])
-                continue
-            key = (a << (_KEY_BITS + 1)) | (var << 1) | value_bit
-            node = table_get(key)
-            if node is not None:
-                hits += 1
-                rpush(node)
-                continue
-            misses += 1
-            push((1, a))
-            push((0, high_arr[a]))
-            push((0, low_arr[a]))
-        self._op_hits[OP_RESTRICT] += hits
-        self._op_misses[OP_RESTRICT] += misses
-        self._unique_probes += ucounts[0]
-        self._unique_inserts += ucounts[1]
-        self._after_operation(OP_RESTRICT, table)
-        return results[0]
+                return high_arr[a] if value else low_arr[a]
+            return (a << key_shift) | key_tail, var_arr[a], (low_arr[a],), (high_arr[a],)
+
+        make, ucounts = self._interner()
+        return self._stack_apply(OP_RESTRICT, table, visit, make, ucounts)
 
     def apply_restrict_cube(self, f: int, assignments: Sequence[Tuple[int, bool]]) -> int:
         """Cofactor with respect to a cube given as ``(var, value)`` pairs."""
@@ -1150,111 +1059,62 @@ class BddManager:
         if not variables:
             return f
         var_set = frozenset(variables)
+        for var in var_set:
+            self._check_var(var)
         var_arr = self._var
         low_arr = self._low
         high_arr = self._high
-        table = self._tables[OP_EXISTS]
-        table_get = table.get
+        apply_or = self.apply_or
         make, ucounts = self._interner()
-        hits = 0
-        misses = 0
-        tasks: List[Tuple[int, int]] = [(0, f)]
-        push = tasks.append
-        pop = tasks.pop
-        results: List[int] = []
-        rpush = results.append
-        rpop = results.pop
-        while tasks:
-            kind, a = pop()
-            if kind:
-                high = rpop()
-                low = rpop()
-                var = var_arr[a]
-                if var in var_set:
-                    node = self.apply_or(low, high)
-                else:
-                    node = make(var, low, high)
-                table[(a, var_set)] = node
-                rpush(node)
-                continue
+
+        def visit(args):
+            a = args[0]
             if a < 2:
-                rpush(a)
-                continue
-            node = table_get((a, var_set))
-            if node is not None:
-                hits += 1
-                rpush(node)
-                continue
-            misses += 1
-            push((1, a))
-            push((0, high_arr[a]))
-            push((0, low_arr[a]))
-        self._op_hits[OP_EXISTS] += hits
-        self._op_misses[OP_EXISTS] += misses
-        self._unique_probes += ucounts[0]
-        self._unique_inserts += ucounts[1]
-        self._after_operation(OP_EXISTS, table)
-        return results[0]
+                return a
+            return (a, var_set), var_arr[a], (low_arr[a],), (high_arr[a],)
+
+        def combine(var: int, low: int, high: int) -> int:
+            return apply_or(low, high) if var in var_set else make(var, low, high)
+
+        worker = self._stack_apply(OP_EXISTS, self._tables[OP_EXISTS], visit,
+                                   make, ucounts, combine)
+        return self._apply_once(worker, f)
 
     def apply_compose(self, f: int, var: int, g: int) -> int:
         """Substitute function ``g`` for variable ``var`` inside ``f``.
 
-        Iterative (explicit work stack) like the other operations: the walk
-        over ``f`` allocates no Python stack frames, and the per-node ITE
+        Runs on the explicit-stack driver at every depth: the walk over
+        ``f`` allocates no Python stack frames, and the per-node ITE
         recombination dispatches through :meth:`apply_ite`, which picks its
         own deep-manager-safe implementation.
         """
+        self._check_var(var)
         var_arr = self._var
         low_arr = self._low
         high_arr = self._high
         v2l = self._var_to_level
         target_level = v2l[var]
-        table = self._tables[OP_COMPOSE]
-        table_get = table.get
+        apply_ite = self.apply_ite
         make, ucounts = self._interner()
-        hits = 0
-        misses = 0
-        tasks: List[Tuple[int, int]] = [(0, f)]
-        push = tasks.append
-        pop = tasks.pop
-        results: List[int] = []
-        rpush = results.append
-        rpop = results.pop
-        while tasks:
-            kind, a = pop()
-            if kind:
-                high = rpop()
-                low = rpop()
-                node = self.apply_ite(make(var_arr[a], FALSE, TRUE), high, low)
-                table[(a, var, g)] = node
-                rpush(node)
-                continue
+
+        def visit(args):
+            a = args[0]
             if a < 2:
-                rpush(a)
-                continue
+                return a
             avar = var_arr[a]
             if avar == var:
-                rpush(self.apply_ite(g, high_arr[a], low_arr[a]))
-                continue
+                return apply_ite(g, high_arr[a], low_arr[a])
             if v2l[avar] > target_level:
                 # var cannot appear below this point.
-                rpush(a)
-                continue
-            node = table_get((a, var, g))
-            if node is not None:
-                hits += 1
-                rpush(node)
-                continue
-            misses += 1
-            push((1, a))
-            push((0, high_arr[a]))
-            push((0, low_arr[a]))
-        self._op_hits[OP_COMPOSE] += hits
-        self._op_misses[OP_COMPOSE] += misses
-        self._unique_probes += ucounts[0]
-        self._unique_inserts += ucounts[1]
-        self._after_operation(OP_COMPOSE, table)
-        return results[0]
+                return a
+            return (a, var, g), avar, (low_arr[a],), (high_arr[a],)
+
+        def combine(avar: int, low: int, high: int) -> int:
+            return apply_ite(make(avar, FALSE, TRUE), high, low)
+
+        worker = self._stack_apply(OP_COMPOSE, self._tables[OP_COMPOSE], visit,
+                                   make, ucounts, combine)
+        return self._apply_once(worker, f)
 
     def apply_flip(self, f: int, var: int) -> int:
         """``f`` with ``x_var`` negated: ``f[x_var := not x_var]``.
@@ -1269,12 +1129,8 @@ class BddManager:
         self._check_var(var)
         if f < 2:
             return f
-        if self._recursion_safe():
-            rec, finish = self._make_flip_rec(var, self._tables[OP_COMPOSE])
-            result = rec(f)
-            finish()
-            return result
-        return self._flip((f,), var)[0]
+        factory = self._make_flip_rec if self._recursion_safe() else self._make_flip_stack
+        return self._apply_once(factory(var, self._tables[OP_COMPOSE]), f)
 
     def _make_flip_rec(self, var: int, table: Dict):
         """Recursive variable-flip worker factory (``(rec, finish)``
@@ -1321,67 +1177,31 @@ class BddManager:
 
         return rec, finish
 
-    def _flip(self, roots: Sequence[int], var: int) -> List[int]:
-        """Variable flip of every root in one operation, on an explicit work
-        stack (deep managers).  A pushed ``~a`` (negative) marks node ``a``
-        for rebuilding from the two results above it."""
+    def _make_flip_stack(self, var: int, table: Dict):
+        """Explicit-stack twin of :meth:`_make_flip_rec` (deep managers)."""
         var_arr = self._var
         low_arr = self._low
         high_arr = self._high
         v2l = self._var_to_level
         target_level = v2l[var]
-        table = self._tables[OP_COMPOSE]
-        table_get = table.get
         make, ucounts = self._interner()
         # apply_compose's key names the substituted function by node id.
         not_var = make(var, TRUE, FALSE)
-        hits = 0
-        misses = 0
-        out: List[int] = []
-        tasks: List[int] = []
-        push = tasks.append
-        pop = tasks.pop
-        results: List[int] = []
-        rpush = results.append
-        rpop = results.pop
-        for root in roots:
-            push(root)
-            while tasks:
-                a = pop()
-                if a < 0:
-                    a = ~a
-                    high = rpop()
-                    node = make(var_arr[a], rpop(), high)
-                    table[(a, var, not_var)] = node
-                    rpush(node)
-                    continue
-                if a < 2:
-                    rpush(a)
-                    continue
-                level = v2l[var_arr[a]]
-                if level > target_level:
-                    # Variable does not appear in this subgraph.
-                    rpush(a)
-                    continue
-                if level == target_level:
-                    rpush(make(var, high_arr[a], low_arr[a]))
-                    continue
-                node = table_get((a, var, not_var))
-                if node is not None:
-                    hits += 1
-                    rpush(node)
-                    continue
-                misses += 1
-                push(~a)
-                push(high_arr[a])
-                push(low_arr[a])
-            out.append(rpop())
-        self._op_hits[OP_COMPOSE] += hits
-        self._op_misses[OP_COMPOSE] += misses
-        self._unique_probes += ucounts[0]
-        self._unique_inserts += ucounts[1]
-        self._after_operation(OP_COMPOSE, table)
-        return out
+
+        def visit(args):
+            a = args[0]
+            if a < 2:
+                return a
+            avar = var_arr[a]
+            level = v2l[avar]
+            if level > target_level:
+                # Variable does not appear in this subgraph.
+                return a
+            if level == target_level:
+                return make(var, high_arr[a], low_arr[a])
+            return (a, var, not_var), avar, (low_arr[a],), (high_arr[a],)
+
+        return self._stack_apply(OP_COMPOSE, table, visit, make, ucounts)
 
     # ------------------------------------------------------------------ #
     # fused multi-operand kernels
@@ -1416,9 +1236,8 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_MAJ3] += 1
             return node
-        if self._recursion_safe():
-            return self._apply_maj3_rec(f, g, h, table)
-        return self._apply_maj3_iter(f, g, h, table)
+        factory = self._make_maj3_rec if self._recursion_safe() else self._make_maj3_stack
+        return self._apply_once(factory(table), f, g, h)
 
     def _make_maj3_rec(self, table: Dict):
         """Recursive majority worker factory (``(rec, finish)`` contract of
@@ -1498,40 +1317,15 @@ class BddManager:
 
         return rec, finish
 
-    def _apply_maj3_rec(self, f: int, g: int, h: int, table: Dict) -> int:
-        """Single-triple front end of :meth:`_make_maj3_rec`."""
-        rec, finish = self._make_maj3_rec(table)
-        result = rec(f, g, h)
-        finish()
-        return result
+    def _make_maj3_stack(self, table: Dict):
+        """Explicit-stack twin of :meth:`_make_maj3_rec` (deep managers),
+        with the same nested AND / OR workers for the degenerate cases."""
+        apply_and, and_finish = self._make_binary_stack(OP_AND, self._tables[OP_AND])
+        apply_or, or_finish = self._make_binary_stack(OP_OR, self._tables[OP_OR])
+        top_cofactors = self._top_cofactors
 
-    def _apply_maj3_iter(self, f: int, g: int, h: int, table: Dict) -> int:
-        """Majority on an explicit work stack (deep managers)."""
-        var_arr = self._var
-        low_arr = self._low
-        high_arr = self._high
-        v2l = self._var_to_level
-        l2v = self._level_to_var
-        table_get = table.get
-        make, ucounts = self._interner()
-        hits = 0
-        misses = 0
-        tasks: List[Tuple[int, int, int, int]] = [(0, f, g, h)]
-        push = tasks.append
-        pop = tasks.pop
-        results: List[int] = []
-        rpush = results.append
-        rpop = results.pop
-        while tasks:
-            kind, a, b, c = pop()
-            if kind:
-                # Build: a = branching variable, b = computed-table key.
-                high = rpop()
-                low = rpop()
-                node = make(a, low, high)
-                table[b] = node
-                rpush(node)
-                continue
+        def visit(args):
+            a, b, c = args
             if a > b:
                 a, b = b, a
             if b > c:
@@ -1539,53 +1333,18 @@ class BddManager:
             if a > b:
                 a, b = b, a
             if a == b:
-                rpush(a)
-                continue
+                return a
             if b == c:
-                rpush(b)
-                continue
+                return b
             if a == 0:
-                rpush(self.apply_and(b, c))
-                continue
+                return apply_and(b, c)
             if a == 1:
-                rpush(self.apply_or(b, c))
-                continue
-            key = (((a << _KEY_BITS) | b) << _KEY_BITS) | c
-            node = table_get(key)
-            if node is not None:
-                hits += 1
-                rpush(node)
-                continue
-            misses += 1
-            alev = v2l[var_arr[a]]
-            blev = v2l[var_arr[b]]
-            clev = v2l[var_arr[c]]
-            top = alev
-            if blev < top:
-                top = blev
-            if clev < top:
-                top = clev
-            if alev == top:
-                a0, a1 = low_arr[a], high_arr[a]
-            else:
-                a0 = a1 = a
-            if blev == top:
-                b0, b1 = low_arr[b], high_arr[b]
-            else:
-                b0 = b1 = b
-            if clev == top:
-                c0, c1 = low_arr[c], high_arr[c]
-            else:
-                c0 = c1 = c
-            push((1, l2v[top], key, 0))
-            push((0, a1, b1, c1))
-            push((0, a0, b0, c0))
-        self._op_hits[OP_MAJ3] += hits
-        self._op_misses[OP_MAJ3] += misses
-        self._unique_probes += ucounts[0]
-        self._unique_inserts += ucounts[1]
-        self._after_operation(OP_MAJ3, table)
-        return results[0]
+                return apply_or(b, c)
+            return ((((a << _KEY_BITS) | b) << _KEY_BITS) | c, *top_cofactors(a, b, c))
+
+        make, ucounts = self._interner()
+        return self._stack_apply(OP_MAJ3, table, visit, make, ucounts,
+                                 nested=(and_finish, or_finish))
 
     def apply_xor3(self, f: int, g: int, h: int) -> int:
         """Three-way exclusive-or of node ids: ``f ^ g ^ h``.
@@ -1615,9 +1374,8 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_XOR3] += 1
             return node
-        if self._recursion_safe():
-            return self._apply_xor3_rec(f, g, h, table)
-        return self._apply_xor3_iter(f, g, h, table)
+        factory = self._make_xor3_rec if self._recursion_safe() else self._make_xor3_stack
+        return self._apply_once(factory(table), f, g, h)
 
     def _make_xor3_rec(self, table: Dict):
         """Recursive three-way-XOR worker factory (``(rec, finish)`` contract
@@ -1692,40 +1450,15 @@ class BddManager:
 
         return rec, finish
 
-    def _apply_xor3_rec(self, f: int, g: int, h: int, table: Dict) -> int:
-        """Single-triple front end of :meth:`_make_xor3_rec`."""
-        rec, finish = self._make_xor3_rec(table)
-        result = rec(f, g, h)
-        finish()
-        return result
+    def _make_xor3_stack(self, table: Dict):
+        """Explicit-stack twin of :meth:`_make_xor3_rec` (deep managers),
+        with the same nested XOR / NOT workers for the degenerate cases."""
+        apply_xor, xor_finish = self._make_binary_stack(OP_XOR, self._tables[OP_XOR])
+        apply_not, not_finish = self._make_not_stack(self._tables[OP_NOT])
+        top_cofactors = self._top_cofactors
 
-    def _apply_xor3_iter(self, f: int, g: int, h: int, table: Dict) -> int:
-        """Three-way XOR on an explicit work stack (deep managers)."""
-        var_arr = self._var
-        low_arr = self._low
-        high_arr = self._high
-        v2l = self._var_to_level
-        l2v = self._level_to_var
-        table_get = table.get
-        make, ucounts = self._interner()
-        hits = 0
-        misses = 0
-        tasks: List[Tuple[int, int, int, int]] = [(0, f, g, h)]
-        push = tasks.append
-        pop = tasks.pop
-        results: List[int] = []
-        rpush = results.append
-        rpop = results.pop
-        while tasks:
-            kind, a, b, c = pop()
-            if kind:
-                # Build: a = branching variable, b = computed-table key.
-                high = rpop()
-                low = rpop()
-                node = make(a, low, high)
-                table[b] = node
-                rpush(node)
-                continue
+        def visit(args):
+            a, b, c = args
             if a > b:
                 a, b = b, a
             if b > c:
@@ -1733,53 +1466,18 @@ class BddManager:
             if a > b:
                 a, b = b, a
             if a == b:
-                rpush(c)
-                continue
+                return c
             if b == c:
-                rpush(a)
-                continue
+                return a
             if a == 0:
-                rpush(self.apply_xor(b, c))
-                continue
+                return apply_xor(b, c)
             if a == 1:
-                rpush(self.apply_not(self.apply_xor(b, c)))
-                continue
-            key = (((a << _KEY_BITS) | b) << _KEY_BITS) | c
-            node = table_get(key)
-            if node is not None:
-                hits += 1
-                rpush(node)
-                continue
-            misses += 1
-            alev = v2l[var_arr[a]]
-            blev = v2l[var_arr[b]]
-            clev = v2l[var_arr[c]]
-            top = alev
-            if blev < top:
-                top = blev
-            if clev < top:
-                top = clev
-            if alev == top:
-                a0, a1 = low_arr[a], high_arr[a]
-            else:
-                a0 = a1 = a
-            if blev == top:
-                b0, b1 = low_arr[b], high_arr[b]
-            else:
-                b0 = b1 = b
-            if clev == top:
-                c0, c1 = low_arr[c], high_arr[c]
-            else:
-                c0 = c1 = c
-            push((1, l2v[top], key, 0))
-            push((0, a1, b1, c1))
-            push((0, a0, b0, c0))
-        self._op_hits[OP_XOR3] += hits
-        self._op_misses[OP_XOR3] += misses
-        self._unique_probes += ucounts[0]
-        self._unique_inserts += ucounts[1]
-        self._after_operation(OP_XOR3, table)
-        return results[0]
+                return apply_not(apply_xor(b, c))
+            return ((((a << _KEY_BITS) | b) << _KEY_BITS) | c, *top_cofactors(a, b, c))
+
+        make, ucounts = self._interner()
+        return self._stack_apply(OP_XOR3, table, visit, make, ucounts,
+                                 nested=(xor_finish, not_finish))
 
     def apply_swap_vars(self, f: int, var_a: int, var_b: int) -> int:
         """The function with the roles of ``var_a`` and ``var_b`` exchanged.
@@ -1805,9 +1503,9 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_SWAPVARS] += 1
             return node
-        if self._recursion_safe():
-            return self._apply_swap_vars_rec(f, var_a, var_b, table)
-        return self._apply_swap_vars_iter(f, var_a, var_b, table)
+        factory = (self._make_swap_vars_rec if self._recursion_safe()
+                   else self._make_swap_vars_stack)
+        return self._apply_once(factory(var_a, var_b, table), f)
 
     def _make_swap_vars_rec(self, var_a: int, var_b: int, table: Dict):
         """Recursive swap worker factory for one (level-ordered) variable
@@ -1876,19 +1574,12 @@ class BddManager:
 
         return rec, finish
 
-    def _apply_swap_vars_rec(self, f: int, var_a: int, var_b: int, table: Dict) -> int:
-        """Single-root front end of :meth:`_make_swap_vars_rec`."""
-        rec, finish = self._make_swap_vars_rec(var_a, var_b, table)
-        result = rec(f)
-        finish()
-        return result
+    def _make_swap_vars_stack(self, var_a: int, var_b: int, table: Dict):
+        """Explicit-stack twin of :meth:`_make_swap_vars_rec` (deep managers).
 
-    def _apply_swap_vars_iter(self, f: int, var_a: int, var_b: int, table: Dict) -> int:
-        """Variable swap on an explicit work stack (deep managers).
-
-        Only the structural walk above ``var_a``'s level needs the stack; the
-        boundary recombination delegates to :meth:`apply_restrict` and
-        :meth:`apply_ite`, which pick their own deep-safe implementations.
+        Only the structural walk above ``var_a``'s level is a cofactor step;
+        the boundary is a thunk recombining the four cofactors through the
+        same nested restrict and ITE workers as the recursive twin.
         """
         var_arr = self._var
         low_arr = self._low
@@ -1896,70 +1587,45 @@ class BddManager:
         v2l = self._var_to_level
         level_a = v2l[var_a]
         level_b = v2l[var_b]
-        table_get = table.get
-        restrict = self.apply_restrict
-        ite = self.apply_ite
+        restrict_table = self._tables[OP_RESTRICT]
+        restrict0, restrict0_finish = self._make_restrict_stack(var_b, False, restrict_table)
+        restrict1, restrict1_finish = self._make_restrict_stack(var_b, True, restrict_table)
+        ite, ite_finish = self._make_ite_stack(self._tables[OP_ITE])
         make, ucounts = self._interner()
         key_shift = 2 * _KEY_BITS
         key_tail = (var_a << _KEY_BITS) | var_b
-        hits = 0
-        misses = 0
-        tasks: List[Tuple[int, int]] = [(0, f)]
-        push = tasks.append
-        pop = tasks.pop
-        results: List[int] = []
-        rpush = results.append
-        rpop = results.pop
-        while tasks:
-            kind, a = pop()
-            if kind:
-                # Build: a is the original node being rebuilt structurally.
-                high = rpop()
-                low = rpop()
-                node = make(var_arr[a], low, high)
-                table[(a << key_shift) | key_tail] = node
-                rpush(node)
-                continue
-            if a < 2:
-                rpush(a)
-                continue
-            lev = v2l[var_arr[a]]
-            if lev > level_b:
-                rpush(a)
-                continue
-            key = (a << key_shift) | key_tail
-            node = table_get(key)
-            if node is not None:
-                hits += 1
-                rpush(node)
-                continue
-            if lev < level_a:
-                misses += 1
-                push((1, a))
-                push((0, high_arr[a]))
-                push((0, low_arr[a]))
-                continue
-            misses += 1
+
+        def boundary(a: int, lev: int) -> int:
+            # var_a can only appear at the very top here.
             if lev == level_a:
                 f0, f1 = low_arr[a], high_arr[a]
             else:
                 f0 = f1 = a
-            f00 = restrict(f0, var_b, False)
-            f01 = restrict(f0, var_b, True)
-            f10 = restrict(f1, var_b, False)
-            f11 = restrict(f1, var_b, True)
+            f00 = restrict0(f0)
+            f01 = restrict1(f0)
+            f10 = restrict0(f1)
+            f11 = restrict1(f1)
+            # g(a=u, b=v) = f(a=v, b=u): rebuild with the roles swapped.
             xb = make(var_b, FALSE, TRUE)
             g0 = ite(xb, f10, f00)
             g1 = ite(xb, f11, f01)
-            node = make(var_a, g0, g1)
-            table[key] = node
-            rpush(node)
-        self._op_hits[OP_SWAPVARS] += hits
-        self._op_misses[OP_SWAPVARS] += misses
-        self._unique_probes += ucounts[0]
-        self._unique_inserts += ucounts[1]
-        self._after_operation(OP_SWAPVARS, table)
-        return results[0]
+            return make(var_a, g0, g1)
+
+        def visit(args):
+            a = args[0]
+            if a < 2:
+                return a
+            lev = v2l[var_arr[a]]
+            if lev > level_b:
+                # Neither swapped variable appears in this subgraph.
+                return a
+            key = (a << key_shift) | key_tail
+            if lev < level_a:
+                return key, var_arr[a], (low_arr[a],), (high_arr[a],)
+            return key, lambda: boundary(a, lev)
+
+        return self._stack_apply(OP_SWAPVARS, table, visit, make, ucounts,
+                                 nested=(restrict0_finish, restrict1_finish, ite_finish))
 
     # ------------------------------------------------------------------ #
     # batched application
@@ -1980,13 +1646,11 @@ class BddManager:
         if not pairs:
             return []
         self._count_batch(len(pairs))
-        if self._recursion_safe():
-            rec, finish = self._make_binary_rec(op, self._tables[op])
-            out = [rec(f, g) for f, g in pairs]
-            finish()
-            return out
-        apply_one = (self.apply_and, self.apply_or, self.apply_xor)[op]
-        return [apply_one(f, g) for f, g in pairs]
+        factory = self._make_binary_rec if self._recursion_safe() else self._make_binary_stack
+        rec, finish = factory(op, self._tables[op])
+        out = [rec(f, g) for f, g in pairs]
+        finish()
+        return out
 
     def batch_not(self, nodes: Sequence[int]) -> List[int]:
         """Negate every node id in one batch transaction."""
@@ -1994,12 +1658,11 @@ class BddManager:
         if not nodes:
             return []
         self._count_batch(len(nodes))
-        if self._recursion_safe():
-            rec, finish = self._make_not_rec(self._tables[OP_NOT])
-            out = [rec(f) for f in nodes]
-            finish()
-            return out
-        return [self.apply_not(f) for f in nodes]
+        factory = self._make_not_rec if self._recursion_safe() else self._make_not_stack
+        rec, finish = factory(self._tables[OP_NOT])
+        out = [rec(f) for f in nodes]
+        finish()
+        return out
 
     def batch_ite(self, triples: Sequence[Tuple[int, int, int]]) -> List[int]:
         """Apply ITE to every ``(f, g, h)`` triple in one batch transaction."""
@@ -2007,12 +1670,11 @@ class BddManager:
         if not triples:
             return []
         self._count_batch(len(triples))
-        if self._recursion_safe():
-            rec, finish = self._make_ite_rec(self._tables[OP_ITE])
-            out = [rec(f, g, h) for f, g, h in triples]
-            finish()
-            return out
-        return [self.apply_ite(f, g, h) for f, g, h in triples]
+        factory = self._make_ite_rec if self._recursion_safe() else self._make_ite_stack
+        rec, finish = factory(self._tables[OP_ITE])
+        out = [rec(f, g, h) for f, g, h in triples]
+        finish()
+        return out
 
     def batch_maj3(self, triples: Sequence[Tuple[int, int, int]]) -> List[int]:
         """Apply the fused majority kernel to every triple in one batch."""
@@ -2020,12 +1682,11 @@ class BddManager:
         if not triples:
             return []
         self._count_batch(len(triples))
-        if self._recursion_safe():
-            rec, finish = self._make_maj3_rec(self._tables[OP_MAJ3])
-            out = [rec(f, g, h) for f, g, h in triples]
-            finish()
-            return out
-        return [self.apply_maj3(f, g, h) for f, g, h in triples]
+        factory = self._make_maj3_rec if self._recursion_safe() else self._make_maj3_stack
+        rec, finish = factory(self._tables[OP_MAJ3])
+        out = [rec(f, g, h) for f, g, h in triples]
+        finish()
+        return out
 
     def batch_xor3(self, triples: Sequence[Tuple[int, int, int]]) -> List[int]:
         """Apply the fused three-way XOR kernel to every triple in one batch."""
@@ -2033,12 +1694,11 @@ class BddManager:
         if not triples:
             return []
         self._count_batch(len(triples))
-        if self._recursion_safe():
-            rec, finish = self._make_xor3_rec(self._tables[OP_XOR3])
-            out = [rec(f, g, h) for f, g, h in triples]
-            finish()
-            return out
-        return [self.apply_xor3(f, g, h) for f, g, h in triples]
+        factory = self._make_xor3_rec if self._recursion_safe() else self._make_xor3_stack
+        rec, finish = factory(self._tables[OP_XOR3])
+        out = [rec(f, g, h) for f, g, h in triples]
+        finish()
+        return out
 
     def batch_restrict(self, nodes: Sequence[int], var: int, value: bool) -> List[int]:
         """Cofactor every node id with respect to ``var = value`` in one
@@ -2046,14 +1706,14 @@ class BddManager:
         nodes = list(nodes)
         if not nodes:
             return []
+        self._check_var(var)
         self._count_batch(len(nodes))
         value = bool(value)
-        if self._recursion_safe():
-            rec, finish = self._make_restrict_rec(var, value, self._tables[OP_RESTRICT])
-            out = [rec(f) for f in nodes]
-            finish()
-            return out
-        return [self.apply_restrict(f, var, value) for f in nodes]
+        factory = self._make_restrict_rec if self._recursion_safe() else self._make_restrict_stack
+        rec, finish = factory(var, value, self._tables[OP_RESTRICT])
+        out = [rec(f) for f in nodes]
+        finish()
+        return out
 
     def batch_flip(self, nodes: Sequence[int], var: int) -> List[int]:
         """Negate ``x_var`` in every node id in one batch transaction (the
@@ -2063,12 +1723,11 @@ class BddManager:
             return []
         self._check_var(var)
         self._count_batch(len(nodes))
-        if self._recursion_safe():
-            rec, finish = self._make_flip_rec(var, self._tables[OP_COMPOSE])
-            out = [rec(f) for f in nodes]
-            finish()
-            return out
-        return self._flip(nodes, var)
+        factory = self._make_flip_rec if self._recursion_safe() else self._make_flip_stack
+        rec, finish = factory(var, self._tables[OP_COMPOSE])
+        out = [rec(f) for f in nodes]
+        finish()
+        return out
 
     def batch_swap_vars(self, nodes: Sequence[int], var_a: int, var_b: int) -> List[int]:
         """Exchange ``var_a`` / ``var_b`` in every node id in one batch."""
@@ -2082,12 +1741,12 @@ class BddManager:
         self._count_batch(len(nodes))
         if self._var_to_level[var_a] > self._var_to_level[var_b]:
             var_a, var_b = var_b, var_a
-        if self._recursion_safe():
-            rec, finish = self._make_swap_vars_rec(var_a, var_b, self._tables[OP_SWAPVARS])
-            out = [rec(f) for f in nodes]
-            finish()
-            return out
-        return [self.apply_swap_vars(f, var_a, var_b) for f in nodes]
+        factory = (self._make_swap_vars_rec if self._recursion_safe()
+                   else self._make_swap_vars_stack)
+        rec, finish = factory(var_a, var_b, self._tables[OP_SWAPVARS])
+        out = [rec(f) for f in nodes]
+        finish()
+        return out
 
     # ------------------------------------------------------------------ #
     # queries
@@ -2821,9 +2480,9 @@ class BatchApplier:
     not run garbage collection between submitting a batch and re-anchoring
     the returned ids in handles, exactly as with any raw-node manager call.
 
-    On managers too deep for the recursive fast path every method falls back
-    to the explicit-stack single-shot operations, which still share the
-    persistent per-operation computed tables.
+    On managers too deep for the recursive fast path every method runs the
+    same batch through the explicit-stack driver instead, still as one
+    transaction over the persistent per-operation computed tables.
     """
 
     __slots__ = ("manager",)

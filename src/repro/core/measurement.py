@@ -38,9 +38,9 @@ state absorbs the ``1/sqrt(p)`` renormalisation.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.algebra.omega import sqrt2_ratio_to_float
 from repro.bdd import Bdd
 from repro.core.bitslice import VECTOR_NAMES, BitSlicedState
 
@@ -48,9 +48,6 @@ try:  # pragma: no cover - numpy is a hard dependency, guard is cosmetic
     import numpy as np
 except ImportError:  # pragma: no cover
     np = None
-
-#: Square root of two, used only in the final exact-to-float conversion.
-_SQRT2 = math.sqrt(2.0)
 
 
 class ExactProbability:
@@ -79,7 +76,7 @@ class ExactProbability:
     def to_float(self, extra_scale: float = 1.0) -> float:
         """Convert to float, optionally multiplying by ``extra_scale``
         (used for the measurement normalisation ``s**2``)."""
-        return (self.x + self.y * _SQRT2) / (2.0 ** self.k) * extra_scale
+        return sqrt2_ratio_to_float(self.x, self.y, self.k) * extra_scale
 
     def is_zero(self) -> bool:
         """True when the exact value is zero."""

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from repro.algebra import OMEGA, SQRT2, AlgebraicComplex
+from repro.algebra.omega import sqrt2_ratio_to_float
 
 
 def close(left: complex, right: complex, tol: float = 1e-12) -> bool:
@@ -147,6 +149,28 @@ class TestMagnitudes:
         value = AlgebraicComplex(0, 0, 1, 1, 0)  # 1 + w
         with pytest.raises(ValueError):
             value.abs_squared_fraction()
+
+    def test_abs_squared_past_the_float_exponent_range(self):
+        # 1/sqrt(2)**1030 squares to 2**-1030, and 2.0 ** 1030 overflows.
+        assert AlgebraicComplex(0, 0, 0, 1, 1030).abs_squared() == 2.0 ** -1030
+        assert AlgebraicComplex(0, 0, 0, 1, 4000).abs_squared() == 0.0
+
+
+class TestSqrt2RatioToFloat:
+    def test_bit_identical_to_the_direct_formula_where_it_is_finite(self):
+        rng = random.Random(20)
+        for _ in range(20_000):
+            x = rng.getrandbits(rng.choice([8, 53, 60, 300, 1000]))
+            y = rng.getrandbits(rng.choice([0, 8, 53, 60, 300, 1000])) * rng.choice([-1, 1])
+            k = rng.randrange(0, 1024)
+            assert sqrt2_ratio_to_float(x, y, k) == (x + y * SQRT2) / 2.0 ** k
+
+    def test_large_exponents_and_numerators(self):
+        assert sqrt2_ratio_to_float(1, 0, 1030) == 2.0 ** -1030
+        assert sqrt2_ratio_to_float(0, 1, 1) == SQRT2 / 2
+        assert sqrt2_ratio_to_float(1 << 2000, 0, 2001) == 0.5
+        huge = sqrt2_ratio_to_float(3 << 1500, 1 << 1500, 1502)
+        assert math.isclose(huge, (3 + SQRT2) / 4, rel_tol=1e-15)
 
 
 class TestDunder:

@@ -183,6 +183,27 @@ class TestCofactorAndQuantification:
         assert f.cofactor(2, True) == f
         assert f.cofactor(2, False) == f
 
+    @pytest.mark.parametrize("index", [-1, 4, 9])
+    def test_unknown_variable_index_is_rejected(self, index):
+        # A negative index used to wrap around to the last variable, and an
+        # index past the end raised a bare IndexError or was ignored.
+        manager = BddManager(4)
+        f = manager.var(3) & manager.var(0)
+        g = manager.var(1)
+        with pytest.raises(ValueError, match="unknown variable index"):
+            f.cofactor(index, True)
+        with pytest.raises(ValueError, match="unknown variable index"):
+            manager.batcher().restrict_many([f.node], index, False)
+        with pytest.raises(ValueError, match="unknown variable index"):
+            f.compose(index, g)
+        with pytest.raises(ValueError, match="unknown variable index"):
+            f.exists([1, index])
+        # Terminals are checked too: the index is wrong whatever the operand.
+        with pytest.raises(ValueError, match="unknown variable index"):
+            manager.true.cofactor(index, False)
+        assert f.cofactor(3, True) == manager.var(0)
+        assert f.exists([0, 3]).is_true()
+
 
 class TestQueries:
     def test_support(self):

@@ -37,6 +37,11 @@ class TestExactProbability:
     def test_repr(self):
         assert "sqrt2" in repr(ExactProbability(1, 2, 3))
 
+    def test_exponent_past_the_float_range(self):
+        # 2.0 ** 1030 overflows; the value itself is a (subnormal) float.
+        assert ExactProbability(1, 0, 1030).to_float() == 2.0 ** -1030
+        assert ExactProbability(1 << 1100, 0, 1101).to_float(extra_scale=2.0) == 1.0
+
 
 class TestHyperfunction:
     def test_total_probability_is_exactly_one(self):

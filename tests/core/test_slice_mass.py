@@ -22,6 +22,7 @@ from repro.bdd import Bdd
 from repro.core.bitslice import VECTOR_NAMES
 from repro.core.measurement import MeasurementEngine
 from repro.core.sampling import SliceSampler, sample_state
+from repro.engines import FINAL_QUERY_QUBIT_CAP
 from repro.core.simulator import BitSliceSimulator
 
 from tests.conftest import OP_ARITY, build_circuit_from_ops
@@ -202,6 +203,15 @@ class TestWideFrontDoor:
         result = repro.run(QuantumCircuit(1100).h(0), engine="bitslice")
         assert result.status == "ok"
         assert result.final_probability == 0.5
+
+    def test_final_query_after_1030_hadamards(self):
+        # The exact probability carries k = 1030, past 2.0 ** k's range.
+        circuit = QuantumCircuit(1030)
+        for qubit in range(1030):
+            circuit.h(qubit)
+        result = repro.run(circuit, engine="bitslice")
+        assert result.status == "ok"
+        assert result.final_probability == 2.0 ** -FINAL_QUERY_QUBIT_CAP
 
     def test_sampling_rekeys_the_two_qubit_counts(self):
         wide = repro.run(QuantumCircuit(1100).h(0), engine="bitslice",
