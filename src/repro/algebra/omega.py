@@ -42,12 +42,12 @@ def sqrt2_ratio_to_float(x: int, y: int, k: int) -> float:
     """``(x + y*sqrt(2)) / 2**k`` as a float, for any ``k`` and integer size.
 
     The direct formula ``(x + y*SQRT2) / 2.0**k`` overflows once ``k``
-    reaches 1024 (past ~510-qubit Bernstein-Vazirani, or 1024 Hadamards)
-    and when ``x`` or ``y`` outgrow the float range.  Scaling by an exact
-    power of two with :func:`math.ldexp` instead gives the same bits
-    wherever that formula was finite, and underflows gracefully to ``0.0``.
-    Numerators too wide for a float drop low bits first, which lie far
-    below the 53-bit mantissa.
+    reaches 1024 (a layer of 1 024 Hadamards) and when ``x`` or ``y``
+    outgrow the float range.  Scaling by an exact power of two with
+    :func:`math.ldexp` instead gives the same bits wherever that formula
+    was finite and both numerators fit in ``_FLOAT_SAFE_BITS``, and
+    underflows gracefully to ``0.0``.  Wider numerators drop low bits
+    first, which lie far below the 53-bit mantissa.
     """
     excess = max(x.bit_length(), y.bit_length()) - _FLOAT_SAFE_BITS
     if excess > 0:
