@@ -6,8 +6,12 @@ Pins the three cost centres of the new subsystem with fixed seeds:
   structured state: 4096 shots must cost a handful of restrict batches,
   not 4096 state walks (the descent's cost scales with *distinct*
   outcomes).
-* ``test_statevector_descent_sampling`` — the generic probability-query
-  descent on the dense engine (the default path every engine inherits).
+* ``test_statevector_descent_sampling`` — the dense engine's descent
+  re-sampling one state, so after the first round it reads the memoised
+  marginal tree.
+* ``test_statevector_sample_fresh_state`` — the same descent on a freshly
+  prepared 12-qubit state every round: the marginal tree's build plus its
+  lookups, as one ``service-mix`` sample request pays them.
 * ``test_frontdoor_shots`` — the whole ``repro.run(shots=...)`` pipeline
   including counts re-keying, on the auto-dispatch-sized workload.
 * ``test_dynamic_trajectories`` — per-shot trajectory execution of a
@@ -38,10 +42,15 @@ for _qubit in range(11):
 STRUCTURED.t(3).h(3).t(7).h(7)
 STRUCTURED.measure_all()
 
-#: Dense random workload for the generic descent (8 qubits keeps the
-#: dense engine's per-prefix queries visible but bounded).
+#: Dense random workload for the descent (8 qubits keeps the dense
+#: engine's per-prefix lookups visible but bounded).
 RANDOM = generate_random_circuit(8, seed=2021)
 RANDOM.measure_all()
+
+#: A 12-qubit random circuit of the kind ``engine="auto"`` sends to the
+#: dense engine in a service mix.
+DENSE_MIX = generate_random_circuit(12, seed=70002)
+DENSE_SHOTS = 256
 
 #: Feedback circuit: H; measure; conditional X; terminal measure.
 FEEDBACK = QuantumCircuit(2, name="sampling_feedback")
@@ -69,7 +78,7 @@ def test_bitslice_descent_sampling(benchmark):
 
 
 def test_statevector_descent_sampling(benchmark):
-    """Generic probability-query descent on the dense engine."""
+    """The dense engine's descent over its memoised marginal tree."""
     engine = create_engine("statevector")
     engine.run(RANDOM)
 
@@ -79,6 +88,24 @@ def test_statevector_descent_sampling(benchmark):
     counts = benchmark(sample)
     assert sum(counts.values()) == SHOTS
     benchmark.extra_info["distinct_outcomes"] = len(counts)
+
+
+def test_statevector_sample_fresh_state(benchmark):
+    """256 shots on a freshly prepared dense state each round (the circuit
+    runs untimed in the setup): the marginal tree is built every time."""
+
+    def fresh_engine():
+        engine = create_engine("statevector")
+        engine.run(DENSE_MIX)
+        return (engine,), {}
+
+    def sample(engine):
+        return engine.sample(DENSE_SHOTS, rng=np.random.default_rng(7))
+
+    counts = benchmark.pedantic(sample, setup=fresh_engine, rounds=40)
+    assert sum(counts.values()) == DENSE_SHOTS
+    benchmark.extra_info["distinct_outcomes"] = len(counts)
+    benchmark.extra_info["num_qubits"] = DENSE_MIX.num_qubits
 
 
 def test_frontdoor_shots(benchmark):

@@ -37,6 +37,9 @@ SQRT2 = math.sqrt(2.0)
 #: stays finite, when both ``x`` and ``y`` fit in it.
 _FLOAT_SAFE_BITS = 1021
 
+#: ``SQRT2 ** k`` is finite below this exponent.
+_DIRECT_SCALE_LIMIT = 2048
+
 
 def sqrt2_ratio_to_float(x: int, y: int, k: int) -> float:
     """``(x + y*sqrt(2)) / 2**k`` as a float, for any ``k`` and integer size.
@@ -224,12 +227,31 @@ class AlgebraicComplex:
         return sqrt2_ratio_to_float(*self.abs_squared_exact())
 
     def to_complex(self) -> complex:
-        """The value as a Python ``complex`` (floating point)."""
-        a, b, c, d = self.a, self.b, self.c, self.d
+        """The value as a Python ``complex`` (floating point).
+
+        ``SQRT2 ** k`` overflows from ``k = 2048``; past that (or when a
+        coefficient outgrows the float range) the scale is applied as
+        ``2**(k // 2) * SQRT2**(k % 2)`` with :func:`math.ldexp`, after
+        shifting huge coefficients down as :func:`sqrt2_ratio_to_float`
+        does.  Below it the direct formula stays, bit for bit."""
+        a, b, c, d, k = self.a, self.b, self.c, self.d, self.k
+        excess = max(a.bit_length(), b.bit_length(), c.bit_length(),
+                     d.bit_length()) - _FLOAT_SAFE_BITS
+        if k < _DIRECT_SCALE_LIMIT and excess <= 0:
+            real = d + (c - a) / SQRT2
+            imag = b + (c + a) / SQRT2
+            scale = SQRT2 ** k
+            return complex(real / scale, imag / scale)
+        if excess > 0:
+            # Dropping ``excess`` low bits divides by 2**excess = SQRT2**(2*excess).
+            a, b, c, d = a >> excess, b >> excess, c >> excess, d >> excess
+            k -= 2 * excess
+        half, odd = divmod(k, 2)
         real = d + (c - a) / SQRT2
         imag = b + (c + a) / SQRT2
-        scale = SQRT2 ** self.k
-        return complex(real / scale, imag / scale)
+        if odd:
+            real, imag = real / SQRT2, imag / SQRT2
+        return complex(math.ldexp(real, -half), math.ldexp(imag, -half))
 
     def coefficients(self) -> Tuple[int, int, int, int, int]:
         """The canonical tuple ``(a, b, c, d, k)``."""

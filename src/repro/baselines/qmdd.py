@@ -130,9 +130,6 @@ class QmddSimulator:
         imag = round(value.imag / grid) * grid
         return complex(real, imag)
 
-    def _close(self, left: complex, right: complex) -> bool:
-        return abs(left - right) <= self.tolerance
-
     # ------------------------------------------------------------------ #
     # vector node construction
     # ------------------------------------------------------------------ #

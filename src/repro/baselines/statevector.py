@@ -21,7 +21,7 @@ worked example and every other engine in the repository.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +53,7 @@ class StatevectorSimulator:
         self._state = np.zeros(1 << num_qubits, dtype=complex)
         self._state[initial_state] = 1.0
         self._probabilities: Optional[np.ndarray] = None  # see _probability_tensor
+        self._marginals: Optional[Tuple[Tuple[int, ...], List[np.ndarray]]] = None
 
     # ------------------------------------------------------------------ #
     # state access
@@ -76,6 +77,11 @@ class StatevectorSimulator:
         if self._probabilities is None:
             self._probabilities = np.abs(self._state.reshape((2,) * self.num_qubits)) ** 2
         return self._probabilities
+
+    def _drop_memos(self) -> None:
+        """Forget ``|state|**2`` and the prefix marginals (every mutation)."""
+        self._probabilities = None
+        self._marginals = None
 
     def norm(self) -> float:
         """The 2-norm of the state (should stay 1 up to rounding)."""
@@ -110,14 +116,14 @@ class StatevectorSimulator:
         operand = sub.reshape(lead, 2, -1).transpose(1, 0, 2).reshape(2, -1)
         updated = np.dot(matrix, operand)
         sub[...] = updated.reshape(2, lead, -1).transpose(1, 0, 2).reshape(sub.shape)
-        self._probabilities = None
+        self._drop_memos()
 
     def _apply_swap(self, gate: Gate) -> None:
         sub = self._control_subspace(gate.controls)
         axis_a, axis_b = (qubit - sum(control < qubit for control in gate.controls)
                           for qubit in gate.targets)
         sub[...] = np.swapaxes(sub, axis_a, axis_b)
-        self._probabilities = None
+        self._drop_memos()
 
     def run(self, circuit: QuantumCircuit) -> "StatevectorSimulator":
         """Apply every gate of ``circuit`` in order.  Returns ``self``."""
@@ -196,19 +202,74 @@ class StatevectorSimulator:
         selector[qubit] = 1 - outcome
         self._state.reshape((2,) * self.num_qubits)[tuple(selector)] = 0.0
         self._state = self._state / math.sqrt(probability)
-        self._probabilities = None
+        self._drop_memos()
         return outcome
 
     def sample(self, shots: int, qubits: Optional[Sequence[int]] = None,
                rng: Optional[np.random.Generator] = None) -> Dict[int, int]:
-        """Sample measurement outcomes without collapsing the live state."""
+        """Sample measurement outcomes without collapsing the live state.
+
+        Runs the shared binomial descent
+        (:func:`repro.engines.sampling.sample_by_descent`) over
+        :meth:`prefix_marginals`, so equal generators give the counts
+        ``repro.run(engine="statevector", shots=...)`` gives."""
+        from repro.engines.sampling import sample_by_descent
+
+        qubits = list(range(self.num_qubits)) if qubits is None else list(qubits)
         rng = rng or np.random.default_rng()
-        distribution = self.measurement_distribution(qubits)
-        outcomes = list(distribution.keys())
-        weights = np.array([distribution[o] for o in outcomes], dtype=float)
-        weights = weights / weights.sum()
-        counts: Dict[int, int] = {}
-        for choice in rng.choice(len(outcomes), size=shots, p=weights):
-            outcome = outcomes[int(choice)]
-            counts[outcome] = counts.get(outcome, 0) + 1
-        return counts
+        return sample_by_descent(self.branch_probability(qubits), len(qubits), shots, rng)
+
+    def prefix_marginals(self, qubits: Sequence[int]) -> List[np.ndarray]:
+        """The marginals ``m_1 ... m_k`` of ``|state|**2`` over the first
+        ``j`` of the ``k`` distinct ``qubits`` (first occurrences, in the
+        caller's order).
+
+        ``m_j`` has ``2**j`` entries indexed by the bits of those qubits,
+        the first listed qubit most significant.  ``m_k`` sums the other
+        qubits out of ``|state|**2`` (a view of it when ``qubits`` lists
+        every qubit in ascending order); each coarser level sums bit pairs
+        of the one below, so the levels above ``m_k`` add fewer than
+        ``2**k`` floats.  One list is memoised per state; every mutation
+        drops it.
+        """
+        distinct = tuple(dict.fromkeys(int(qubit) for qubit in qubits))
+        if self._marginals is None or self._marginals[0] != distinct:
+            tensor = self._probability_tensor()
+            others = tuple(q for q in range(self.num_qubits) if q not in distinct)
+            marginal = tensor.sum(axis=others) if others else tensor
+            # ``marginal`` axes follow ascending qubit index; put them in the
+            # caller's order (the identity needs no copy).
+            ascending = sorted(distinct)
+            finest = marginal.transpose([ascending.index(q) for q in distinct])
+            levels = [finest.reshape(1 << len(distinct))]
+            while levels[-1].size > 2:
+                levels.append(levels[-1].reshape(-1, 2).sum(axis=1))
+            levels.reverse()
+            self._marginals = (distinct, levels if distinct else [])
+        return self._marginals[1]
+
+    def branch_probability(self, qubits: Sequence[int]) -> Callable[[tuple], float]:
+        """The descent's prefix oracle over ``qubits``, read from
+        :meth:`prefix_marginals`: ``Pr[qubits[:len(prefix)] == prefix]``,
+        0 when a repeated qubit's bits conflict."""
+        qubits = [int(qubit) for qubit in qubits]
+        levels = self.prefix_marginals(qubits)
+        if len(set(qubits)) == len(qubits):
+            def lookup(prefix):
+                index = 0
+                for bit in prefix:
+                    index = (index << 1) | bit
+                return float(levels[len(prefix) - 1][index])
+            return lookup
+
+        def lookup_repeated(prefix):
+            seen: Dict[int, int] = {}
+            index = 0
+            for qubit, bit in zip(qubits, prefix):
+                if qubit not in seen:
+                    seen[qubit] = bit
+                    index = (index << 1) | bit
+                elif seen[qubit] != bit:
+                    return 0.0
+            return float(levels[len(seen) - 1][index])
+        return lookup_repeated

@@ -79,9 +79,6 @@ from repro.bdd.expr import Bdd
 FALSE = 0
 TRUE = 1
 
-#: Pseudo-level of terminal nodes (below every variable).
-_TERMINAL_LEVEL = 1 << 60
-
 #: Integer operation tags indexing the per-operation computed tables.
 OP_AND = 0
 OP_OR = 1
@@ -262,12 +259,6 @@ class BddManager:
     def current_order(self) -> List[int]:
         """The current order as a list of variable indices from top to bottom."""
         return list(self._level_to_var)
-
-    def _node_level(self, node: int) -> int:
-        var = self._var[node]
-        if var < 0:
-            return _TERMINAL_LEVEL
-        return self._var_to_level[var]
 
     # ------------------------------------------------------------------ #
     # node construction

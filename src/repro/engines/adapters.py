@@ -21,7 +21,7 @@ fully featured; each adapter here is a thin lifecycle shim that
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.baselines.qmdd import QmddSimulator
 from repro.baselines.stabilizer import StabilizerSimulator
@@ -281,6 +281,11 @@ class StatevectorEngine(Engine):
 
     def probability(self, qubits: Sequence[int], bits: Sequence[int]) -> float:
         return self._simulator.probability_of_outcome(qubits, bits)
+
+    def branch_probability(self, qubits: Sequence[int]) -> Callable[[tuple], float]:
+        """Prefix lookups into one marginal tree per state
+        (:meth:`StatevectorSimulator.prefix_marginals`)."""
+        return self._simulator.branch_probability(qubits)
 
     def collapse(self, qubit: int, outcome: int) -> None:
         self._simulator.measure_qubit(qubit, forced_outcome=outcome)

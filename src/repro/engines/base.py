@@ -40,7 +40,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
-from typing import ClassVar, Dict, FrozenSet, List, Optional, Sequence
+from typing import Callable, ClassVar, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import Gate, GateKind, is_clifford_gate
@@ -170,10 +170,6 @@ class Capabilities:
         """True when every gate of ``circuit`` is supported."""
         return all(self.supports_gate(gate) for gate in circuit.gates)
 
-    def unsupported_gates(self, circuit: QuantumCircuit) -> List[Gate]:
-        """The gates of ``circuit`` this engine would reject."""
-        return [gate for gate in circuit.gates if not self.supports_gate(gate)]
-
 
 class Engine(abc.ABC):
     """Abstract base of every simulation backend (see the module docstring
@@ -264,12 +260,16 @@ class Engine(abc.ABC):
         Returns outcome-integer -> count (first listed qubit = most
         significant bit).  The default implementation runs the shared
         binomial conditional-probability descent
-        (:func:`repro.engines.sampling.sample_by_descent`) over this
-        engine's joint ``probability`` query, so it works for any engine —
+        (:func:`repro.engines.sampling.sample_by_descent`) over
+        :meth:`branch_probability`, which by default asks this engine's
+        joint ``probability`` query, so it works for any engine —
         including third-party ones — whose probabilities are correct.
-        Engines with a cheaper native path (the bit-sliced engine restricts
-        its slice BDDs instead of re-querying) override this but keep the
-        same descent protocol, so counts stay engine-independent.
+        Engines with a cheaper prefix oracle override
+        :meth:`branch_probability` (the dense engine reads one marginal
+        tree per state); engines with a cheaper native path (the bit-sliced
+        engine restricts its slice BDDs instead of re-querying) override
+        this but keep the same descent protocol, so counts stay
+        engine-independent.
 
         Engines declaring ``supports_sampling=False`` (e.g. because their
         probabilities are approximate) refuse here, which the front door
@@ -288,11 +288,23 @@ class Engine(abc.ABC):
             import numpy as np
 
             rng = np.random.default_rng()
+        return sample_by_descent(self.branch_probability(qubits), len(qubits), shots, rng)
+
+    def branch_probability(self, qubits: Sequence[int]) -> Callable[[tuple], float]:
+        """The prefix oracle :meth:`sample` descends with over ``qubits``.
+
+        The returned callable maps a bit-tuple ``prefix`` to the joint
+        probability of observing it on ``qubits[:len(prefix)]``.  The
+        default asks :meth:`probability` once per prefix; an engine with a
+        cheaper way to answer every prefix of one state overrides this
+        instead of re-implementing the descent.
+        """
+        qubits = list(qubits)
 
         def branch_probability(prefix):
             return self.probability(qubits[:len(prefix)], list(prefix))
 
-        return sample_by_descent(branch_probability, len(qubits), shots, rng)
+        return branch_probability
 
     # -- tuning ---------------------------------------------------------- #
     def configure_reordering(self, threshold: Optional[int]) -> bool:

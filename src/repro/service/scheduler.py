@@ -274,11 +274,6 @@ class JobScheduler:
         with self._lock:
             return self._queued_depth_locked()
 
-    def running_count(self) -> int:
-        """Number of jobs currently executing on workers."""
-        with self._lock:
-            return self._running
-
     def stats(self) -> Dict[str, int]:
         """Queue gauges for the admin surface: depth, capacity, running
         jobs and worker count."""

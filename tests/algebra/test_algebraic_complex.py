@@ -173,6 +173,34 @@ class TestSqrt2RatioToFloat:
         assert math.isclose(huge, (3 + SQRT2) / 4, rel_tol=1e-15)
 
 
+class TestToComplex:
+    def test_bit_identical_to_the_direct_formula_below_k_2048(self):
+        rng = random.Random(21)
+        for _ in range(20_000):
+            a, b, c, d = (rng.getrandbits(rng.choice([0, 8, 53, 60, 300, 1000]))
+                          * rng.choice([-1, 1]) for _ in range(4))
+            value = AlgebraicComplex(a, b, c, d, rng.randrange(0, 2048))
+            a, b, c, d, k = value.coefficients()
+            scale = SQRT2 ** k
+            direct = complex((d + (c - a) / SQRT2) / scale, (b + (c + a) / SQRT2) / scale)
+            assert value.to_complex() == direct
+
+    def test_exponents_past_2047(self):
+        # SQRT2 ** 2048 overflows; 1/sqrt(2)**2048 is 2**-1024 exactly.
+        assert AlgebraicComplex(0, 0, 0, 1, 2048).to_complex() == 2.0 ** -1024
+        assert AlgebraicComplex(0, 0, 0, 1, 2049).to_complex() == pytest.approx(
+            2.0 ** -1024 / SQRT2, rel=1e-15, abs=0.0)
+        value = AlgebraicComplex(1, 2, 4, 7, 2050)
+        assert value.coefficients() == (1, 2, 4, 7, 2050)
+        expected = (7 + 2j + (4 - 1 + (4 + 1) * 1j) / SQRT2) * 2.0 ** -1025
+        assert value.to_complex() == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert AlgebraicComplex(0, 0, 0, 1, 6000).to_complex() == 0.0
+
+    def test_coefficients_past_the_float_range(self):
+        value = AlgebraicComplex(0, 0, 0, (1 << 1500) + 1, 3004)
+        assert value.to_complex() == pytest.approx(2.0 ** -2, rel=1e-15, abs=0.0)
+
+
 class TestDunder:
     def test_equality_with_python_numbers(self):
         assert AlgebraicComplex.one() == 1

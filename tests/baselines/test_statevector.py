@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from repro.baselines.statevector import StatevectorSimulator
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import Gate, GateKind, full_unitary, gate_matrix
 from repro.core.simulator import BitSliceSimulator
+from repro.engines import create_engine
+from repro.engines.base import Engine
+from repro.engines.sampling import sample_by_descent
 from repro.workloads.random_circuits import generate_random_circuit
 from repro.workloads.revlib import revlib_suite
 
@@ -260,6 +264,123 @@ class TestExactOracle:
         for width in (1, n // 2, n):
             assert dense.probability_of_outcome(range(width), bits[:width]) == pytest.approx(
                 exact.probability_of_outcome(range(width), bits[:width]), abs=1e-9)
+
+
+def _qubit_lists(num_qubits):
+    """The full register, reversed, every other qubit, and ``[2, 0, 2]``."""
+    full = list(range(num_qubits))
+    return {"full": full, "reversed": full[::-1], "partial": full[::2],
+            "repeated": [2, 0, 2]}
+
+
+class TestMarginalTree:
+    """The dense engine's prefix oracle reads one marginal tree per state
+    and draws the counts the generic per-prefix query draws."""
+
+    @pytest.mark.parametrize("circuit", _service_mix_kind_circuits(),
+                             ids=lambda circuit: f"{circuit.name}_{circuit.num_qubits}q")
+    def test_counts_equal_the_default_hook(self, circuit):
+        engine = create_engine("statevector")
+        engine.run(circuit)
+        for qubits in _qubit_lists(circuit.num_qubits).values():
+            for seed in (0, 7, 11):
+                default = sample_by_descent(Engine.branch_probability(engine, qubits),
+                                            len(qubits), 256, np.random.default_rng(seed))
+                assert engine.sample(256, qubits, np.random.default_rng(seed)) == default
+
+    @pytest.mark.parametrize("name", ["full", "reversed", "partial", "repeated"])
+    def test_prefix_lookups_equal_outcome_queries(self, name):
+        simulator = StatevectorSimulator.simulate(
+            build_circuit_from_ops(5, random_ops(5, 40, 3)))
+        qubits = _qubit_lists(5)[name]
+        lookup = simulator.branch_probability(qubits)
+        for length in range(1, len(qubits) + 1):
+            for index in range(1 << length):
+                prefix = tuple((index >> (length - 1 - j)) & 1 for j in range(length))
+                assert lookup(prefix) == pytest.approx(
+                    simulator.probability_of_outcome(qubits[:length], prefix), abs=1e-15)
+
+    def test_levels_sum_bit_pairs_in_the_callers_order(self):
+        simulator = StatevectorSimulator.simulate(
+            build_circuit_from_ops(4, random_ops(4, 30, 5)))
+        levels = simulator.prefix_marginals([3, 1, 3])
+        assert [level.size for level in levels] == [2, 4]
+        brute = simulator.probabilities().reshape((2,) * 4).sum(axis=(0, 2)).T.reshape(-1)
+        np.testing.assert_allclose(levels[1], brute, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(levels[0], brute.reshape(-1, 2).sum(axis=1), rtol=0, atol=1e-15)
+        assert simulator.prefix_marginals([]) == []
+
+    def test_full_register_in_order_is_a_view(self):
+        simulator = StatevectorSimulator.simulate(QuantumCircuit(3).h(0).cx(0, 2))
+        levels = simulator.prefix_marginals([0, 1, 2])
+        assert np.shares_memory(levels[-1], simulator._probabilities)
+        assert not np.shares_memory(simulator.prefix_marginals([2, 1, 0])[-1],
+                                    simulator._probabilities)
+
+    def test_one_tree_memoised_per_state(self):
+        simulator = StatevectorSimulator.simulate(QuantumCircuit(3).h(0))
+        levels = simulator.prefix_marginals([0, 2])
+        assert simulator.prefix_marginals((0, 2)) is levels
+        assert simulator.prefix_marginals([0, 2, 0]) is levels
+        assert simulator.prefix_marginals([2, 0]) is not levels
+
+    def test_gate_drops_tree(self):
+        simulator = StatevectorSimulator(2)
+        assert simulator.prefix_marginals([0, 1])[0].tolist() == [1.0, 0.0]
+        simulator.apply_gate(Gate(GateKind.X, (0,)))
+        assert simulator._marginals is None
+        assert simulator.prefix_marginals([0, 1])[0].tolist() == [0.0, 1.0]
+
+    def test_swap_drops_tree(self):
+        simulator = StatevectorSimulator(2, initial_state=0b10)
+        assert simulator.prefix_marginals([0])[0].tolist() == [0.0, 1.0]
+        simulator.apply_gate(Gate(GateKind.SWAP, (0, 1)))
+        assert simulator._marginals is None
+        assert simulator.prefix_marginals([0])[0].tolist() == [1.0, 0.0]
+
+    def test_forced_collapse_drops_tree(self):
+        simulator = StatevectorSimulator.simulate(QuantumCircuit(2).h(0).cx(0, 1))
+        assert simulator.prefix_marginals([1])[0] == pytest.approx([0.5, 0.5])
+        simulator.measure_qubit(0, forced_outcome=1)
+        assert simulator._marginals is None
+        assert simulator.prefix_marginals([1])[0] == pytest.approx([0.0, 1.0])
+
+    def test_full_register_sample_adds_at_most_one_vector(self):
+        n = 16
+        circuit = QuantumCircuit(n)
+        for qubit in range(n):
+            circuit.h(qubit)
+        simulator = StatevectorSimulator.simulate(circuit)
+        tracemalloc.start()
+        try:
+            counts = simulator.sample(256, rng=np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(counts.values()) == 256
+        # |state|**2 itself plus at most one more 2**n float64 array.
+        vector_bytes = 8 << n
+        assert peak < 2 * vector_bytes + vector_bytes // 4
+
+
+class TestNativeSampling:
+    """``StatevectorSimulator.sample`` runs the shared descent, so equal
+    generators give the front door's counts."""
+
+    @pytest.mark.parametrize("circuit", [
+        universal_mix(5, 1, measure=False), generate_random_circuit(8, seed=3),
+        QuantumCircuit(3, name="ghz3").h(0).cx(0, 1).cx(1, 2)], ids=lambda c: c.name)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_native_counts_equal_front_door_counts(self, circuit, seed):
+        native = StatevectorSimulator.simulate(circuit).sample(
+            1000, rng=np.random.default_rng(seed))
+        result = repro.run(circuit, engine="statevector", shots=1000, seed=seed)
+        assert native == result.counts
+
+    def test_qubit_subset(self):
+        simulator = StatevectorSimulator.simulate(QuantumCircuit(3).x(2).h(0))
+        counts = simulator.sample(100, qubits=[2, 1], rng=np.random.default_rng(1))
+        assert counts == {0b10: 100}
 
 
 class TestMeasurement:
