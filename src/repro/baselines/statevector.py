@@ -232,7 +232,7 @@ class StatevectorSimulator:
         ``2**k`` floats.  One list is memoised per state; every mutation
         drops it.
         """
-        distinct = tuple(dict.fromkeys(int(qubit) for qubit in qubits))
+        distinct = tuple(dict.fromkeys(qubits))
         if self._marginals is None or self._marginals[0] != distinct:
             tensor = self._probability_tensor()
             others = tuple(q for q in range(self.num_qubits) if q not in distinct)
@@ -252,7 +252,7 @@ class StatevectorSimulator:
         """The descent's prefix oracle over ``qubits``, read from
         :meth:`prefix_marginals`: ``Pr[qubits[:len(prefix)] == prefix]``,
         0 when a repeated qubit's bits conflict."""
-        qubits = [int(qubit) for qubit in qubits]
+        qubits = list(qubits)
         levels = self.prefix_marginals(qubits)
         if len(set(qubits)) == len(qubits):
             def lookup(prefix):
