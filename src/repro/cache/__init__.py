@@ -15,8 +15,8 @@ Three layers, usable independently:
   gate list (SWAPs expanded, names ignored, measurement layout included);
 * :class:`ResultCache` — a bounded thread-safe LRU of finished
   :class:`~repro.engines.result.RunResult` records, keyed on
-  ``(fingerprint, engine, seed, shots, reorder, limits)``, plugged into
-  ``repro.run(..., cache=...)`` and the sweep executors;
+  :func:`run_key` (the run identity journals and checkpoints share),
+  plugged into ``repro.run(..., cache=...)`` and the sweep executors;
 * :class:`SessionPool` — retained bit-sliced session states (slice roots +
   manager) that ``repro.run(..., sessions=...)`` resumes from when an
   incoming circuit extends a retained gate-sequence prefix, instead of
@@ -35,9 +35,10 @@ from repro.cache.fingerprint import (
 from repro.cache.result_cache import (
     CACHEABLE_STATUSES,
     ResultCache,
+    RunKey,
     cacheable_request,
     normalise_reorder,
-    result_cache_key,
+    run_key,
 )
 from repro.cache.sessions import SessionLease, SessionPool
 
@@ -45,6 +46,7 @@ __all__ = [
     "CACHEABLE_STATUSES",
     "FINGERPRINT_VERSION",
     "ResultCache",
+    "RunKey",
     "SessionLease",
     "SessionPool",
     "cacheable_request",
@@ -52,5 +54,5 @@ __all__ = [
     "gate_token",
     "gate_tokens",
     "normalise_reorder",
-    "result_cache_key",
+    "run_key",
 ]

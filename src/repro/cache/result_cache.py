@@ -7,8 +7,8 @@ of a completed run can be replayed *verbatim* for a later identical
 request — cache hits are provably identical to cold runs, pinned by the
 byte-identity tests in ``tests/cache/``.
 
-Keys are built by :func:`result_cache_key` from everything a run's
-deterministic outputs depend on:
+Every key is a :class:`RunKey` built by :func:`run_key`, the one place
+that decides what counts as "the same run":
 
 ``(fingerprint, engine, seed, shots, reorder, limits)``
 
@@ -20,11 +20,18 @@ deterministic outputs depend on:
   cached: replaying one draw would silently freeze fresh randomness),
 * ``reorder`` — the normalised reordering threshold (reordering changes
   node-count statistics),
-* ``limits`` — the TO/MO budget triple.  The issue's key stops at
-  ``reorder``, but budgets are part of the outcome: a run that finished
-  under a 60 s budget may legitimately time out under a 1 s one, so
-  serving it from cache would fabricate a result the cold run cannot
-  produce.
+* ``limits`` — the TO/MO budget triple: a run that finished under a 60 s
+  budget may legitimately time out under a 1 s one, so serving it from
+  cache would fabricate a result the cold run cannot produce.
+
+The front door derives every other key from this one.  The sweep journal
+keys each task on its index plus the run key
+(:mod:`repro.resilience.journal`), so a result is replayed only under the
+limits and the resolved engine that produced it.  Checkpoints key on
+:attr:`RunKey.state` — fingerprint, engine and reorder, what the engine's
+state after the gates depends on — with the task index in front in
+sweeps; budgets stay out, so a run stopped at TO/MO resumes from its
+checkpoint under a bigger budget.
 
 Entries are bounded both by count and by (approximate, serialised) bytes;
 eviction is least-recently-used.  All public methods are thread-safe.  The
@@ -39,7 +46,7 @@ import copy
 import json
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from repro.cache.fingerprint import circuit_fingerprint
 from repro.circuit.circuit import QuantumCircuit
@@ -54,8 +61,24 @@ from repro.perf.counters import PerfCounters
 #: recomputed every time rather than cached.
 CACHEABLE_STATUSES = frozenset({STATUS_OK, STATUS_UNSUPPORTED})
 
-CacheKey = Tuple[str, str, Optional[int], Optional[int], Optional[int],
-                 Tuple[Optional[float], Optional[int], int]]
+
+class RunKey(NamedTuple):
+    """The identity of one run request (see the module docstring)."""
+
+    fingerprint: str
+    engine: str
+    seed: Optional[int]
+    shots: Optional[int]
+    reorder: Optional[int]
+    limits: Tuple[Optional[float], Optional[int], int]
+
+    @property
+    def state(self) -> Tuple[str, str, Optional[int]]:
+        """The state part ``(fingerprint, engine, reorder)``: what the
+        engine's state after the gates depends on, and so the identity of
+        a checkpoint.  The sampling request acts after the gates, and the
+        budgets only decide where a run stops."""
+        return self.fingerprint, self.engine, self.reorder
 
 
 def normalise_reorder(reorder: Union[bool, int, None]) -> Optional[int]:
@@ -81,19 +104,20 @@ def cacheable_request(shots: Optional[int], seed: Optional[int]) -> bool:
     return shots is None or seed is not None
 
 
-def result_cache_key(circuit: QuantumCircuit, engine: str,
-                     seed: Optional[int], shots: Optional[int],
-                     reorder: Union[bool, int, None],
-                     limits: Optional[ResourceLimits] = None) -> CacheKey:
-    """The full cache key for one run request (see the module docstring).
+def run_key(circuit: QuantumCircuit, engine: str,
+            seed: Optional[int], shots: Optional[int],
+            reorder: Union[bool, int, None],
+            limits: Optional[ResourceLimits] = None) -> RunKey:
+    """The :class:`RunKey` of one run request (see the module docstring).
 
     ``engine`` must already be resolved to a canonical engine name (the
     front door resolves aliases and ``"auto"`` before keying).
     """
     limits = limits or ResourceLimits()
-    return (circuit_fingerprint(circuit), engine, seed, shots,
-            normalise_reorder(reorder),
-            (limits.max_seconds, limits.max_nodes, limits.max_dense_qubits))
+    return RunKey(circuit_fingerprint(circuit), engine, seed, shots,
+                  normalise_reorder(reorder),
+                  (limits.max_seconds, limits.max_nodes,
+                   limits.max_dense_qubits))
 
 
 def _estimate_entry_bytes(result: RunResult) -> int:
@@ -126,7 +150,7 @@ class ResultCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[CacheKey, Tuple[RunResult, int]]" = OrderedDict()
+        self._entries: "OrderedDict[RunKey, Tuple[RunResult, int]]" = OrderedDict()
         self._total_bytes = 0
         #: Hit / miss / eviction / store counters plus size gauges.
         self.counters = PerfCounters()
@@ -134,7 +158,7 @@ class ResultCache:
     # ------------------------------------------------------------------ #
     # lookup / store
     # ------------------------------------------------------------------ #
-    def lookup(self, key: CacheKey) -> Optional[RunResult]:
+    def lookup(self, key: RunKey) -> Optional[RunResult]:
         """The cached result for ``key``, or ``None``.
 
         Hits return a deep copy (callers may mutate their result freely)
@@ -153,7 +177,7 @@ class ResultCache:
         result.extra["cache_hit"] = 1
         return result
 
-    def store(self, key: CacheKey, result: RunResult) -> bool:
+    def store(self, key: RunKey, result: RunResult) -> bool:
         """Insert ``result`` under ``key``; returns True when stored.
 
         Non-cacheable outcomes (see :data:`CACHEABLE_STATUSES`) and results
@@ -189,7 +213,7 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: CacheKey) -> bool:
+    def __contains__(self, key: RunKey) -> bool:
         with self._lock:
             return key in self._entries
 
@@ -223,5 +247,5 @@ class ResultCache:
                 f"bytes={self.total_bytes}/{self.max_bytes})")
 
 
-__all__ = ["CACHEABLE_STATUSES", "CacheKey", "ResultCache",
-           "cacheable_request", "normalise_reorder", "result_cache_key"]
+__all__ = ["CACHEABLE_STATUSES", "ResultCache", "RunKey",
+           "cacheable_request", "normalise_reorder", "run_key"]

@@ -45,16 +45,21 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.cache.fingerprint import gate_tokens
 from repro.cache.result_cache import (
     ResultCache,
+    RunKey,
     cacheable_request,
     normalise_reorder,
-    result_cache_key,
+    run_key,
 )
 from repro.cache.sessions import SessionLease, SessionPool
 from repro.circuit.circuit import QuantumCircuit
-from repro.engines.base import DEFAULT_AUTO_REORDER_THRESHOLD
 from repro.engines.dynamic import classical_register_value
 from repro.engines.limits import LimitEnforcer, ResourceLimits
-from repro.engines.registry import AUTO_ENGINE, create_engine, resolve_engine
+from repro.engines.registry import (
+    AUTO_ENGINE,
+    UnknownEngineError,
+    create_engine,
+    resolve_engine,
+)
 from repro.engines.result import (
     STATUS_CRASH,
     STATUS_ERROR,
@@ -176,9 +181,8 @@ def checkpoint_file(directory: Union[str, os.PathLike], key: str) -> str:
 
     The filename embeds a sanitised prefix of the key (human-greppable) and
     a hash of the full key (collision-proof across keys that sanitise
-    alike), so every process — the original run, a resumed run, a journal
-    pointer written at dispatch — computes the same path without
-    coordination.
+    alike), so every process — the original run, a resumed run, a sweep
+    worker — computes the same path without coordination.
     """
     safe = re.sub(r"[^A-Za-z0-9._-]", "_", key)[:80] or "run"
     digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:12]
@@ -352,7 +356,7 @@ def run(circuit: QuantumCircuit, engine: str = AUTO_ENGINE,
     invariant), only its node counts and timings.
 
     ``cache`` memoises finished results: a request whose
-    :func:`~repro.cache.result_cache.result_cache_key` matches a stored
+    :func:`~repro.cache.result_cache.run_key` matches a stored
     entry is answered from the cache without touching an engine (the hit
     carries ``extra["cache_hit"] = 1`` and this request's actual service
     time; every deterministic field replays the cold run verbatim).
@@ -384,8 +388,8 @@ def run(circuit: QuantumCircuit, engine: str = AUTO_ENGINE,
     writes a versioned, checksummed snapshot of the live state to
     ``checkpoint_dir`` every N gates, a ``float`` every S wall-clock
     seconds, a ``(gates, seconds)`` tuple on whichever elapses first.  A
-    later identical request finding a valid checkpoint (same circuit
-    fingerprint, plausible depth) restores it and executes only the
+    later request with the same state key finding a valid checkpoint (same
+    circuit fingerprint, plausible depth) restores it and executes only the
     unexecuted suffix — with the same ``seed`` the resumed result's
     ``to_dict(timings=False)`` is byte-identical to an uninterrupted run,
     sampled counts included.  A torn or corrupt checkpoint is *skipped*
@@ -393,10 +397,12 @@ def run(circuit: QuantumCircuit, engine: str = AUTO_ENGINE,
     restored as garbage; engines without the capability, and dynamic
     circuits (whose trajectories are collapse-dependent), degrade
     gracefully to ordinary uncheckpointed runs.  ``checkpoint_key`` names
-    the logical run (defaulting to the circuit fingerprint) — sweeps pass
-    their journal task key so each task owns one file; the file is removed
-    once the run reaches ``ok``, and kept on TO/MO so a retry under a
-    bigger budget resumes instead of restarting.  Provenance lands in
+    the logical run, defaulting to the state part of the run key
+    (:attr:`~repro.cache.result_cache.RunKey.state`: fingerprint, resolved
+    engine, reorder) — sweeps put the task index in front so each task
+    owns one file; the file is removed once the run reaches ``ok``, and
+    kept on TO/MO so a retry under a bigger budget resumes instead of
+    restarting.  Provenance lands in
     ``extra`` (``resumed_from_checkpoint``, ``checkpoints_written``),
     excluded from deterministic serialisation.  See
     ``docs/checkpointing.md``.
@@ -406,19 +412,18 @@ def run(circuit: QuantumCircuit, engine: str = AUTO_ENGINE,
         raise ValueError("shots must be non-negative")
     entered = time.perf_counter()
     resolved = resolve_engine(engine, circuit, limits)
-    cache_key = None
-    if cache is not None and cacheable_request(shots, seed):
-        cache_key = result_cache_key(circuit, resolved, seed, shots, reorder,
-                                     limits)
-        hit = cache.lookup(cache_key)
+    caching = cache is not None and cacheable_request(shots, seed)
+    key: Optional[RunKey] = None
+    if caching:
+        key = run_key(circuit, resolved, seed, shots, reorder, limits)
+        hit = cache.lookup(key)
         if hit is not None:
             return _materialise_hit(hit, circuit, engine,
                                     time.perf_counter() - entered)
     instance = create_engine(resolved)
-    if reorder is not None and reorder is not False:
-        threshold = (DEFAULT_AUTO_REORDER_THRESHOLD if reorder is True
-                     else int(reorder))
-        instance.configure_reordering(threshold)
+    norm_reorder = normalise_reorder(reorder)
+    if norm_reorder is not None:
+        instance.configure_reordering(norm_reorder)
     ckpt: Optional[_Checkpointer] = None
     resume_depth: Optional[int] = None
     corrupt_skipped = 0
@@ -428,15 +433,17 @@ def run(circuit: QuantumCircuit, engine: str = AUTO_ENGINE,
         gate_interval, seconds_interval = _checkpoint_spec(checkpoint_every)
         if (instance.capabilities.supports_snapshots
                 and not circuit.has_dynamic_ops()):
-            from repro.cache.fingerprint import circuit_fingerprint
             from repro.snapshot import SnapshotCorruptError
 
-            fingerprint = circuit_fingerprint(circuit)
-            key = checkpoint_key if checkpoint_key is not None else fingerprint
+            if key is None:
+                key = run_key(circuit, resolved, seed, shots, reorder, limits)
+            if checkpoint_key is None:
+                checkpoint_key = repr(key.state)
             os.makedirs(checkpoint_dir, exist_ok=True)
-            path = checkpoint_file(checkpoint_dir, key)
-            ckpt = _Checkpointer(instance, path, key, fingerprint,
-                                 gate_interval, seconds_interval)
+            path = checkpoint_file(checkpoint_dir, checkpoint_key)
+            ckpt = _Checkpointer(instance, path, checkpoint_key,
+                                 key.fingerprint, gate_interval,
+                                 seconds_interval)
             if os.path.exists(path):
                 try:
                     loaded = instance.restore_snapshot(path)
@@ -449,7 +456,7 @@ def run(circuit: QuantumCircuit, engine: str = AUTO_ENGINE,
                     depth = (loaded.get("gates_done")
                              if isinstance(loaded, dict) else None)
                     if (isinstance(loaded, dict)
-                            and loaded.get("fingerprint") == fingerprint
+                            and loaded.get("fingerprint") == key.fingerprint
                             and isinstance(depth, int)
                             and not isinstance(depth, bool)
                             and 0 <= depth <= circuit.num_gates):
@@ -462,7 +469,6 @@ def run(circuit: QuantumCircuit, engine: str = AUTO_ENGINE,
                        and instance.capabilities.supports_prefix_resume
                        and not circuit.has_dynamic_ops())
     tokens = gate_tokens(circuit) if prefix_eligible else ()
-    norm_reorder = normalise_reorder(reorder)
     lease: Optional[SessionLease] = None
     if prefix_eligible and resume_depth is None:
         # A valid checkpoint beats a session match: it resumes *this exact
@@ -601,8 +607,8 @@ def run(circuit: QuantumCircuit, engine: str = AUTO_ENGINE,
         counts=counts,
         counts_width=counts_width,
     )
-    if cache_key is not None:
-        cache.store(cache_key, result)
+    if caching:
+        cache.store(key, result)
     return result
 
 
@@ -616,19 +622,6 @@ def derive_task_seed(seed: Optional[int], index: int) -> Optional[int]:
     if seed is None:
         return None
     return seed * 1_000_003 + index
-
-
-def _run_task(task: Tuple[str, QuantumCircuit, Optional[int], Optional[int]],
-              limits: Optional[ResourceLimits],
-              reorder: Union[bool, int, None] = None,
-              checkpoint_every=None,
-              checkpoint_dir=None,
-              checkpoint_key: Optional[str] = None) -> RunResult:
-    """Process-pool worker: one (engine, circuit, shots, seed) task."""
-    engine, circuit, shots, seed = task
-    return run(circuit, engine=engine, limits=limits, shots=shots, seed=seed,
-               reorder=reorder, checkpoint_every=checkpoint_every,
-               checkpoint_dir=checkpoint_dir, checkpoint_key=checkpoint_key)
 
 
 def run_tasks(tasks: Sequence[Tuple[str, QuantumCircuit]],
@@ -673,10 +666,14 @@ def run_tasks(tasks: Sequence[Tuple[str, QuantumCircuit]],
     verbatim (``extra["journal_replayed"]``, a provenance marker excluded
     from deterministic serialisation) and executes only the missing ones —
     so a killed sweep, resumed, produces ``to_dict(timings=False)`` output
-    byte-identical to an uninterrupted run.  Journalling composes with
-    ``cache`` (hits and aliases are journalled too) and with ``jobs > 1``
-    (journalled tasks never dispatch a worker; completions are journalled
-    in deterministic task order as futures resolve).
+    byte-identical to an uninterrupted run.  Each task is journalled under
+    its index plus its :func:`~repro.cache.result_cache.run_key`, with the
+    engine resolved once per task here in the caller's process, so a
+    result is replayed only under the limits and the resolved engine that
+    produced it.  Journalling composes with ``cache`` (hits and aliases
+    are journalled too) and with ``jobs > 1`` (journalled tasks never
+    dispatch a worker; completions are journalled in deterministic task
+    order as futures resolve).
 
     ``cancel`` cancels the task list cooperatively, exactly as in
     :func:`run`: the serial path polls the token between gates, the
@@ -690,11 +687,11 @@ def run_tasks(tasks: Sequence[Tuple[str, QuantumCircuit]],
     journal's per-task granularity with per-gate granularity: a sweep
     SIGKILLed 4 000 gates into task 7 resumes by replaying tasks 0-6 from
     the manifest *and* restoring task 7's snapshot rather than re-running
-    its prefix.  Every task gets its own deterministic checkpoint file,
-    keyed by the same ``index:engine:fingerprint:...`` key the journal
-    uses; with a journal, pointer records
-    (:meth:`~repro.resilience.journal.SweepJournal.record_checkpoint`) make
-    the manifest name each in-flight task's snapshot.  The resumed sweep's
+    its prefix.  Every task owns one deterministic checkpoint file, keyed
+    by its index plus the state part of its run key
+    (:attr:`~repro.cache.result_cache.RunKey.state`); the budgets stay out
+    of it, so a task stopped at TO/MO resumes from its snapshot when the
+    sweep is re-run under bigger limits.  The resumed sweep's
     deterministic serialisation stays byte-identical to an uninterrupted
     run.
 
@@ -705,122 +702,99 @@ def run_tasks(tasks: Sequence[Tuple[str, QuantumCircuit]],
     """
     if checkpoint_every is not None and checkpoint_dir is None:
         raise ValueError("checkpoint_every requires checkpoint_dir")
-    checkpointing = checkpoint_every is not None
+    parallel = jobs > 1 and len(tasks) > 1
     specs = [(engine, circuit, shots, derive_task_seed(seed, index))
              for index, (engine, circuit) in enumerate(tasks)]
     results: List[Optional[RunResult]] = [None] * len(specs)
-    task_keys: List[Optional[str]] = [None] * len(specs)
-    if journal is not None or checkpointing:
-        # Imported lazily: journalling is opt-in and the resilience package
-        # sits above the engines in the dependency order.  Checkpointing
-        # borrows the journal's task key so each task owns one
-        # deterministic checkpoint file across crashed and resumed sweeps.
-        from repro.resilience.journal import open_journal, task_key
-
+    # The journal, the checkpoints and the parallel path's cache lookups
+    # all key on the task's run key; the serial path's cache keys in run().
+    keys: List[Optional[RunKey]] = [None] * len(specs)
+    if (journal is not None or checkpoint_every is not None
+            or (parallel and cache is not None)):
         for index, (engine_name, circuit, task_shots, task_seed) \
                 in enumerate(specs):
-            task_keys[index] = task_key(index, engine_name, circuit,
-                                        task_shots, task_seed, reorder)
+            try:
+                resolved = resolve_engine(engine_name, circuit, limits)
+            except UnknownEngineError:
+                # The task's own run() raises the same error when it is
+                # reached; until then it has nothing to be keyed on.
+                continue
+            keys[index] = run_key(circuit, resolved, task_seed, task_shots,
+                                  reorder, limits)
     if journal is not None:
+        # Imported lazily: journalling is opt-in and the resilience package
+        # sits above the engines in the dependency order.
+        from repro.resilience.journal import open_journal
+
         journal = open_journal(journal)
-        for index in range(len(specs)):
-            results[index] = journal.lookup(task_keys[index])
+        journal_keys = [None if key is None else repr((index, *key))
+                        for index, key in enumerate(keys)]
+        for index, text in enumerate(journal_keys):
+            if text is not None:
+                results[index] = journal.lookup(text)
 
-    def note_dispatch(index: int) -> None:
-        # A pointer record lands in the manifest before the task runs, so
-        # a crash mid-task leaves the journal naming the snapshot that the
-        # resumed sweep will restore instead of re-running the prefix.
-        if journal is not None and checkpointing:
-            journal.record_checkpoint(
-                task_keys[index],
-                checkpoint_file(checkpoint_dir, task_keys[index]))
+    def finish(index: int, result: RunResult) -> None:
+        if journal is not None and journal_keys[index] is not None:
+            journal.record(journal_keys[index], result)
+        results[index] = result
 
-    if jobs <= 1 or len(specs) <= 1:
-        for index, (engine_name, circuit, task_shots, task_seed) \
-                in enumerate(specs):
-            if results[index] is not None:
-                continue
-            note_dispatch(index)
-            result = run(circuit, engine=engine_name, limits=limits,
-                         shots=task_shots, seed=task_seed, reorder=reorder,
-                         cache=cache, sessions=sessions, cancel=cancel,
-                         checkpoint_every=checkpoint_every,
-                         checkpoint_dir=checkpoint_dir,
-                         checkpoint_key=task_keys[index])
-            if journal is not None:
-                journal.record(task_keys[index], result)
-            results[index] = result
+    def options(index: int) -> dict:
+        engine_name, _, task_shots, task_seed = specs[index]
+        key = keys[index]
+        return dict(engine=engine_name, limits=limits, shots=task_shots,
+                    seed=task_seed, reorder=reorder,
+                    checkpoint_every=checkpoint_every,
+                    checkpoint_dir=checkpoint_dir,
+                    checkpoint_key=(None if key is None
+                                    else repr((index, *key.state))))
+
+    if not parallel:
+        for index, (_, circuit, _, _) in enumerate(specs):
+            if results[index] is None:
+                finish(index, run(circuit, cache=cache, sessions=sessions,
+                                  cancel=cancel, **options(index)))
         return results
-    keys: List[Optional[object]] = [None] * len(specs)
     pending: List[int] = []
-    aliases: List[Tuple[int, object]] = []
-    if cache is not None:
-        owners: Dict[object, int] = {}
-        for index, (engine_name, circuit, task_shots, task_seed) \
-                in enumerate(specs):
-            if results[index] is not None:
-                continue  # journal replay: never dispatched
-            key = None
-            if cacheable_request(task_shots, task_seed):
-                try:
-                    resolved = resolve_engine(engine_name, circuit,
-                                              limits or ResourceLimits())
-                    key = result_cache_key(circuit, resolved, task_seed,
-                                           task_shots, reorder, limits)
-                except Exception:
-                    # Engine resolution failures reproduce identically in
-                    # the worker, where they classify the task's outcome.
-                    key = None
-            if key is None:
-                pending.append(index)
-                continue
-            hit = cache.lookup(key)
-            if hit is not None:
-                results[index] = _materialise_hit(hit, circuit, engine_name,
-                                                  0.0)
-                if journal is not None:
-                    journal.record(task_keys[index], results[index])
-                continue
-            if key in owners:
-                aliases.append((index, key))
-                continue
-            owners[key] = index
-            keys[index] = key
+    aliases: List[int] = []
+    owners: Dict[RunKey, int] = {}
+    for index, (engine_name, circuit, task_shots, task_seed) \
+            in enumerate(specs):
+        if results[index] is not None:
+            continue  # journal replay: never dispatched
+        key = keys[index]
+        if (cache is None or key is None
+                or not cacheable_request(task_shots, task_seed)):
             pending.append(index)
-    else:
-        pending = [index for index in range(len(specs))
-                   if results[index] is None]
+            continue
+        hit = cache.lookup(key)
+        if hit is not None:
+            finish(index, _materialise_hit(hit, circuit, engine_name, 0.0))
+        elif key in owners:
+            aliases.append(index)
+        else:
+            owners[key] = index
+            pending.append(index)
     if pending:
         if cancel is not None and cancel.is_set():
             raise JobCancelledError("cancelled before parallel dispatch")
-        for index in pending:
-            note_dispatch(index)
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            futures = [(index, pool.submit(_run_task, specs[index], limits,
-                                           reorder, checkpoint_every,
-                                           checkpoint_dir,
-                                           task_keys[index]))
+            futures = [(index, pool.submit(run, specs[index][1],
+                                           **options(index)))
                        for index in pending]
             for index, future in futures:
                 result = future.result()
-                if keys[index] is not None:
+                if owners.get(keys[index]) == index:
                     cache.store(keys[index], result)
-                if journal is not None:
-                    journal.record(task_keys[index], result)
-                results[index] = result
-    for index, key in aliases:
+                finish(index, result)
+    for index in aliases:
         engine_name, circuit, _, _ = specs[index]
-        hit = cache.lookup(key)
+        hit = cache.lookup(keys[index])
         if hit is not None:
-            results[index] = _materialise_hit(hit, circuit, engine_name, 0.0)
+            finish(index, _materialise_hit(hit, circuit, engine_name, 0.0))
         else:
             # The owning task finished with a non-cacheable outcome (TO/MO);
             # reproduce it for this request the ordinary way.
-            results[index] = _run_task(specs[index], limits, reorder,
-                                       checkpoint_every, checkpoint_dir,
-                                       task_keys[index])
-        if journal is not None:
-            journal.record(task_keys[index], results[index])
+            finish(index, run(circuit, **options(index)))
     return results
 
 

@@ -32,7 +32,6 @@ from repro.resilience.journal import (
     JOURNAL_VERSION,
     SweepJournal,
     open_journal,
-    task_key,
 )
 from repro.resilience.retry import (
     RETRYABLE_CODES,
@@ -67,6 +66,5 @@ __all__ = [
     "is_retryable",
     "maybe_fire",
     "open_journal",
-    "task_key",
     "uninstall",
 ]

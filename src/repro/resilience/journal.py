@@ -4,11 +4,14 @@ A Table VI-scale sweep that dies at task 180 of 200 should not redo the
 first 179.  The journal is the recovery mechanism: when
 :func:`repro.engines.frontdoor.run_tasks` runs with ``journal=``, every
 terminal task result is appended to a JSONL manifest as one self-contained
-line — ``{"v": 1, "key": ..., "result": <RunResult.to_wire()>}`` — keyed by
-``index : engine : circuit-fingerprint : seed : shots : reorder``.  A
-resumed sweep reloads the manifest, replays journalled results verbatim
-(marked ``journal_replayed`` in their provenance extras) and only executes
-the tasks that are missing.  Because the replayed payload is the lossless
+line — ``{"v": 2, "key": ..., "result": <RunResult.to_wire()>}``.  The
+front door builds the key from the task's index and its run key
+(:func:`repro.cache.result_cache.run_key`: circuit fingerprint, resolved
+engine, seed, shots, reorder and limits), so a journalled result is
+replayed only into a task that would reproduce it.  A resumed sweep
+reloads the manifest, replays journalled results verbatim (marked
+``journal_replayed`` in their provenance extras) and only executes the
+tasks that are missing.  Because the replayed payload is the lossless
 wire form, the resumed sweep's ``to_dict(timings=False)`` output is
 byte-identical to an uninterrupted run.
 
@@ -23,23 +26,17 @@ Crash-safety invariants:
   is *complete* but merely lacks its trailing newline (the crash happened
   between the payload write and the newline reaching disk) is a valid
   record and is kept; appends are newline-safe, terminating such a line
-  before writing so the next record never glues onto it.
-* The key includes the per-task derived seed and the circuit fingerprint,
-  so editing the task list between runs invalidates exactly the tasks that
-  changed; the ``index`` component keeps repeated identical tasks in one
-  sweep distinct.
-
-Checkpoint composition (see ``docs/checkpointing.md``): a sweep running
-with both ``journal=`` and ``checkpoint_every=`` also appends **pointer
-records** — ``{"v": 1, "key": ..., "checkpoint": {"path": ...}}`` — when a
-task starts checkpointing, so the manifest records where each in-flight
-task's snapshot lives.  On resume, replay prefers restoring that snapshot
-over re-executing the task's prefix; a journalled *result* for the same
-key always wins over a pointer (the task is already done).
+  before writing so the next record never glues onto it.  Lines of another
+  schema version are skipped the same way, so a manifest written under an
+  older key layout reruns its tasks instead of being misread.
+* Editing the task list or the limits between runs invalidates exactly the
+  tasks whose key changed; the ``index`` component keeps repeated
+  identical tasks in one sweep distinct.
 
 The journal deliberately records *every* terminal status — a ``TO`` under
 given limits is as deterministic as an ``ok`` and equally not worth
-recomputing.  Delete the manifest (or pass a fresh path) to force reruns.
+recomputing; under other limits the key differs and the task runs again.
+Delete the manifest (or pass a fresh path) to force reruns.
 """
 
 from __future__ import annotations
@@ -53,30 +50,7 @@ from typing import Dict, Optional, Union
 from repro.engines.result import RunResult
 
 #: Journal record schema version (``v`` field of every line).
-JOURNAL_VERSION = 1
-
-
-def task_key(index: int, engine: str, circuit, shots: Optional[int],
-             seed: Optional[int], reorder) -> str:
-    """The journal key of one sweep task.
-
-    Combines the task's position, resolved engine, circuit fingerprint and
-    the sampling/reordering request into a single string; two sweeps agree
-    on a key exactly when the task would produce a byte-identical result.
-    """
-    # Imported lazily: the cache package pulls in the service-facing stack,
-    # and keeping journal importable early avoids a package-init cycle.
-    from repro.cache.fingerprint import circuit_fingerprint
-    from repro.cache.result_cache import normalise_reorder
-
-    return ":".join([
-        str(index),
-        engine,
-        circuit_fingerprint(circuit),
-        "-" if seed is None else str(seed),
-        "-" if shots is None else str(shots),
-        "-" if normalise_reorder(reorder) is None else str(normalise_reorder(reorder)),
-    ])
+JOURNAL_VERSION = 2
 
 
 class SweepJournal:
@@ -92,7 +66,6 @@ class SweepJournal:
         self.path = os.fspath(path)
         self._lock = threading.Lock()
         self._entries: Dict[str, dict] = {}
-        self._checkpoints: Dict[str, str] = {}
         self._skipped_lines = 0
         self._load()
 
@@ -117,23 +90,15 @@ class SweepJournal:
                     key = record["key"]
                     if not isinstance(key, str):
                         raise ValueError("non-string journal key")
-                    if "result" in record:
-                        # Validate eagerly so a corrupt record is discovered
-                        # at load time (and rerun), not mid-replay.
-                        RunResult.from_wire(record["result"])
-                    else:
-                        pointer = record["checkpoint"]
-                        if not isinstance(pointer.get("path"), str):
-                            raise ValueError("malformed checkpoint pointer")
+                    # Validate eagerly so a corrupt record is discovered
+                    # at load time (and rerun), not mid-replay.
+                    RunResult.from_wire(record["result"])
                 except (ValueError, KeyError, TypeError, AttributeError):
                     # A truncated/garbled line — almost always the final
                     # line of a crashed run.  Skip it; the task reruns.
                     self._skipped_lines += 1
                     continue
-                if "result" in record:
-                    self._entries[key] = record["result"]
-                else:
-                    self._checkpoints[key] = record["checkpoint"]["path"]
+                self._entries[key] = record["result"]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -178,33 +143,6 @@ class SweepJournal:
                                           "result": payload},
                                          sort_keys=True))
             self._entries[key] = payload
-
-    def record_checkpoint(self, key: str, path: Union[str, os.PathLike]) -> None:
-        """Append a checkpoint-pointer record: task ``key`` is in flight
-        and its crash-safe snapshot lives at ``path``.
-
-        Idempotent per ``(key, path)``, and never recorded once ``key`` has
-        a journalled *result* (the pointer would be stale noise — the task
-        is done and its checkpoint file already removed).
-        """
-        path = os.fspath(path)
-        with self._lock:
-            if key in self._entries or self._checkpoints.get(key) == path:
-                return
-            self._append_line(json.dumps(
-                {"v": JOURNAL_VERSION, "key": key,
-                 "checkpoint": {"path": path}}, sort_keys=True))
-            self._checkpoints[key] = path
-
-    def latest_checkpoint(self, key: str) -> Optional[str]:
-        """The journalled checkpoint path for an unfinished task ``key``
-        (``None`` when the task never checkpointed or already has a
-        result).  The file may no longer exist or may be torn — callers
-        must treat it as a *hint* and validate on restore."""
-        with self._lock:
-            if key in self._entries:
-                return None
-            return self._checkpoints.get(key)
 
     def _append_line(self, text: str) -> None:
         """Append one record line, flushed and fsynced.
@@ -257,5 +195,4 @@ __all__ = [
     "JOURNAL_VERSION",
     "SweepJournal",
     "open_journal",
-    "task_key",
 ]

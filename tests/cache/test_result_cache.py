@@ -9,8 +9,9 @@ import repro
 from repro import QuantumCircuit, ResourceLimits, ResultCache
 from repro.cache import (
     cacheable_request,
+    fingerprint,
     normalise_reorder,
-    result_cache_key,
+    run_key,
 )
 from repro.engines.base import DEFAULT_AUTO_REORDER_THRESHOLD
 from repro.engines.result import STATUS_TIMEOUT, RunResult
@@ -35,20 +36,52 @@ class TestKeying:
 
     def test_key_covers_engine_seed_shots_reorder_limits(self):
         circuit = ghz()
-        base = result_cache_key(circuit, "bitslice", 1, 10, None)
-        assert base == result_cache_key(circuit.copy(), "bitslice", 1, 10, None)
-        assert base != result_cache_key(circuit, "qmdd", 1, 10, None)
-        assert base != result_cache_key(circuit, "bitslice", 2, 10, None)
-        assert base != result_cache_key(circuit, "bitslice", 1, 11, None)
-        assert base != result_cache_key(circuit, "bitslice", 1, 10, 500)
-        assert base != result_cache_key(circuit, "bitslice", 1, 10, None,
-                                        ResourceLimits(max_seconds=1.0))
+        base = run_key(circuit, "bitslice", 1, 10, None)
+        assert base == run_key(circuit.copy(), "bitslice", 1, 10, None)
+        assert base != run_key(circuit, "qmdd", 1, 10, None)
+        assert base != run_key(circuit, "bitslice", 2, 10, None)
+        assert base != run_key(circuit, "bitslice", 1, 11, None)
+        assert base != run_key(circuit, "bitslice", 1, 10, 500)
+        assert base != run_key(circuit, "bitslice", 1, 10, None,
+                               ResourceLimits(max_seconds=1.0))
+        assert base != run_key(ghz(4), "bitslice", 1, 10, None)
+
+    def test_state_part_drops_sampling_and_limits(self):
+        """Checkpoints key on the state part: a run stopped at TO resumes
+        under a bigger budget, but never into another engine or reorder."""
+        circuit = ghz()
+        base = run_key(circuit, "bitslice", 1, 10, None).state
+        assert base == run_key(circuit, "bitslice", 2, None, None,
+                               ResourceLimits(max_seconds=1.0)).state
+        assert base != run_key(circuit, "qmdd", 1, 10, None).state
+        assert base != run_key(circuit, "bitslice", 1, 10, 500).state
 
     def test_reorder_true_and_default_threshold_share_a_key(self):
         circuit = ghz()
-        assert (result_cache_key(circuit, "bitslice", None, None, True)
-                == result_cache_key(circuit, "bitslice", None, None,
-                                    DEFAULT_AUTO_REORDER_THRESHOLD))
+        assert (run_key(circuit, "bitslice", None, None, True)
+                == run_key(circuit, "bitslice", None, None,
+                           DEFAULT_AUTO_REORDER_THRESHOLD))
+
+
+    def test_run_fingerprints_each_request_at_most_once(self, tmp_path,
+                                                         monkeypatch):
+        """One run key serves both the cache and the checkpoint; a run
+        with neither never hashes its circuit."""
+        calls = []
+        normal_form = fingerprint.fingerprint_normal_form
+        monkeypatch.setattr(fingerprint, "fingerprint_normal_form",
+                            lambda circuit: calls.append(1)
+                            or normal_form(circuit))
+        circuit = ghz(4, measure=True)
+        repro.run(circuit, engine="bitslice", shots=16, seed=1)
+        assert calls == []
+        cache = ResultCache()
+        for _ in range(2):  # a miss, then a hit
+            calls.clear()
+            repro.run(circuit, engine="bitslice", shots=16, seed=1,
+                      cache=cache, checkpoint_every=1,
+                      checkpoint_dir=tmp_path)
+            assert len(calls) == 1
 
 
 class TestHitVsCold:

@@ -23,7 +23,7 @@ from repro.resilience.faults import (
     InjectedFault,
     active,
 )
-from repro.resilience.journal import SweepJournal, open_journal, task_key
+from repro.resilience.journal import SweepJournal, open_journal
 from repro.workloads.random_circuits import generate_random_circuit
 
 
@@ -146,16 +146,71 @@ def test_journal_write_fault_never_corrupts_previous_entries(tmp_path):
     assert _deterministic(resumed) == baseline
 
 
-def test_task_key_separates_index_seed_and_circuit():
+def test_journal_key_separates_index_seed_and_circuit(tmp_path):
+    path = tmp_path / "journal.jsonl"
     circuit = generate_random_circuit(3, 6, seed=0)
     other = generate_random_circuit(3, 6, seed=1)
-    base = task_key(0, "bitslice", circuit, 8, 5, None)
-    assert base == task_key(0, "bitslice", circuit, 8, 5, None)
-    assert base != task_key(1, "bitslice", circuit, 8, 5, None)
-    assert base != task_key(0, "qmdd", circuit, 8, 5, None)
-    assert base != task_key(0, "bitslice", other, 8, 5, None)
-    assert base != task_key(0, "bitslice", circuit, 8, 6, None)
-    assert base != task_key(0, "bitslice", circuit, None, 5, None)
+    run_tasks([("bitslice", circuit)] * 2, journal=path)
+    # The index keeps two identical tasks of one sweep apart.
+    assert len(SweepJournal(path)) == 2
+    for tasks, request in (([("bitslice", other)] * 2, {}),
+                           ([("qmdd", circuit)] * 2, {}),
+                           ([("bitslice", circuit)] * 2, {"shots": 8}),
+                           ([("bitslice", circuit)] * 2,
+                            {"shots": 8, "seed": 5})):
+        resumed = run_tasks(tasks, journal=path, **request)
+        assert not any(r.extra.get("journal_replayed") for r in resumed)
+
+
+def test_timeout_is_not_replayed_under_a_bigger_budget(tmp_path):
+    """Regression: the journal key left the limits out, so a TO recorded
+    under a tiny budget replayed as TO into a re-run with a real one."""
+    path = tmp_path / "journal.jsonl"
+    tasks = _tasks(count=2)
+    first = run_tasks(tasks, limits=ResourceLimits(max_seconds=0.0),
+                      journal=path)
+    assert all(result.status == "TO" for result in first)
+    budget = ResourceLimits(max_seconds=60.0)
+    rerun = run_tasks(tasks, limits=budget, journal=path)
+    assert [r.status for r in rerun] == ["ok", "ok"]
+    assert not any(r.extra.get("journal_replayed") for r in rerun)
+    assert (_deterministic(rerun)
+            == _deterministic(run_tasks(tasks, limits=budget)))
+
+
+def test_auto_task_rekeys_when_limits_change_its_engine(tmp_path):
+    """Regression: the journal keyed ``auto`` tasks on the requested
+    engine, so a result of the dense engine replayed into a re-run whose
+    limits make ``auto`` resolve to the bit-sliced engine."""
+    path = tmp_path / "journal.jsonl"
+    tasks = [("auto", generate_random_circuit(5, 10, seed=s))
+             for s in range(2)]
+    first = run_tasks(tasks, shots=8, seed=3, journal=path)
+    assert [r.engine for r in first] == ["statevector"] * 2
+    narrow = ResourceLimits(max_dense_qubits=4)
+    rerun = run_tasks(tasks, shots=8, seed=3, limits=narrow, journal=path)
+    assert [r.engine for r in rerun] == ["bitslice"] * 2
+    assert not any(r.extra.get("journal_replayed") for r in rerun)
+    assert (_deterministic(rerun)
+            == _deterministic(run_tasks(tasks, shots=8, seed=3,
+                                        limits=narrow)))
+
+
+def test_manifest_of_an_older_version_reruns(tmp_path):
+    """A line of another schema version is skipped, never misread under
+    the current key layout: its task simply reruns."""
+    path = tmp_path / "journal.jsonl"
+    tasks = _tasks(count=2)
+    baseline = _deterministic(run_tasks(tasks, shots=4, seed=4,
+                                        journal=path))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps({**record, "v": 1}) + "\n"
+                            for record in records))
+    journal = SweepJournal(path)
+    assert len(journal) == 0 and journal.skipped_lines == 2
+    resumed = run_tasks(tasks, shots=4, seed=4, journal=journal)
+    assert not any(r.extra.get("journal_replayed") for r in resumed)
+    assert _deterministic(resumed) == baseline
 
 
 def test_open_journal_coercions(tmp_path):
@@ -200,44 +255,3 @@ def test_append_after_unterminated_line_never_fuses_records(tmp_path):
     assert len(lines) == 3
     for line in lines:
         json.loads(line)
-
-
-def test_checkpoint_pointer_records(tmp_path):
-    """Pointer records: idempotent per (key, path), superseded by a
-    result, invisible to ``len()`` and replay."""
-    path = tmp_path / "journal.jsonl"
-    tasks = _tasks(count=2)
-    journal = SweepJournal(path)
-    journal.record_checkpoint("task-a", "/ckpts/task-a.ckpt")
-    journal.record_checkpoint("task-a", "/ckpts/task-a.ckpt")  # no-op twin
-    assert journal.latest_checkpoint("task-a") == "/ckpts/task-a.ckpt"
-    assert len(journal) == 0
-    assert len(path.read_text().splitlines()) == 1
-    # The pointer survives a reload ...
-    reloaded = SweepJournal(path)
-    assert reloaded.latest_checkpoint("task-a") == "/ckpts/task-a.ckpt"
-    assert reloaded.skipped_lines == 0
-    # ... and a recorded result retires it.
-    results = run_tasks(tasks, shots=4, seed=9, journal=reloaded)
-    key = reloaded.keys()[0]
-    reloaded.record_checkpoint(key, "/ckpts/late.ckpt")  # after a result
-    assert reloaded.latest_checkpoint(key) is None
-    assert reloaded.lookup(key) is not None
-    assert _deterministic(run_tasks(tasks, shots=4, seed=9,
-                                    journal=path)) \
-        == _deterministic(results)
-
-
-def test_malformed_pointer_records_are_skipped(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    journal = SweepJournal(path)
-    journal.record_checkpoint("good", "/ckpts/good.ckpt")
-    with open(path, "a") as handle:
-        handle.write(json.dumps({"v": 1, "key": "bad",
-                                 "checkpoint": {"path": 7}}) + "\n")
-        handle.write(json.dumps({"v": 1, "key": 3,
-                                 "checkpoint": {"path": "/x"}}) + "\n")
-    reloaded = SweepJournal(path)
-    assert reloaded.latest_checkpoint("good") == "/ckpts/good.ckpt"
-    assert reloaded.latest_checkpoint("bad") is None
-    assert reloaded.skipped_lines == 2

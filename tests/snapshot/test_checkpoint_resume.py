@@ -4,8 +4,9 @@ The front-door face of the checkpointing tentpole: a checkpointed run
 that dies mid-circuit resumes from its last snapshot and produces a
 ``to_dict(timings=False)`` **byte-identical** to an uninterrupted run —
 fixed-seed sampled counts included; a corrupt checkpoint is skipped (the
-run goes cold), never fatal; sweeps thread one checkpoint per journal
-task key and resume prefers restore over re-execution.
+run goes cold), never fatal; sweeps thread one checkpoint per task (its
+index plus the state part of its run key) and resume prefers restore
+over re-execution.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 import repro
 from repro import JobCancelledError, QuantumCircuit
+from repro.cache import run_key
 from repro.engines.frontdoor import (
     checkpoint_file,
     derive_task_seed,
@@ -26,8 +28,9 @@ from repro.engines.frontdoor import (
 from repro.engines.limits import ResourceLimits
 from repro.engines.registry import create_engine, engine_capabilities
 from repro.exceptions import UnsupportedGateError
-from repro.resilience.journal import SweepJournal, task_key
+from repro.resilience.journal import SweepJournal
 from repro.snapshot import snapshot_info
+from repro.workloads.random_circuits import generate_random_circuit
 from tests.conftest import universal_mix
 
 #: Static, sampled: the byte-identity claim must cover seeded counts.
@@ -133,6 +136,29 @@ def test_checkpoint_kept_on_timeout_enables_deeper_retry(tmp_path):
     assert ckpt_files(tmp_path) == []
 
 
+def test_checkpoint_of_a_reordered_run_never_restores_into_a_plain_one(
+        tmp_path):
+    """Regression: the checkpoint key was the fingerprint alone, so a run
+    stopped at MO under ``reorder`` left a snapshot that a plain run
+    restored, reporting the reordered run's node counts."""
+    circuit = generate_random_circuit(10, 60, seed=5)
+    stopped = repro.run(circuit, engine="bitslice", reorder=100,
+                        limits=ResourceLimits(max_nodes=200),
+                        checkpoint_every=1, checkpoint_dir=tmp_path)
+    assert stopped.status == "MO"
+    plain = repro.run(circuit, engine="bitslice", checkpoint_every=1,
+                      checkpoint_dir=tmp_path)
+    assert "resumed_from_checkpoint" not in plain.extra
+    assert det(plain) == det(repro.run(circuit, engine="bitslice"))
+    # The reordered run's own retry, under a bigger budget, still resumes.
+    retried = repro.run(circuit, engine="bitslice", reorder=100,
+                        checkpoint_every=1, checkpoint_dir=tmp_path)
+    assert retried.extra["resumed_from_checkpoint"] >= 1
+    assert det(retried) == det(repro.run(circuit, engine="bitslice",
+                                         reorder=100))
+    assert ckpt_files(tmp_path) == []
+
+
 def test_interval_spec_validation(tmp_path):
     for bad in (0, -3, True, False, 0.0, -1.5, (None, None), (0, None),
                 (None, 0.0), "hourly", (1, 2, 3)):
@@ -183,7 +209,7 @@ def test_checkpointed_sweep_resumes_and_cleans_up(tmp_path):
     """The sweep acceptance pin: a killed checkpointed+journalled sweep
     resumes — finished tasks replay from the journal, the interrupted
     task restores its checkpoint — byte-identical to an uninterrupted
-    sweep, and success leaves neither checkpoints nor stale pointers."""
+    sweep, and success leaves no checkpoint behind."""
     circuits = [universal_mix(4, seed=s, measure=True) for s in (31, 32, 33)]
     tasks = [("bitslice", circuit) for circuit in circuits]
     journal_path = tmp_path / "journal.jsonl"
@@ -197,19 +223,17 @@ def test_checkpointed_sweep_resumes_and_cleans_up(tmp_path):
                   cancel=FireAfter(20))
     journal = SweepJournal(journal_path)
     assert len(journal) == 1
-    crashed_key = task_key(1, "bitslice", circuits[1], 32,
-                           derive_task_seed(7, 1), None)
-    pointer = journal.latest_checkpoint(crashed_key)
-    assert pointer == checkpoint_file(ckpt_dir, crashed_key)
-    assert os.path.exists(pointer)
+    # The interrupted task's snapshot sits at its deterministic path.
+    state = run_key(circuits[1], "bitslice", derive_task_seed(7, 1), 32,
+                    None).state
+    crashed = checkpoint_file(ckpt_dir, repr((1, *state)))
+    assert ckpt_files(ckpt_dir) == [os.path.basename(crashed)]
     resumed = run_tasks(tasks, shots=32, seed=7, journal=journal_path,
                         checkpoint_every=1, checkpoint_dir=ckpt_dir)
     assert [det(r) for r in resumed] == baseline
     assert resumed[0].extra.get("journal_replayed") == 1
     assert resumed[1].extra["resumed_from_checkpoint"] >= 1
     assert ckpt_files(ckpt_dir) == []
-    # A key with a journalled result reports no checkpoint pointer.
-    assert SweepJournal(journal_path).latest_checkpoint(crashed_key) is None
 
 
 def test_checkpointed_sweep_parallel_path(tmp_path):

@@ -175,6 +175,11 @@ class TestChaosSuiteJob:
         assert "chaos" in jobs, "ci.yml lost the chaos job"
         assert "tests/resilience" in jobs["chaos"]
         assert (REPO_ROOT / "tests" / "resilience").is_dir()
+        # The sweep-resume pins live under tests/snapshot, not under
+        # tests/resilience, so the chaos job runs them as a step of its own.
+        assert "tests/snapshot/test_checkpoint_resume.py" in jobs["chaos"]
+        assert (REPO_ROOT / "tests" / "snapshot"
+                / "test_checkpoint_resume.py").is_file()
 
     def test_sigkill_resume_scenarios_are_pinned(self):
         """The checkpointing acceptance gates — real subprocesses killed
