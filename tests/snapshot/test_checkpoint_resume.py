@@ -236,6 +236,27 @@ def test_checkpointed_sweep_resumes_and_cleans_up(tmp_path):
     assert ckpt_files(ckpt_dir) == []
 
 
+def test_sweep_task_stopped_at_mo_resumes_under_a_bigger_budget(tmp_path):
+    """The journal keys on the limits and the checkpoint does not: a
+    sweep re-run under a bigger budget re-runs its MO task, from that
+    task's checkpoint, instead of replaying the MO."""
+    tasks = [("bitslice", generate_random_circuit(10, 60, seed=5)),
+             ("bitslice", generate_random_circuit(4, 8, seed=1))]
+    journal_path = tmp_path / "journal.jsonl"
+    ckpt_dir = tmp_path / "ckpts"
+    first = run_tasks(tasks, limits=ResourceLimits(max_nodes=200),
+                      journal=journal_path, checkpoint_every=1,
+                      checkpoint_dir=ckpt_dir)
+    assert [r.status for r in first] == ["MO", "ok"]
+    assert len(ckpt_files(ckpt_dir)) == 1
+    resumed = run_tasks(tasks, journal=journal_path, checkpoint_every=1,
+                        checkpoint_dir=ckpt_dir)
+    assert "journal_replayed" not in resumed[0].extra
+    assert resumed[0].extra["resumed_from_checkpoint"] >= 1
+    assert [det(r) for r in resumed] == [det(r) for r in run_tasks(tasks)]
+    assert ckpt_files(ckpt_dir) == []
+
+
 def test_checkpointed_sweep_parallel_path(tmp_path):
     circuits = [universal_mix(4, seed=s, measure=True) for s in (41, 42)]
     tasks = [("bitslice", circuit) for circuit in circuits]
