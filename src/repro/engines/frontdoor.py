@@ -31,6 +31,16 @@ identical requests) and ``sessions=`` (a :class:`repro.cache.SessionPool`
 gate-sequence prefix).  Both preserve the byte-identity guarantee above:
 a hit or a resume serialises identically to the cold run it stands in
 for.  See ``docs/caching.md``.
+
+Every run is one :class:`RunRequest`, built once by :func:`run` or, per
+task, by :func:`run_tasks`: the inputs that shape the result, with the
+resolved engine and the run key memoised, so the cache, the sweep journal
+and checkpoints all key on one value.  :func:`run` is a pipeline of
+stages over it — cache lookup; the execute stage (checkpoint restore or
+session lease, gates, query or sample, classify, deposit); store; and
+checkpoint discard.  :func:`run_tasks` runs the same stages in one task
+loop for its serial and parallel paths; only the execute stage moves to
+a process worker.
 """
 
 from __future__ import annotations
@@ -40,6 +50,9 @@ import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cache.fingerprint import gate_tokens
@@ -58,6 +71,7 @@ from repro.engines.registry import (
     AUTO_ENGINE,
     UnknownEngineError,
     create_engine,
+    engine_capabilities,
     resolve_engine,
 )
 from repro.engines.result import (
@@ -189,14 +203,19 @@ def checkpoint_file(directory: Union[str, os.PathLike], key: str) -> str:
     return os.path.join(os.fspath(directory), f"{safe}-{digest}.ckpt")
 
 
-def _checkpoint_spec(checkpoint_every) -> Tuple[Optional[int],
-                                                Optional[float]]:
-    """Normalise ``checkpoint_every`` to ``(gate_interval, seconds_interval)``.
+def _checkpoint_spec(checkpoint_every, checkpoint_dir
+                     ) -> Optional[Tuple[str, Optional[int], Optional[float]]]:
+    """Validate ``checkpoint_every`` / ``checkpoint_dir`` once, as
+    ``(directory, gate_interval, seconds_interval)`` (``None`` = off).
 
     An ``int`` checkpoints every N gates, a ``float`` every S wall-clock
     seconds, a 2-tuple ``(gates, seconds)`` on whichever triggers first
     (either element may be ``None``).
     """
+    if checkpoint_every is None:
+        return None
+    if checkpoint_dir is None:
+        raise ValueError("checkpoint_every requires checkpoint_dir")
     if isinstance(checkpoint_every, bool):
         raise ValueError("checkpoint_every must be an int (gates), float "
                          "(seconds) or (gates, seconds) tuple, not a bool")
@@ -219,34 +238,111 @@ def _checkpoint_spec(checkpoint_every) -> Tuple[Optional[int],
     if gates is None and seconds is None:
         raise ValueError("checkpoint_every=(None, None) disables nothing — "
                          "pass checkpoint_every=None instead")
-    return gates, None if seconds is None else float(seconds)
+    return (os.fspath(checkpoint_dir), gates,
+            None if seconds is None else float(seconds))
+
+
+@dataclass(frozen=True)
+class RunRequest:
+    """One run request: exactly the inputs that shape its result.
+
+    The fields are the inputs of :func:`~repro.cache.result_cache.run_key`.
+    Construction validates ``shots`` and defaults ``limits`` once.  The
+    resolved engine and the run key are computed on first use and
+    memoised, so a request fingerprints its circuit at most once, and the
+    memo travels with the request to a sweep's process workers.
+    Resolution is lazy: an unknown engine raises where the request is
+    first resolved, not where it is built.
+    """
+
+    circuit: QuantumCircuit
+    engine: str = AUTO_ENGINE
+    limits: Optional[ResourceLimits] = None
+    shots: Optional[int] = None
+    seed: Optional[int] = None
+    reorder: Union[bool, int, None] = None
+
+    def __post_init__(self) -> None:
+        if self.shots is not None and self.shots < 0:
+            raise ValueError("shots must be non-negative")
+        if self.limits is None:
+            object.__setattr__(self, "limits", ResourceLimits())
+
+    @cached_property
+    def resolved(self) -> str:
+        """The canonical engine name (aliases and ``"auto"`` resolved)."""
+        return resolve_engine(self.engine, self.circuit, self.limits)
+
+    @cached_property
+    def key(self) -> RunKey:
+        """The request's :class:`~repro.cache.result_cache.RunKey`, which
+        keys the result cache, the sweep journal and checkpoints."""
+        return run_key(self.circuit, self.resolved, self.seed, self.shots,
+                       self.reorder, self.limits)
+
+    @property
+    def cacheable(self) -> bool:
+        """True when the result may be memoised
+        (:func:`~repro.cache.result_cache.cacheable_request`)."""
+        return cacheable_request(self.shots, self.seed)
 
 
 class _Checkpointer:
-    """Gate-boundary checkpoint writer for one :func:`run` invocation.
+    """One run's checkpoint: where it lives and its gate-boundary writer.
 
-    Rides the limit enforcer's ``after_gate`` hook (after the budget poll,
-    so a timed-out or cancelled run never writes on the way out) and
-    rewrites one crash-safe snapshot at ``path`` whenever the gate-count or
-    wall-clock interval elapses.  The snapshot's ``extra`` carries the
-    logical ``key``, the circuit ``fingerprint`` and ``gates_done``, which
-    is everything a resuming run needs to validate the file against its
-    own request before trusting it.
+    Built by the caller (picklable, so a sweep worker gets its own copy)
+    and bound to the engine by :meth:`start`.  It rides the limit
+    enforcer's ``after_gate`` hook (after the budget poll, so a timed-out
+    or cancelled run never writes on the way out) and rewrites one
+    crash-safe snapshot at ``path`` whenever the gate-count or wall-clock
+    interval elapses.  The snapshot's ``extra`` carries the logical
+    ``name``, the circuit ``fingerprint`` and ``gates_done``, which is
+    everything a resuming run needs to validate the file against its own
+    request before trusting it.
     """
 
-    def __init__(self, instance, path: str, key: str, fingerprint: str,
+    def __init__(self, path: str, name: str, fingerprint: str,
                  gate_interval: Optional[int],
                  seconds_interval: Optional[float]):
-        self.instance = instance
         self.path = path
-        self.key = key
+        self.name = name
         self.fingerprint = fingerprint
         self.gate_interval = gate_interval
         self.seconds_interval = seconds_interval
+        self.instance = None
         self.gates_done = 0
         self.written = 0
+        self.corrupt_skipped = 0
         self._last_gates = 0
+        self._last_time = 0.0
+
+    def start(self, instance, num_gates: int) -> Optional[int]:
+        """Bind the run's engine and restore the checkpoint into it: the
+        restored gate depth, or ``None`` when there is none to resume."""
+        self.instance = instance
         self._last_time = time.perf_counter()
+        if not os.path.exists(self.path):
+            return None
+        from repro.snapshot import SnapshotCorruptError
+
+        try:
+            loaded = instance.restore_snapshot(self.path)
+        except SnapshotCorruptError:
+            # A torn or bit-flipped checkpoint is skipped, never fatal and
+            # never restored as garbage: the run simply starts cold and
+            # overwrites it at the next interval.
+            self.corrupt_skipped = 1
+            return None
+        depth = loaded.get("gates_done") if isinstance(loaded, dict) else None
+        if (isinstance(loaded, dict)
+                and loaded.get("fingerprint") == self.fingerprint
+                and isinstance(depth, int) and not isinstance(depth, bool)
+                and 0 <= depth <= num_gates):
+            return depth
+        # A stale checkpoint (another circuit's, or deeper than this
+        # circuit) is ignored; the cold run's prepare() discards the
+        # restored state.
+        return None
 
     def seed_depth(self, depth: int) -> None:
         """Start gate accounting at ``depth`` (checkpoint/session resume)."""
@@ -263,50 +359,232 @@ class _Checkpointer:
         if not due:
             return
         if self.instance.export_snapshot(self.path, extra={
-                "key": self.key, "fingerprint": self.fingerprint,
+                "key": self.name, "fingerprint": self.fingerprint,
                 "gates_done": self.gates_done}):
             self.written += 1
         self._last_gates = self.gates_done
         self._last_time = time.perf_counter()
 
-    def discard(self) -> None:
-        """Remove the checkpoint file (the run reached a result; the
-        snapshot is now a stale prefix of a finished computation)."""
-        try:
-            os.remove(self.path)
-        except FileNotFoundError:
-            pass
+
+def _checkpoint_for(request: RunRequest, spec,
+                    index: Optional[int] = None) -> Optional[_Checkpointer]:
+    """The checkpoint of ``request`` under ``spec``, named by the state part
+    of its run key (:attr:`~repro.cache.result_cache.RunKey.state`), after
+    the task ``index`` in sweeps; ``None`` when the run is not checkpointed
+    (no spec, an engine without snapshots, or a dynamic circuit)."""
+    if (spec is None or request.circuit.has_dynamic_ops()
+            or not engine_capabilities(request.resolved).supports_snapshots):
+        return None
+    directory, gate_interval, seconds_interval = spec
+    state = request.key.state
+    name = repr(state if index is None else (index, *state))
+    os.makedirs(directory, exist_ok=True)
+    return _Checkpointer(checkpoint_file(directory, name), name,
+                         request.key.fingerprint, gate_interval,
+                         seconds_interval)
 
 
-def _materialise_hit(hit: RunResult, circuit: QuantumCircuit,
-                     requested_engine: str, elapsed: float) -> RunResult:
-    """Rebrand a cache hit as the answer to *this* request.
+def _cache_hit(request: RunRequest, cache: Optional[ResultCache],
+               entered: Optional[float] = None) -> Optional[RunResult]:
+    """The cached answer to ``request``, or ``None``.
 
     The stored entry keeps the populating run's identity fields; the hit
     reports the requesting circuit's name and gate count (two circuits can
     share a fingerprint across a SWAP-expansion representation choice), the
-    caller's engine request string, and the actual (near-zero) service
-    time.  Every deterministic field is untouched.
+    caller's engine request string, and the time since ``entered`` (zero
+    in sweeps).  Every deterministic field is untouched.
     """
-    hit.circuit_name = circuit.name
-    hit.num_qubits = circuit.num_qubits
-    hit.num_gates = circuit.num_gates
-    hit.requested_engine = requested_engine
-    hit.elapsed_seconds = elapsed
+    if cache is None or not request.cacheable:
+        return None
+    hit = cache.lookup(request.key)
+    if hit is not None:
+        hit.circuit_name = request.circuit.name
+        hit.num_qubits = request.circuit.num_qubits
+        hit.num_gates = request.circuit.num_gates
+        hit.requested_engine = request.engine
+        hit.elapsed_seconds = (0.0 if entered is None
+                               else time.perf_counter() - entered)
     return hit
 
 
-def _failure_accounting(instance) -> Tuple[int, Dict[str, int]]:
-    """``(peak_memory_nodes, extra)`` of a TO/MO run: the engine's peak and
-    ``gates_applied``, read on a best-effort basis (an engine stopped
-    mid-preparation may have no statistics to give)."""
+def _store_and_discard(request: RunRequest, result: RunResult,
+                       cache: Optional[ResultCache],
+                       ckpt: Optional[_Checkpointer]) -> None:
+    """Store a result in ``cache``, then drop its checkpoint once it is ok.
+
+    Callers run this after every other record of the result (the sweep
+    journal's included): until then the checkpoint is what a re-run
+    resumes from.  TO/MO keep theirs, so a retry under a bigger budget
+    resumes from the deepest checkpoint instead of restarting.
+    """
+    if cache is not None and request.cacheable:
+        cache.store(request.key, result)
+    if ckpt is not None and result.status == STATUS_OK:
+        try:
+            os.remove(ckpt.path)
+        except FileNotFoundError:
+            pass
+
+
+def _run_gates(instance, request: RunRequest, depth: Optional[int],
+               lease: Optional[SessionLease],
+               ckpt: Optional[_Checkpointer], rng, cancel) -> None:
+    """Drive the circuit's gates under the limits.
+
+    From a restored checkpoint or a leased session prefix only the
+    unexecuted suffix after ``depth`` runs: the restored state (or the
+    adopted fork) carries the prefix's cumulative gate and peak-node
+    accounting, so the statistics match the equivalent cold run.
+    """
+    enforcer = LimitEnforcer(instance, request.limits, cancel_token=cancel)
+    after_gate = ckpt.after_gate if ckpt is not None else None
+    if depth is None:
+        enforcer.execute(request.circuit, rng=rng, after_gate=after_gate)
+        return
+    if lease is not None:
+        instance.resume_session(lease.fork, gates_already_applied=depth)
+    if ckpt is not None:
+        ckpt.seed_depth(depth)
+    enforcer.execute_prepared(_suffix_circuit(request.circuit, depth),
+                              rng=rng, after_gate=after_gate)
+
+
+def _simulate(instance, request: RunRequest, depth: Optional[int],
+              lease: Optional[SessionLease], ckpt: Optional[_Checkpointer],
+              cancel) -> dict:
+    """Gates, then the final query or the samples: the
+    :class:`RunResult` fields of a run that did not fail."""
+    circuit, shots = request.circuit, request.shots
+    rng = None
+    if shots is not None or circuit.has_dynamic_ops():
+        import numpy as np
+
+        rng = np.random.default_rng(request.seed)
+    fields: dict = {"status": STATUS_OK}
+    if shots and circuit.has_dynamic_ops():
+        # After per-shot trajectory sampling the engine holds the *last*
+        # shot's fully collapsed state, on which the all-zeros query would
+        # be a random 0/1 artifact — so trajectory runs report their
+        # distribution through ``counts`` only.
+        fields["counts"] = _sample_trajectories(
+            instance, circuit, request.limits, shots, rng, cancel=cancel)
+        fields["counts_width"] = max(circuit.num_clbits, 1)
+    else:
+        _run_gates(instance, request, depth, lease, ckpt, rng, cancel)
+        if shots is not None:
+            fields["counts"], fields["counts_width"] = _sample_static(
+                instance, circuit, shots, rng)
+        qubits = final_query_qubits(circuit)
+        fields["final_probability"] = instance.probability(
+            qubits, [0] * len(qubits))
+    stats = instance.statistics()
+    fields["peak_memory_nodes"] = int(stats.get("peak_memory_nodes", 0))
+    # Engine-specific extras only: stats duplicating a first-class
+    # RunResult field are dropped (notably the engine-internal
+    # elapsed_seconds, which differs slightly from the front door's clock
+    # and would otherwise shadow it in serialised reports).
+    fields["extra"] = {key: value for key, value in stats.items()
+                       if key not in ("peak_memory_nodes", "elapsed_seconds",
+                                      "num_qubits")
+                       and isinstance(value, (int, float))}
+    return fields
+
+
+#: The failures a run is classified by (cancellation is not one of them:
+#: it is a fact about the request, so it propagates).
+_FAILURES = (SimulationTimeout, SimulationMemoryExceeded, MemoryError,
+             NumericalError, UnsupportedGateError, RecursionError)
+
+
+def _classify(instance, exc: BaseException) -> dict:
+    """The :class:`RunResult` fields of a failed run.  TO/MO keep the
+    engine's peak and ``gates_applied``, read on a best-effort basis (an
+    engine stopped mid-preparation may have no statistics to give)."""
+    if isinstance(exc, RecursionError):
+        return {"status": STATUS_CRASH,
+                "detail": f"recursion depth exceeded: {exc}"}
+    if isinstance(exc, NumericalError):
+        return {"status": STATUS_ERROR, "detail": str(exc)}
+    if isinstance(exc, UnsupportedGateError):
+        return {"status": STATUS_UNSUPPORTED, "detail": str(exc)}
+    fields = {"status": (STATUS_TIMEOUT if isinstance(exc, SimulationTimeout)
+                         else STATUS_MEMORY), "detail": str(exc)}
     try:
         stats = instance.statistics()
     except Exception:  # noqa: BLE001 - must not mask the TO/MO itself
-        return 0, {}
-    extra = ({"gates_applied": stats["gates_applied"]}
-             if "gates_applied" in stats else {})
-    return int(stats.get("peak_memory_nodes", 0)), extra
+        return fields
+    fields["peak_memory_nodes"] = int(stats.get("peak_memory_nodes", 0))
+    if "gates_applied" in stats:
+        fields["extra"] = {"gates_applied": stats["gates_applied"]}
+    return fields
+
+
+def _execute(request: RunRequest, ckpt: Optional[_Checkpointer] = None,
+             sessions: Optional[SessionPool] = None,
+             cancel=None) -> RunResult:
+    """The execute stage: checkpoint restore or session lease, gates, query
+    or sample, classify, deposit.  Sweeps submit it to process workers;
+    storing the result and discarding the checkpoint stay with the caller
+    (:func:`_store_and_discard`)."""
+    circuit = request.circuit
+    instance = create_engine(request.resolved)
+    reorder = normalise_reorder(request.reorder)
+    if reorder is not None:
+        instance.configure_reordering(reorder)
+    depth = None if ckpt is None else ckpt.start(instance, circuit.num_gates)
+    resumed = {} if depth is None else {"resumed_from_checkpoint": depth}
+    if (not instance.capabilities.supports_prefix_resume
+            or circuit.has_dynamic_ops()):
+        # Dynamic circuits never match or deposit: collapse makes their
+        # states trajectory-dependent.
+        sessions = None
+    tokens = gate_tokens(circuit) if sessions is not None else ()
+    lease: Optional[SessionLease] = None
+    if sessions is not None and depth is None:
+        # A valid checkpoint beats a session match: it resumes *this exact
+        # run* at full depth, not a shared prefix.
+        lease = sessions.match(circuit.num_qubits, tokens, reorder)
+        if lease is not None:
+            depth, resumed = lease.depth, {"resumed_from_depth": lease.depth}
+    start = time.perf_counter()
+    try:
+        try:
+            fields = _simulate(instance, request, depth, lease, ckpt, cancel)
+            fields["extra"].update(resumed)
+        except _FAILURES as exc:
+            fields = _classify(instance, exc)
+        elapsed = time.perf_counter() - start
+        budget = request.limits.max_seconds
+        if (fields["status"] == STATUS_OK and budget is not None
+                and elapsed > budget):
+            # The engine finished right at the edge of the budget; classify
+            # as timeout so the tables stay consistent with the budget.
+            fields["status"] = STATUS_TIMEOUT
+            fields["detail"] = (f"completed in {elapsed:.1f}s, over the "
+                                f"{budget:.1f}s budget")
+        if ckpt is not None:
+            extra = fields.setdefault("extra", {})
+            if ckpt.written:
+                extra["checkpoints_written"] = ckpt.written
+            if ckpt.corrupt_skipped:
+                extra["checkpoint_corrupt_skipped"] = ckpt.corrupt_skipped
+        if fields["status"] == STATUS_OK and sessions is not None:
+            exported = instance.export_session()
+            if exported is not None:
+                # A resumed run's state shares its manager with the matched
+                # entry, so the deposit reuses the lease's chain lock; cold
+                # runs start a fresh serialisation chain.
+                sessions.deposit(
+                    circuit.num_qubits, tokens, reorder, *exported,
+                    chain_lock=lease.chain_lock if lease is not None else None)
+    finally:
+        if lease is not None:
+            lease.release()
+    return RunResult(engine=request.resolved, circuit_name=circuit.name,
+                     num_qubits=circuit.num_qubits,
+                     num_gates=circuit.num_gates, elapsed_seconds=elapsed,
+                     requested_engine=request.engine, shots=request.shots,
+                     seed=request.seed, **fields)
 
 
 def run(circuit: QuantumCircuit, engine: str = AUTO_ENGINE,
@@ -318,8 +596,7 @@ def run(circuit: QuantumCircuit, engine: str = AUTO_ENGINE,
         sessions: Optional[SessionPool] = None,
         cancel=None,
         checkpoint_every=None,
-        checkpoint_dir: Union[str, os.PathLike, None] = None,
-        checkpoint_key: Optional[str] = None) -> RunResult:
+        checkpoint_dir: Union[str, os.PathLike, None] = None) -> RunResult:
     """Run ``circuit`` on ``engine`` under ``limits``; classify the outcome.
 
     ``engine`` may be a canonical name (``"bitslice"``, ``"qmdd"``,
@@ -396,219 +673,26 @@ def run(circuit: QuantumCircuit, engine: str = AUTO_ENGINE,
     (``extra["checkpoint_corrupt_skipped"]``), never fatal and never
     restored as garbage; engines without the capability, and dynamic
     circuits (whose trajectories are collapse-dependent), degrade
-    gracefully to ordinary uncheckpointed runs.  ``checkpoint_key`` names
-    the logical run, defaulting to the state part of the run key
+    gracefully to ordinary uncheckpointed runs.  The checkpoint is named
+    by the state part of the run key
     (:attr:`~repro.cache.result_cache.RunKey.state`: fingerprint, resolved
-    engine, reorder) — sweeps put the task index in front so each task
-    owns one file; the file is removed once the run reaches ``ok``, and
-    kept on TO/MO so a retry under a bigger budget resumes instead of
-    restarting.  Provenance lands in
-    ``extra`` (``resumed_from_checkpoint``, ``checkpoints_written``),
-    excluded from deterministic serialisation.  See
-    ``docs/checkpointing.md``.
+    engine, reorder); the file is removed once the run reaches ``ok`` and
+    its result is stored, and kept on TO/MO so a retry under a bigger
+    budget resumes instead of restarting.  Provenance lands in ``extra``
+    (``resumed_from_checkpoint``, ``checkpoints_written``), excluded from
+    deterministic serialisation.  See ``docs/checkpointing.md``.
+
+    See the module docstring for the stages of the run.
     """
-    limits = limits or ResourceLimits()
-    if shots is not None and shots < 0:
-        raise ValueError("shots must be non-negative")
     entered = time.perf_counter()
-    resolved = resolve_engine(engine, circuit, limits)
-    caching = cache is not None and cacheable_request(shots, seed)
-    key: Optional[RunKey] = None
-    if caching:
-        key = run_key(circuit, resolved, seed, shots, reorder, limits)
-        hit = cache.lookup(key)
-        if hit is not None:
-            return _materialise_hit(hit, circuit, engine,
-                                    time.perf_counter() - entered)
-    instance = create_engine(resolved)
-    norm_reorder = normalise_reorder(reorder)
-    if norm_reorder is not None:
-        instance.configure_reordering(norm_reorder)
-    ckpt: Optional[_Checkpointer] = None
-    resume_depth: Optional[int] = None
-    corrupt_skipped = 0
-    if checkpoint_every is not None:
-        if checkpoint_dir is None:
-            raise ValueError("checkpoint_every requires checkpoint_dir")
-        gate_interval, seconds_interval = _checkpoint_spec(checkpoint_every)
-        if (instance.capabilities.supports_snapshots
-                and not circuit.has_dynamic_ops()):
-            from repro.snapshot import SnapshotCorruptError
-
-            if key is None:
-                key = run_key(circuit, resolved, seed, shots, reorder, limits)
-            if checkpoint_key is None:
-                checkpoint_key = repr(key.state)
-            os.makedirs(checkpoint_dir, exist_ok=True)
-            path = checkpoint_file(checkpoint_dir, checkpoint_key)
-            ckpt = _Checkpointer(instance, path, checkpoint_key,
-                                 key.fingerprint, gate_interval,
-                                 seconds_interval)
-            if os.path.exists(path):
-                try:
-                    loaded = instance.restore_snapshot(path)
-                except SnapshotCorruptError:
-                    # A torn or bit-flipped checkpoint is skipped, never
-                    # fatal and never restored as garbage: the run simply
-                    # starts cold and overwrites it at the next interval.
-                    corrupt_skipped = 1
-                else:
-                    depth = (loaded.get("gates_done")
-                             if isinstance(loaded, dict) else None)
-                    if (isinstance(loaded, dict)
-                            and loaded.get("fingerprint") == key.fingerprint
-                            and isinstance(depth, int)
-                            and not isinstance(depth, bool)
-                            and 0 <= depth <= circuit.num_gates):
-                        resume_depth = depth
-                        ckpt.seed_depth(depth)
-                    # A stale checkpoint (another circuit's, or deeper than
-                    # this circuit) is ignored; prepare() below discards
-                    # the restored state.
-    prefix_eligible = (sessions is not None
-                       and instance.capabilities.supports_prefix_resume
-                       and not circuit.has_dynamic_ops())
-    tokens = gate_tokens(circuit) if prefix_eligible else ()
-    lease: Optional[SessionLease] = None
-    if prefix_eligible and resume_depth is None:
-        # A valid checkpoint beats a session match: it resumes *this exact
-        # run* at full depth, not a shared prefix.
-        lease = sessions.match(circuit.num_qubits, tokens, norm_reorder)
-    rng = None
-    if shots is not None or circuit.has_dynamic_ops():
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    status = STATUS_OK
-    detail = ""
-    peak_memory_nodes = 0
-    final_probability: Optional[float] = None
-    counts: Optional[Dict[int, int]] = None
-    extra = {}
-    counts_width: Optional[int] = None
-    trajectory_mode = bool(shots) and circuit.has_dynamic_ops()
-    try:
-        try:
-            if trajectory_mode:
-                counts = _sample_trajectories(instance, circuit, limits,
-                                              shots, rng, cancel=cancel)
-                counts_width = max(circuit.num_clbits, 1)
-            else:
-                enforcer = LimitEnforcer(instance, limits, cancel_token=cancel)
-                after_gate = ckpt.after_gate if ckpt is not None else None
-                if resume_depth is not None:
-                    # The checkpoint restore above already installed the
-                    # prefix's exact state (gate and peak-node accounting
-                    # included); drive only the unexecuted suffix.
-                    enforcer.execute_prepared(
-                        _suffix_circuit(circuit, resume_depth), rng=rng,
-                        after_gate=after_gate)
-                elif lease is not None:
-                    # Resume from the leased fork and execute only the
-                    # unexecuted suffix — the fork carries the prefix's
-                    # cumulative gate and peak-node accounting, so the
-                    # statistics below match the equivalent cold run.
-                    instance.resume_session(lease.fork,
-                                            gates_already_applied=lease.depth)
-                    if ckpt is not None:
-                        ckpt.seed_depth(lease.depth)
-                    enforcer.execute_prepared(
-                        _suffix_circuit(circuit, lease.depth), rng=rng,
-                        after_gate=after_gate)
-                else:
-                    enforcer.execute(circuit, rng=rng, after_gate=after_gate)
-                if shots is not None:
-                    counts, counts_width = _sample_static(instance, circuit,
-                                                          shots, rng)
-            if counts is None and shots is not None:
-                counts = {}
-            if not trajectory_mode:
-                # After per-shot trajectory sampling the engine holds the
-                # *last* shot's fully collapsed state, on which the
-                # all-zeros query would be a random 0/1 artifact — so
-                # trajectory runs report their distribution through
-                # ``counts`` only.
-                qubits = final_query_qubits(circuit)
-                final_probability = instance.probability(qubits,
-                                                         [0] * len(qubits))
-            stats = instance.statistics()
-            peak_memory_nodes = int(stats.get("peak_memory_nodes", 0))
-            # Engine-specific extras only: stats duplicating a first-class
-            # RunResult field are dropped (notably the engine-internal
-            # elapsed_seconds, which differs slightly from the front door's
-            # clock and would otherwise shadow it in serialised reports).
-            extra = {key: value for key, value in stats.items()
-                     if key not in ("peak_memory_nodes", "elapsed_seconds",
-                                    "num_qubits")
-                     and isinstance(value, (int, float))}
-            if lease is not None:
-                extra["resumed_from_depth"] = lease.depth
-            if resume_depth is not None:
-                extra["resumed_from_checkpoint"] = resume_depth
-        except SimulationTimeout as exc:
-            status, detail = STATUS_TIMEOUT, str(exc)
-            peak_memory_nodes, extra = _failure_accounting(instance)
-        except (SimulationMemoryExceeded, MemoryError) as exc:
-            status, detail = STATUS_MEMORY, str(exc)
-            peak_memory_nodes, extra = _failure_accounting(instance)
-        except NumericalError as exc:
-            status, detail = STATUS_ERROR, str(exc)
-        except UnsupportedGateError as exc:
-            status, detail = STATUS_UNSUPPORTED, str(exc)
-        except RecursionError as exc:  # pragma: no cover - defensive
-            status, detail = STATUS_CRASH, f"recursion depth exceeded: {exc}"
-        elapsed = time.perf_counter() - start
-        if (status == STATUS_OK and limits.max_seconds is not None
-                and elapsed > limits.max_seconds):
-            # The engine finished right at the edge of the budget; classify
-            # as timeout so the tables stay consistent with the budget.
-            status = STATUS_TIMEOUT
-            detail = (f"completed in {elapsed:.1f}s, over the "
-                      f"{limits.max_seconds:.1f}s budget")
-        if ckpt is not None:
-            if ckpt.written:
-                extra["checkpoints_written"] = ckpt.written
-            if corrupt_skipped:
-                extra["checkpoint_corrupt_skipped"] = corrupt_skipped
-            if status == STATUS_OK:
-                # The run has its answer; the checkpoint is a stale prefix.
-                # TO/MO keep theirs — a retry under a bigger budget resumes
-                # from the deepest checkpoint instead of restarting.
-                ckpt.discard()
-        if status == STATUS_OK and prefix_eligible:
-            exported = instance.export_session()
-            if exported is not None:
-                payload, generation_probe = exported
-                # A resumed run's state shares its manager with the matched
-                # entry, so the deposit reuses the lease's chain lock; cold
-                # runs start a fresh serialisation chain.
-                sessions.deposit(
-                    circuit.num_qubits, tokens, norm_reorder, payload,
-                    generation_probe,
-                    chain_lock=lease.chain_lock if lease is not None else None)
-    finally:
-        if lease is not None:
-            lease.release()
-    result = RunResult(
-        engine=resolved,
-        circuit_name=circuit.name,
-        num_qubits=circuit.num_qubits,
-        num_gates=circuit.num_gates,
-        status=status,
-        elapsed_seconds=elapsed,
-        peak_memory_nodes=peak_memory_nodes,
-        final_probability=final_probability,
-        detail=detail,
-        extra=extra,
-        requested_engine=engine,
-        shots=shots,
-        seed=seed,
-        counts=counts,
-        counts_width=counts_width,
-    )
-    if caching:
-        cache.store(key, result)
+    request = RunRequest(circuit, engine, limits, shots, seed, reorder)
+    hit = _cache_hit(request, cache, entered)
+    if hit is not None:
+        return hit
+    ckpt = _checkpoint_for(request,
+                           _checkpoint_spec(checkpoint_every, checkpoint_dir))
+    result = _execute(request, ckpt, sessions, cancel)
+    _store_and_discard(request, result, cache, ckpt)
     return result
 
 
@@ -622,6 +706,20 @@ def derive_task_seed(seed: Optional[int], index: int) -> Optional[int]:
     if seed is None:
         return None
     return seed * 1_000_003 + index
+
+
+def _task_key(request: RunRequest, keyed: bool,
+              cache: Optional[ResultCache]) -> Optional[RunKey]:
+    """The run key of a sweep task when anything keys on it (``keyed``: a
+    journal or checkpoints; or a cache the request may use), else ``None``.
+    An unknown engine has no key either: the request raises that error
+    when it runs, and until then it has nothing to be keyed on."""
+    if not (keyed or (cache is not None and request.cacheable)):
+        return None
+    try:
+        return request.key
+    except UnknownEngineError:
+        return None
 
 
 def run_tasks(tasks: Sequence[Tuple[str, QuantumCircuit]],
@@ -644,6 +742,13 @@ def run_tasks(tasks: Sequence[Tuple[str, QuantumCircuit]],
     results are returned in task order either way, so downstream grouping
     and table rendering are independent of worker scheduling.
 
+    Each task becomes one :class:`RunRequest`, built once here.  One loop
+    serves both paths: in task order it replays the journal, looks the
+    cache up, folds duplicate keys and then runs the task — in this process
+    (with ``sessions`` and ``cancel``) on the serial path, on a process
+    worker on the parallel one.  Journal record, cache store and
+    checkpoint discard happen here, in the parent, on both paths.
+
     ``shots`` / ``seed`` apply to every task; each task samples with its own
     seed derived via :func:`derive_task_seed` from its position, so the
     counts of every task — and the ``to_dict(timings=False)``
@@ -653,11 +758,10 @@ def run_tasks(tasks: Sequence[Tuple[str, QuantumCircuit]],
     support ignore it), exactly like :func:`run`'s flag.
 
     ``cache`` / ``sessions`` amortise repeated work exactly as in
-    :func:`run`.  On the parallel path the cache is consulted and filled in
-    the *parent* process (hits never dispatch a worker, duplicate keys
-    within one task list dispatch a single worker and share its stored
-    result), while ``sessions`` is serial-only and ignored under
-    ``jobs > 1`` — live BDD session state cannot cross process boundaries.
+    :func:`run`.  Hits never dispatch a worker, and duplicate keys whose
+    first task is still in flight on a worker dispatch once and share its
+    stored result; ``sessions`` serve only the tasks that run in this
+    process — live BDD session state cannot cross process boundaries.
 
     ``journal`` (a path or a :class:`~repro.resilience.journal.SweepJournal`)
     makes the task list **crash-safe**: every terminal result is appended
@@ -667,13 +771,11 @@ def run_tasks(tasks: Sequence[Tuple[str, QuantumCircuit]],
     from deterministic serialisation) and executes only the missing ones —
     so a killed sweep, resumed, produces ``to_dict(timings=False)`` output
     byte-identical to an uninterrupted run.  Each task is journalled under
-    its index plus its :func:`~repro.cache.result_cache.run_key`, with the
-    engine resolved once per task here in the caller's process, so a
-    result is replayed only under the limits and the resolved engine that
-    produced it.  Journalling composes with ``cache`` (hits and aliases
-    are journalled too) and with ``jobs > 1`` (journalled tasks never
-    dispatch a worker; completions are journalled in deterministic task
-    order as futures resolve).
+    its index plus its request's run key, so a result is replayed only
+    under the limits and the resolved engine that produced it.
+    Journalling composes with ``cache`` (hits and duplicates are journalled
+    too) and with ``jobs > 1`` (journalled tasks never dispatch a worker;
+    completions are journalled in deterministic task order).
 
     ``cancel`` cancels the task list cooperatively, exactly as in
     :func:`run`: the serial path polls the token between gates, the
@@ -687,114 +789,75 @@ def run_tasks(tasks: Sequence[Tuple[str, QuantumCircuit]],
     journal's per-task granularity with per-gate granularity: a sweep
     SIGKILLed 4 000 gates into task 7 resumes by replaying tasks 0-6 from
     the manifest *and* restoring task 7's snapshot rather than re-running
-    its prefix.  Every task owns one deterministic checkpoint file, keyed
+    its prefix.  Every task owns one deterministic checkpoint file, named
     by its index plus the state part of its run key
     (:attr:`~repro.cache.result_cache.RunKey.state`); the budgets stay out
     of it, so a task stopped at TO/MO resumes from its snapshot when the
-    sweep is re-run under bigger limits.  The resumed sweep's
-    deterministic serialisation stays byte-identical to an uninterrupted
-    run.
+    sweep is re-run under bigger limits.  A task's checkpoint is removed
+    only after the journal has recorded its ``ok`` result, so a kill
+    between the two still resumes from it.
 
     Engines registered at import time (everything in :mod:`repro.engines`
     and any module imported before the pool starts) are available in the
     workers; engines registered dynamically inside a ``__main__`` script are
     only visible to forked workers (the POSIX default), not spawned ones.
     """
-    if checkpoint_every is not None and checkpoint_dir is None:
-        raise ValueError("checkpoint_every requires checkpoint_dir")
-    parallel = jobs > 1 and len(tasks) > 1
-    specs = [(engine, circuit, shots, derive_task_seed(seed, index))
-             for index, (engine, circuit) in enumerate(tasks)]
-    results: List[Optional[RunResult]] = [None] * len(specs)
-    # The journal, the checkpoints and the parallel path's cache lookups
-    # all key on the task's run key; the serial path's cache keys in run().
-    keys: List[Optional[RunKey]] = [None] * len(specs)
-    if (journal is not None or checkpoint_every is not None
-            or (parallel and cache is not None)):
-        for index, (engine_name, circuit, task_shots, task_seed) \
-                in enumerate(specs):
-            try:
-                resolved = resolve_engine(engine_name, circuit, limits)
-            except UnknownEngineError:
-                # The task's own run() raises the same error when it is
-                # reached; until then it has nothing to be keyed on.
-                continue
-            keys[index] = run_key(circuit, resolved, task_seed, task_shots,
-                                  reorder, limits)
-    if journal is not None:
-        # Imported lazily: journalling is opt-in and the resilience package
-        # sits above the engines in the dependency order.
-        from repro.resilience.journal import open_journal
+    spec = _checkpoint_spec(checkpoint_every, checkpoint_dir)
+    requests = [RunRequest(circuit, engine, limits, shots,
+                           derive_task_seed(seed, index), reorder)
+                for index, (engine, circuit) in enumerate(tasks)]
+    # Imported here: the resilience package sits above the engines in the
+    # dependency order.
+    from repro.resilience.journal import open_journal
 
-        journal = open_journal(journal)
-        journal_keys = [None if key is None else repr((index, *key))
-                        for index, key in enumerate(keys)]
-        for index, text in enumerate(journal_keys):
-            if text is not None:
-                results[index] = journal.lookup(text)
+    journal = open_journal(journal)
+    keyed = journal is not None or spec is not None
+    keys = [_task_key(request, keyed, cache) for request in requests]
+    ckpts = [None if key is None else _checkpoint_for(request, spec, index)
+             for index, (request, key) in enumerate(zip(requests, keys))]
+    results: List[Optional[RunResult]] = [None] * len(requests)
+    in_flight, pending, duplicates = set(), [], []
 
-    def finish(index: int, result: RunResult) -> None:
-        if journal is not None and journal_keys[index] is not None:
-            journal.record(journal_keys[index], result)
+    def finish(index: int, result: RunResult, executed: bool = False) -> None:
+        if journal is not None and keys[index] is not None:
+            journal.record(repr((index, *keys[index])), result)
+        _store_and_discard(requests[index], result,
+                           cache if executed else None, ckpts[index])
         results[index] = result
 
-    def options(index: int) -> dict:
-        engine_name, _, task_shots, task_seed = specs[index]
-        key = keys[index]
-        return dict(engine=engine_name, limits=limits, shots=task_shots,
-                    seed=task_seed, reorder=reorder,
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_key=(None if key is None
-                                    else repr((index, *key.state))))
+    def settle(index: int, request: RunRequest, key, pool) -> None:
+        # A replay never runs; finishing it drops the checkpoint that a kill
+        # between the journal record and its removal left behind.
+        hit = (journal.lookup(repr((index, *key)))
+               if journal is not None and key is not None else None)
+        cached = key is not None and cache is not None and request.cacheable
+        if hit is None and cached:
+            hit = _cache_hit(request, cache)
+        if hit is not None:
+            finish(index, hit)
+        elif pool is None:
+            finish(index, _execute(request, ckpts[index], sessions, cancel),
+                   executed=True)
+        elif key in in_flight:
+            duplicates.append((index, request, key))
+        else:
+            if cancel is not None and cancel.is_set():
+                raise JobCancelledError("cancelled between dispatches")
+            if cached:
+                in_flight.add(key)
+            pending.append(
+                (index, pool.submit(_execute, request, ckpts[index])))
 
-    if not parallel:
-        for index, (_, circuit, _, _) in enumerate(specs):
-            if results[index] is None:
-                finish(index, run(circuit, cache=cache, sessions=sessions,
-                                  cancel=cancel, **options(index)))
-        return results
-    pending: List[int] = []
-    aliases: List[int] = []
-    owners: Dict[RunKey, int] = {}
-    for index, (engine_name, circuit, task_shots, task_seed) \
-            in enumerate(specs):
-        if results[index] is not None:
-            continue  # journal replay: never dispatched
-        key = keys[index]
-        if (cache is None or key is None
-                or not cacheable_request(task_shots, task_seed)):
-            pending.append(index)
-            continue
-        hit = cache.lookup(key)
-        if hit is not None:
-            finish(index, _materialise_hit(hit, circuit, engine_name, 0.0))
-        elif key in owners:
-            aliases.append(index)
-        else:
-            owners[key] = index
-            pending.append(index)
-    if pending:
-        if cancel is not None and cancel.is_set():
-            raise JobCancelledError("cancelled before parallel dispatch")
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            futures = [(index, pool.submit(run, specs[index][1],
-                                           **options(index)))
-                       for index in pending]
-            for index, future in futures:
-                result = future.result()
-                if owners.get(keys[index]) == index:
-                    cache.store(keys[index], result)
-                finish(index, result)
-    for index in aliases:
-        engine_name, circuit, _, _ = specs[index]
-        hit = cache.lookup(keys[index])
-        if hit is not None:
-            finish(index, _materialise_hit(hit, circuit, engine_name, 0.0))
-        else:
-            # The owning task finished with a non-cacheable outcome (TO/MO);
-            # reproduce it for this request the ordinary way.
-            finish(index, run(circuit, **options(index)))
+    with (ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
+          if jobs > 1 and len(tasks) > 1 else nullcontext()) as pool:
+        for index, (request, key) in enumerate(zip(requests, keys)):
+            settle(index, request, key, pool)
+        for index, future in pending:
+            finish(index, future.result(), executed=True)
+    # A duplicate of a task in flight on a worker is served from that
+    # task's stored result, or runs here when it ended TO/MO (not cached).
+    for duplicate in duplicates:
+        settle(*duplicate, None)
     return results
 
 

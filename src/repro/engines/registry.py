@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple, Type
 
 from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.gates import is_clifford_gate
 from repro.engines.base import Capabilities, Engine, dense_memory_nodes
 from repro.engines.limits import ResourceLimits
 
@@ -134,7 +135,8 @@ def select_engine(circuit: QuantumCircuit,
     """Pick the best registered engine for ``circuit`` under ``limits``.
 
     Eligibility is purely capability-driven: an engine qualifies when its
-    declared gate set supports every gate of the circuit and the register
+    declared gate set supports every gate of the circuit (checked once per
+    distinct gate kind and Clifford-ness, not once per gate) and the register
     fits under its practical qubit ceiling (dense engines are additionally
     capped by ``limits.max_dense_qubits``).  Among eligible engines the one
     with the lowest ``selection_priority`` wins (name order breaks ties), so
@@ -143,6 +145,11 @@ def select_engine(circuit: QuantumCircuit,
     exact bit-sliced engine.
     """
     limits = limits or ResourceLimits()
+    # One walk over the gates: a representative gate per distinct kind and
+    # Clifford-ness, which is everything ``supports_gate`` reads.
+    profile = {}
+    for gate in circuit.gates:
+        profile.setdefault((gate.kind, is_clifford_gate(gate)), gate)
     best: Optional[Tuple[int, str]] = None
     for name in available_engines():
         capabilities = _REGISTRY[name].capabilities
@@ -157,7 +164,7 @@ def select_engine(circuit: QuantumCircuit,
                 continue
         if ceiling is not None and circuit.num_qubits > ceiling:
             continue
-        if not capabilities.supports_circuit(circuit):
+        if not all(map(capabilities.supports_gate, profile.values())):
             continue
         key = (capabilities.selection_priority, name)
         if best is None or key < best:

@@ -14,6 +14,7 @@ from repro.cache import (
     run_key,
 )
 from repro.engines.base import DEFAULT_AUTO_REORDER_THRESHOLD
+from repro.engines.frontdoor import run_tasks
 from repro.engines.result import STATUS_TIMEOUT, RunResult
 from tests.conftest import ghz
 
@@ -65,8 +66,8 @@ class TestKeying:
 
     def test_run_fingerprints_each_request_at_most_once(self, tmp_path,
                                                          monkeypatch):
-        """One run key serves both the cache and the checkpoint; a run
-        with neither never hashes its circuit."""
+        """One run key serves the cache, the checkpoint and the journal;
+        a run with none of them never hashes its circuit."""
         calls = []
         normal_form = fingerprint.fingerprint_normal_form
         monkeypatch.setattr(fingerprint, "fingerprint_normal_form",
@@ -82,6 +83,12 @@ class TestKeying:
                       cache=cache, checkpoint_every=1,
                       checkpoint_dir=tmp_path)
             assert len(calls) == 1
+        # A journalled, cached serial sweep keys each task once.
+        calls.clear()
+        tasks = [("bitslice", ghz(n, measure=True)) for n in (2, 3, 4)]
+        run_tasks(tasks, shots=16, seed=1, journal=tmp_path / "journal.jsonl",
+                  cache=ResultCache())
+        assert len(calls) == len(tasks)
 
 
 class TestHitVsCold:

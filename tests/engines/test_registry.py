@@ -23,6 +23,7 @@ from repro.engines import (
 )
 from repro.engines.base import ALL_GATE_KINDS
 from repro.workloads.algorithms import bernstein_vazirani_circuit, ghz_circuit
+from repro.workloads.random_circuits import generate_random_circuit
 
 
 def t_layer_circuit(num_qubits: int) -> QuantumCircuit:
@@ -159,6 +160,41 @@ class TestAutoSelection:
     def test_clifford_bv_picks_stabilizer(self):
         # Bernstein-Vazirani is H/X/CX only, hence Clifford.
         assert select_engine(bernstein_vazirani_circuit(12)) == "stabilizer"
+
+    def test_auto_checks_candidates_against_one_gate_profile(
+            self, monkeypatch):
+        """``auto`` walks the gates once per resolve, not once per
+        candidate engine (the per-candidate walk made 658 ``supports_gate``
+        calls for these 214 gates)."""
+        circuit = generate_random_circuit(14, 200, seed=3)
+        calls = []
+        supports_gate = Capabilities.supports_gate
+        monkeypatch.setattr(Capabilities, "supports_gate",
+                            lambda self, gate: calls.append(gate)
+                            or supports_gate(self, gate))
+        assert resolve_engine("auto", circuit) == "statevector"
+        assert 0 < len(calls) <= circuit.num_gates
+
+    def test_profile_picks_what_a_full_gate_walk_picks(self):
+        """The profile decides eligibility exactly as ``supports_circuit``
+        does, including Clifford-ness that depends on control counts and
+        the collapse support that mid-circuit measurement needs."""
+        degenerate = QuantumCircuit(3, name="degenerate").h(0)
+        degenerate.ccx([0], 1).cx(1, 2)
+        full = QuantumCircuit(3, name="full").h(0).toffoli(0, 1, 2)
+        full.fredkin(0, 1, 2)
+        dynamic = QuantumCircuit(2, name="dynamic").h(0).cx(0, 1)
+        dynamic.measure_mid(0, 0).reset(1)
+        circuits = [degenerate, full, dynamic, ghz_circuit(6),
+                    t_layer_circuit(5), bernstein_vazirani_circuit(6),
+                    generate_random_circuit(6, 40, seed=11)]
+        roomy = ResourceLimits(max_nodes=None)
+        for circuit in circuits:
+            walked = min((engine_capabilities(name).selection_priority, name)
+                         for name in available_engines()
+                         if engine_capabilities(name).supports_circuit(
+                             circuit))[1]
+            assert select_engine(circuit, roomy) == walked, circuit.name
 
     def test_resolve_engine_passthrough_and_auto(self):
         circuit = ghz_circuit(5)

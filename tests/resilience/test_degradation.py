@@ -68,6 +68,11 @@ def test_drain_finishes_in_flight_work_and_rejects_new_submits():
     with serve_background(workers=1, queue_depth=8) as background:
         admin = Client(background.address)
         try:
+            # One round trip before the drain: the server has accepted and
+            # attached this connection, so it is a pre-drain connection
+            # rather than one still in the listener's backlog when the
+            # drain closes the listener.
+            assert admin.health()["state"] == "ok"
             release = threading.Event()
             started = threading.Event()
 

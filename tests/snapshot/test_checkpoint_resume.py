@@ -19,6 +19,7 @@ import pytest
 import repro
 from repro import JobCancelledError, QuantumCircuit
 from repro.cache import run_key
+from repro.engines import frontdoor
 from repro.engines.frontdoor import (
     checkpoint_file,
     derive_task_seed,
@@ -105,17 +106,21 @@ def test_corrupt_checkpoint_is_skipped_never_fatal(tmp_path):
 
 def test_stale_checkpoint_of_another_circuit_is_ignored(tmp_path):
     other = universal_mix(4, seed=99, measure=True)
-    key = "shared-key"
     with pytest.raises(JobCancelledError):
         repro.run(other, engine="bitslice", cancel=FireAfter(6),
-                  checkpoint_every=1, checkpoint_dir=tmp_path,
-                  checkpoint_key=key)
-    assert ckpt_files(tmp_path)
+                  checkpoint_every=1, checkpoint_dir=tmp_path / "other")
+    [stale] = ckpt_files(tmp_path / "other")
+    # Plant the other circuit's checkpoint at this run's derived path, so
+    # only the fingerprint check inside the file can tell them apart.
+    state = run_key(CIRCUIT, "bitslice", 5, 64, None).state
+    target = checkpoint_file(tmp_path, repr(state))
+    os.replace(tmp_path / "other" / stale, target)
     baseline = det(repro.run(CIRCUIT, engine="bitslice", shots=64, seed=5))
     result = repro.run(CIRCUIT, engine="bitslice", shots=64, seed=5,
-                       checkpoint_every=1, checkpoint_dir=tmp_path,
-                       checkpoint_key=key)
+                       checkpoint_every=1, checkpoint_dir=tmp_path)
     assert "resumed_from_checkpoint" not in result.extra
+    assert "checkpoint_corrupt_skipped" not in result.extra
+    assert result.extra["checkpoints_written"] >= 1
     assert det(result) == baseline
 
 
@@ -233,6 +238,55 @@ def test_checkpointed_sweep_resumes_and_cleans_up(tmp_path):
     assert [det(r) for r in resumed] == baseline
     assert resumed[0].extra.get("journal_replayed") == 1
     assert resumed[1].extra["resumed_from_checkpoint"] >= 1
+    assert ckpt_files(ckpt_dir) == []
+
+
+@pytest.mark.parametrize("killed", ["before_record", "after_record"])
+def test_checkpoint_and_journal_record_survive_a_kill_between_them(
+        tmp_path, monkeypatch, killed):
+    """A sweep task's checkpoint is removed only after the journal records
+    its result.  Killed before the record, the task resumes from its
+    checkpoint (the checkpoint used to be gone already, losing both);
+    killed after it, the task replays and its leftover checkpoint is
+    removed."""
+    circuits = [universal_mix(4, seed=s, measure=True) for s in (61, 62)]
+    tasks = [("bitslice", circuit) for circuit in circuits]
+    journal_path = tmp_path / "journal.jsonl"
+    ckpt_dir = tmp_path / "ckpts"
+    baseline = [det(r) for r in run_tasks(tasks, shots=32, seed=7)]
+    if killed == "before_record":
+        original = SweepJournal.record
+
+        def kill(self, key, result):
+            if key.startswith("(0,"):
+                raise RuntimeError("killed before the journal record")
+            original(self, key, result)
+        monkeypatch.setattr(SweepJournal, "record", kill)
+    else:
+        original = frontdoor._store_and_discard
+
+        def kill(request, result, cache, ckpt):
+            if request.circuit is circuits[0]:
+                raise RuntimeError("killed after the journal record")
+            original(request, result, cache, ckpt)
+        monkeypatch.setattr(frontdoor, "_store_and_discard", kill)
+    with pytest.raises(RuntimeError):
+        run_tasks(tasks, shots=32, seed=7, journal=journal_path,
+                  checkpoint_every=1, checkpoint_dir=ckpt_dir)
+    monkeypatch.undo()
+    state = run_key(circuits[0], "bitslice", derive_task_seed(7, 0), 32,
+                    None).state
+    kept = checkpoint_file(ckpt_dir, repr((0, *state)))
+    assert ckpt_files(ckpt_dir) == [os.path.basename(kept)]
+    assert len(SweepJournal(journal_path)) == (killed == "after_record")
+    resumed = run_tasks(tasks, shots=32, seed=7, journal=journal_path,
+                        checkpoint_every=1, checkpoint_dir=ckpt_dir)
+    if killed == "before_record":
+        assert (resumed[0].extra["resumed_from_checkpoint"]
+                == circuits[0].num_gates)
+    else:
+        assert resumed[0].extra["journal_replayed"] == 1
+    assert [det(r) for r in resumed] == baseline
     assert ckpt_files(ckpt_dir) == []
 
 
