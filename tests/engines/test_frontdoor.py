@@ -10,12 +10,14 @@ byte-identical to the serial one on the quick Table III grid.
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
 import repro
 from repro import QuantumCircuit, ResourceLimits
-from repro.engines import run, run_sweep, run_tasks
+from repro.engines import frontdoor, run, run_sweep, run_tasks
+from repro.engines.frontdoor import RunRequest
 from repro.harness.__main__ import QUICK_TABLE3_QUBITS
 from repro.workloads.algorithms import ghz_circuit
 from repro.workloads.random_circuits import generate_random_circuit
@@ -114,6 +116,29 @@ class TestRunFrontDoor:
             assert "elapsed_seconds" not in result.extra
             assert "num_qubits" not in result.extra
             assert "peak_memory_nodes" not in result.extra
+
+
+class TestRunRequest:
+    def test_validates_once_and_defaults_limits(self):
+        with pytest.raises(ValueError):
+            RunRequest(ghz_circuit(2), shots=-1)
+        assert RunRequest(ghz_circuit(2)).limits == ResourceLimits()
+
+    def test_memo_travels_with_the_request(self, monkeypatch):
+        """A sweep worker receives the request pickled: the engine resolved
+        and the key computed in the parent are not derived again there."""
+        request = RunRequest(t_layer_circuit(4), engine="auto", shots=8,
+                             seed=1)
+        key = request.key
+        expected = run(t_layer_circuit(4), shots=8, seed=1)
+        clone = pickle.loads(pickle.dumps(request))
+
+        def resolve_again(*args):
+            raise AssertionError("resolved twice")
+        monkeypatch.setattr(frontdoor, "resolve_engine", resolve_again)
+        assert clone.key == key and clone.resolved == key.engine
+        assert (frontdoor._execute(clone).to_dict(timings=False)
+                == expected.to_dict(timings=False))
 
 
 class TestSweep:
