@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 import time
 
-from repro.bdd import BatchApplier, BddManager
+from repro.bdd import BddManager
 from repro.bdd.manager import FALSE
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.gate_rules import GateRuleEngine
@@ -62,11 +62,10 @@ def _adder_operands(simulator: BitSliceSimulator, target: int = 0):
     manager = state.manager
     var = state.qubit_var(target)
     qt = manager.var_node(var)
-    batch = BatchApplier(manager)
     flat = [bit.node for name in ("a", "b", "c", "d") for bit in state.slices[name]]
-    low = batch.restrict_many(flat, var, False)
-    high = batch.restrict_many(flat, var, True)
-    second = batch.xor_many([(qt, hi) for hi in high])
+    low = manager.restrict_many(flat, var, False)
+    high = manager.restrict_many(flat, var, True)
+    second = manager.xor_many([(qt, hi) for hi in high])
     r = state.r
     return [(low[index * r:(index + 1) * r],
              second[index * r:(index + 1) * r], qt)
@@ -75,15 +74,14 @@ def _adder_operands(simulator: BitSliceSimulator, target: int = 0):
 
 def _fused_adder_chain(manager: BddManager, adders):
     """The hot path: lockstep fused sum / carry batches per bit position."""
-    batch = BatchApplier(manager)
     carries = [carry for _, _, carry in adders]
     per_adder = [[] for _ in adders]
     for position in range(len(adders[0][0])):
         triples = [(a_bits[position], b_bits[position], carries[index])
                    for index, (a_bits, b_bits, _) in enumerate(adders)]
-        for index, sum_bit in enumerate(batch.xor3_many(triples)):
+        for index, sum_bit in enumerate(manager.xor3_many(triples)):
             per_adder[index].append(sum_bit)
-        carries = batch.maj3_many(triples)
+        carries = manager.maj3_many(triples)
     return [bit for bits in per_adder for bit in bits], carries
 
 
@@ -162,15 +160,14 @@ def test_fused_swap_kernel(benchmark):
     flat = [bit.node for name in ("a", "b", "c", "d") for bit in state.slices[name]]
     qubit_a, qubit_b = 1, NUM_QUBITS - 2
     var_a, var_b = state.qubit_var(qubit_a), state.qubit_var(qubit_b)
-    batch = BatchApplier(manager)
-    fused = batch.swap_vars_many(flat, var_a, var_b)
+    fused = manager.swap_vars_many(flat, var_a, var_b)
     handles = [engine._swap_two_vars(bit, qubit_a, qubit_b)
                for name in ("a", "b", "c", "d") for bit in state.slices[name]]
     assert fused == [handle.node for handle in handles]
 
     def cold_fused_swap():
         manager.clear_cache()
-        return batch.swap_vars_many(flat, var_a, var_b)
+        return manager.swap_vars_many(flat, var_a, var_b)
 
     result = benchmark(cold_fused_swap)
     benchmark.extra_info["result_nodes"] = manager.count_nodes(result)
@@ -195,16 +192,15 @@ def test_fused_flip_kernel(benchmark):
     flat = [bit.node for name in ("a", "b", "c", "d") for bit in state.slices[name]]
     var = state.qubit_var(NUM_QUBITS - 2)  # most of the DAG lies above it
     qt = manager.var_node(var)
-    batch = BatchApplier(manager)
 
     def composition_flip():
-        low = batch.restrict_many(flat, var, False)
-        high = batch.restrict_many(flat, var, True)
-        return batch.ite_many([(qt, lo, hi) for lo, hi in zip(low, high)])
+        low = manager.restrict_many(flat, var, False)
+        high = manager.restrict_many(flat, var, True)
+        return manager.ite_many([(qt, lo, hi) for lo, hi in zip(low, high)])
 
     def cold_fused_flip():
         manager.clear_cache()
-        return batch.flip_many(flat, var)
+        return manager.flip_many(flat, var)
 
     def cold_composition_flip():
         manager.clear_cache()
@@ -232,7 +228,6 @@ def test_closed_form_negation(benchmark):
     vectors = [[bit.node for bit in state.slices[name]] for name in ("a", "b", "c", "d")]
     conditions = [condition] * len(vectors)
     zeros = [FALSE] * state.r
-    batch = BatchApplier(manager)
 
     def cold_closed_form():
         manager.clear_cache()
@@ -240,7 +235,7 @@ def test_closed_form_negation(benchmark):
 
     def cold_adder_form():
         manager.clear_cache()
-        complemented = [batch.xor_many([(condition, bit) for bit in bits])
+        complemented = [manager.xor_many([(condition, bit) for bit in bits])
                         for bits in vectors]
         return engine._ripple_add_many(
             [(bits, zeros, condition) for bits in complemented])

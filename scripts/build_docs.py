@@ -94,13 +94,13 @@ API_MODULES = [
 #: module is too large to document wholesale (the fused BDD kernels).
 API_EXTRA_SYMBOLS = [
     ("repro.bdd.manager", "BddManager", ["apply_maj3", "apply_xor3",
-                                         "apply_swap_vars", "batcher",
-                                         "batch_binary", "batch_ite",
-                                         "batch_maj3", "batch_xor3",
-                                         "batch_restrict", "satcount",
+                                         "apply_swap_vars", "and_many",
+                                         "or_many", "xor_many", "not_many",
+                                         "ite_many", "maj3_many", "xor3_many",
+                                         "restrict_many", "flip_many",
+                                         "swap_vars_many", "satcount",
                                          "swap_adjacent_levels", "sift",
                                          "maybe_reorder", "set_order"]),
-    ("repro.bdd.manager", "BatchApplier", None),
 ]
 
 

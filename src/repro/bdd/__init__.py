@@ -21,7 +21,7 @@ The public entry point is :class:`~repro.bdd.manager.BddManager`; user code
 manipulates :class:`~repro.bdd.expr.Bdd` handles returned by it.
 """
 
-from repro.bdd.manager import BatchApplier, BddManager
+from repro.bdd.manager import BddManager
 from repro.bdd.expr import Bdd
 from repro.bdd.ordering import natural_order, interleaved_order, sift
 from repro.bdd.analysis import (
@@ -33,7 +33,6 @@ from repro.bdd.analysis import (
 )
 
 __all__ = [
-    "BatchApplier",
     "BddManager",
     "Bdd",
     "natural_order",

@@ -43,9 +43,10 @@ here, so the constant factors of this file dominate end-to-end runtime):
   cofactor sweeps plus an ITE; it memoises and counts as ``compose``.  A
   conditional negation ``ite(c, not f, f)`` is the plain XOR ``c ^ f``,
   with no NOT sweep over all of ``f`` first.
-* **Batched application**: :class:`BatchApplier` runs one operation over many
-  operand tuples sharing a single computed-table binding and one interner
-  transaction, so a 4r-slice gate update pays the per-operation setup once
+* **Batched application**: the ``*_many`` methods (:meth:`BddManager.and_many`,
+  :meth:`BddManager.restrict_many`, ...) run one operation over many operand
+  tuples as one transaction — one computed-table binding, one interner, one
+  counter fold — so a 4r-slice gate update pays the per-operation setup once
   instead of 4r times.
 * **Size-bounded tables with generation-based invalidation**: each table is
   flushed when it exceeds ``cache_size_limit`` entries (checked at operation
@@ -71,6 +72,7 @@ exposes the counters and :mod:`repro.perf` builds spans / reports on top.
 from __future__ import annotations
 
 import time
+from itertools import starmap
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bdd.expr import Bdd
@@ -336,9 +338,15 @@ class BddManager:
     # ------------------------------------------------------------------ #
     # operation boundary bookkeeping
     # ------------------------------------------------------------------ #
-    def _after_operation(self, op: int, table: Dict) -> None:
-        """Bound the table size and refresh the live-node peak.  Called once
-        per top-level operation, so the per-node-visit cost stays zero."""
+    def _fold(self, op: int, table: Dict, hits: int, misses: int, ucounts) -> None:
+        """Close one transaction of ``op``: fold its computed-table hits and
+        misses and its :meth:`_interner` ``[probes, inserts]`` into the perf
+        counters, bound the table size and refresh the live-node peak.
+        Called once per transaction, so the per-node-visit cost stays zero."""
+        self._op_hits[op] += hits
+        self._op_misses[op] += misses
+        self._unique_probes += ucounts[0]
+        self._unique_inserts += ucounts[1]
         limit = self._cache_size_limit
         if limit is not None and len(table) > limit:
             table.clear()
@@ -354,6 +362,13 @@ class BddManager:
         """True when apply depth (bounded by the level count) comfortably
         fits the interpreter's recursion limit."""
         return len(self._level_to_var) <= _MAX_RECURSIVE_VARS
+
+    def _worker(self, make_rec, make_stack, *config):
+        """The ``(rec, finish)`` worker of one transaction: the recursive
+        closure ``make_rec(*config)`` when :meth:`_recursion_safe`, else its
+        explicit-stack twin ``make_stack(*config)``.  Both return the same
+        node ids and count the same table traffic."""
+        return (make_rec if self._recursion_safe() else make_stack)(*config)
 
     def _interner(self):
         """Find-or-create bound to the current node stores.
@@ -405,6 +420,25 @@ class BddManager:
         finish()
         return result
 
+    def _run_batch(self, mapper, items, make_rec, make_stack, *config) -> List[int]:
+        """Run one operation over many operands as a single transaction:
+        one :meth:`_worker` (one computed-table binding, one interner, one
+        counter fold) for the whole batch instead of one per item.
+
+        ``mapper`` is :func:`map` for single node ids or
+        :func:`itertools.starmap` for operand tuples.  An empty batch returns
+        ``[]`` and is not counted in ``batch_runs`` / ``batch_items``.
+        """
+        items = list(items)
+        if not items:
+            return []
+        self._batch_runs += 1
+        self._batch_items += len(items)
+        rec, finish = self._worker(make_rec, make_stack, *config)
+        out = list(mapper(rec, items))
+        finish()
+        return out
+
     def _stack_apply(self, op: int, table: Dict, visit, make, ucounts,
                      combine=None, nested=()):
         """The explicit-stack driver behind every operation on managers too
@@ -415,10 +449,10 @@ class BddManager:
         instead of Python recursion, so no apply depth can reach the
         interpreter's recursion limit.  The driver owns what every operation
         shares: the computed-table lookup and its hit / miss counts, the
-        build step and memo store, and (in ``finish``) the counter fold and
-        :meth:`_after_operation`.  The operation supplies only
-        ``visit(args)``, which applies its terminal and normalisation rules
-        to one operand tuple and returns one of
+        build step and memo store, and (in ``finish``) the :meth:`_fold`.
+        The operation supplies only ``visit(args)``, which applies its
+        terminal and normalisation rules to one operand tuple and returns
+        one of
 
         * a finished node id;
         * ``(key, var, low_args, high_args)``, a cofactor step: on a table
@@ -483,11 +517,7 @@ class BddManager:
         def finish() -> None:
             for nested_finish in nested:
                 nested_finish()
-            self._op_hits[op] += hits
-            self._op_misses[op] += misses
-            self._unique_probes += ucounts[0]
-            self._unique_inserts += ucounts[1]
-            self._after_operation(op, table)
+            self._fold(op, table, hits, misses, ucounts)
 
         return rec, finish
 
@@ -513,15 +543,16 @@ class BddManager:
 
         Returns ``(rec, finish)``: ``rec(f, g)`` is a *total* recursive apply
         (it resolves terminal rules itself, so callers may invoke it on any
-        operand pair, any number of times), and ``finish()`` folds the
-        accumulated hit / miss / unique-table counters into the manager and
-        runs the operation-boundary bookkeeping.  Everything the inner loop
-        touches is bound to closure cells once, so per-node work is dict
-        probes and list indexing with no attribute lookups — and batched
-        callers (:class:`BatchApplier`) pay that binding once for an entire
-        slice sweep instead of once per root pair.  Only used when
-        :meth:`_recursion_safe`; the explicit-stack twin below handles deep
-        managers.
+        operand pair, any number of times until ``finish``), and
+        ``finish()`` closes the transaction with :meth:`_fold`.  Everything
+        the inner loop touches is bound to closure cells once, so per-node
+        work is dict probes and list indexing with no attribute lookups —
+        and a batch (:meth:`_run_batch`) pays that binding once for an
+        entire slice sweep instead of once per root pair.  ``finish`` also
+        drops ``rec``, which refers to itself through its closure cell, so
+        no worker leaves a reference cycle holding the manager.  Only used
+        when :meth:`_recursion_safe`; the explicit-stack twin below handles
+        deep managers.
         """
         var_arr = self._var
         low_arr = self._low
@@ -629,11 +660,9 @@ class BddManager:
                 return node
 
         def finish() -> None:
-            self._op_hits[op] += hits
-            self._op_misses[op] += misses
-            self._unique_probes += ucounts[0]
-            self._unique_inserts += ucounts[1]
-            self._after_operation(op, table)
+            nonlocal rec
+            rec = None
+            self._fold(op, table, hits, misses, ucounts)
 
         return rec, finish
 
@@ -700,8 +729,8 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_AND] += 1
             return node
-        factory = self._make_binary_rec if self._recursion_safe() else self._make_binary_stack
-        return self._apply_once(factory(OP_AND, table), f, g)
+        worker = self._worker(self._make_binary_rec, self._make_binary_stack, OP_AND, table)
+        return self._apply_once(worker, f, g)
 
     def apply_or(self, f: int, g: int) -> int:
         """Disjunction of two node ids."""
@@ -718,8 +747,8 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_OR] += 1
             return node
-        factory = self._make_binary_rec if self._recursion_safe() else self._make_binary_stack
-        return self._apply_once(factory(OP_OR, table), f, g)
+        worker = self._worker(self._make_binary_rec, self._make_binary_stack, OP_OR, table)
+        return self._apply_once(worker, f, g)
 
     def apply_xor(self, f: int, g: int) -> int:
         """Exclusive-or of two node ids."""
@@ -740,8 +769,8 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_XOR] += 1
             return node
-        factory = self._make_binary_rec if self._recursion_safe() else self._make_binary_stack
-        return self._apply_once(factory(OP_XOR, table), f, g)
+        worker = self._worker(self._make_binary_rec, self._make_binary_stack, OP_XOR, table)
+        return self._apply_once(worker, f, g)
 
     def apply_not(self, f: int) -> int:
         """Negation of a node id."""
@@ -752,8 +781,8 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_NOT] += 1
             return node
-        factory = self._make_not_rec if self._recursion_safe() else self._make_not_stack
-        return self._apply_once(factory(table), f)
+        worker = self._worker(self._make_not_rec, self._make_not_stack, table)
+        return self._apply_once(worker, f)
 
     def _make_not_rec(self, table: Dict):
         """Recursive negation worker factory (``(rec, finish)`` contract of
@@ -780,11 +809,9 @@ class BddManager:
             return node
 
         def finish() -> None:
-            self._op_hits[OP_NOT] += hits
-            self._op_misses[OP_NOT] += misses
-            self._unique_probes += ucounts[0]
-            self._unique_inserts += ucounts[1]
-            self._after_operation(OP_NOT, table)
+            nonlocal rec
+            rec = None
+            self._fold(OP_NOT, table, hits, misses, ucounts)
 
         return rec, finish
 
@@ -837,8 +864,8 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_ITE] += 1
             return node
-        factory = self._make_ite_rec if self._recursion_safe() else self._make_ite_stack
-        return self._apply_once(factory(table), f, g, h)
+        worker = self._worker(self._make_ite_rec, self._make_ite_stack, table)
+        return self._apply_once(worker, f, g, h)
 
     def _make_ite_rec(self, table: Dict):
         """Recursive ITE worker factory (see :meth:`_make_binary_rec` for the
@@ -910,11 +937,9 @@ class BddManager:
             return node
 
         def finish() -> None:
-            self._op_hits[OP_ITE] += hits
-            self._op_misses[OP_ITE] += misses
-            self._unique_probes += ucounts[0]
-            self._unique_inserts += ucounts[1]
-            self._after_operation(OP_ITE, table)
+            nonlocal rec
+            rec = None
+            self._fold(OP_ITE, table, hits, misses, ucounts)
 
         return rec, finish
 
@@ -964,8 +989,8 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_RESTRICT] += 1
             return node
-        factory = self._make_restrict_rec if self._recursion_safe() else self._make_restrict_stack
-        return self._apply_once(factory(var, value, table), f)
+        worker = self._worker(self._make_restrict_rec, self._make_restrict_stack, var, value, table)
+        return self._apply_once(worker, f)
 
     def _make_restrict_rec(self, var: int, value: bool, table: Dict):
         """Recursive cofactor worker factory for one ``var = value`` literal
@@ -1005,11 +1030,9 @@ class BddManager:
             return node
 
         def finish() -> None:
-            self._op_hits[OP_RESTRICT] += hits
-            self._op_misses[OP_RESTRICT] += misses
-            self._unique_probes += ucounts[0]
-            self._unique_inserts += ucounts[1]
-            self._after_operation(OP_RESTRICT, table)
+            nonlocal rec
+            rec = None
+            self._fold(OP_RESTRICT, table, hits, misses, ucounts)
 
         return rec, finish
 
@@ -1120,8 +1143,8 @@ class BddManager:
         self._check_var(var)
         if f < 2:
             return f
-        factory = self._make_flip_rec if self._recursion_safe() else self._make_flip_stack
-        return self._apply_once(factory(var, self._tables[OP_COMPOSE]), f)
+        worker = self._worker(self._make_flip_rec, self._make_flip_stack, var, self._tables[OP_COMPOSE])
+        return self._apply_once(worker, f)
 
     def _make_flip_rec(self, var: int, table: Dict):
         """Recursive variable-flip worker factory (``(rec, finish)``
@@ -1160,11 +1183,9 @@ class BddManager:
             return node
 
         def finish() -> None:
-            self._op_hits[OP_COMPOSE] += hits
-            self._op_misses[OP_COMPOSE] += misses
-            self._unique_probes += ucounts[0]
-            self._unique_inserts += ucounts[1]
-            self._after_operation(OP_COMPOSE, table)
+            nonlocal rec
+            rec = None
+            self._fold(OP_COMPOSE, table, hits, misses, ucounts)
 
         return rec, finish
 
@@ -1227,8 +1248,8 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_MAJ3] += 1
             return node
-        factory = self._make_maj3_rec if self._recursion_safe() else self._make_maj3_stack
-        return self._apply_once(factory(table), f, g, h)
+        worker = self._worker(self._make_maj3_rec, self._make_maj3_stack, table)
+        return self._apply_once(worker, f, g, h)
 
     def _make_maj3_rec(self, table: Dict):
         """Recursive majority worker factory (``(rec, finish)`` contract of
@@ -1298,13 +1319,11 @@ class BddManager:
             return node
 
         def finish() -> None:
+            nonlocal rec
+            rec = None
             and_finish()
             or_finish()
-            self._op_hits[OP_MAJ3] += hits
-            self._op_misses[OP_MAJ3] += misses
-            self._unique_probes += ucounts[0]
-            self._unique_inserts += ucounts[1]
-            self._after_operation(OP_MAJ3, table)
+            self._fold(OP_MAJ3, table, hits, misses, ucounts)
 
         return rec, finish
 
@@ -1365,8 +1384,8 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_XOR3] += 1
             return node
-        factory = self._make_xor3_rec if self._recursion_safe() else self._make_xor3_stack
-        return self._apply_once(factory(table), f, g, h)
+        worker = self._worker(self._make_xor3_rec, self._make_xor3_stack, table)
+        return self._apply_once(worker, f, g, h)
 
     def _make_xor3_rec(self, table: Dict):
         """Recursive three-way-XOR worker factory (``(rec, finish)`` contract
@@ -1431,13 +1450,11 @@ class BddManager:
             return node
 
         def finish() -> None:
+            nonlocal rec
+            rec = None
             xor_finish()
             not_finish()
-            self._op_hits[OP_XOR3] += hits
-            self._op_misses[OP_XOR3] += misses
-            self._unique_probes += ucounts[0]
-            self._unique_inserts += ucounts[1]
-            self._after_operation(OP_XOR3, table)
+            self._fold(OP_XOR3, table, hits, misses, ucounts)
 
         return rec, finish
 
@@ -1494,9 +1511,9 @@ class BddManager:
         if node is not None:
             self._op_hits[OP_SWAPVARS] += 1
             return node
-        factory = (self._make_swap_vars_rec if self._recursion_safe()
-                   else self._make_swap_vars_stack)
-        return self._apply_once(factory(var_a, var_b, table), f)
+        worker = self._worker(self._make_swap_vars_rec, self._make_swap_vars_stack,
+                              var_a, var_b, table)
+        return self._apply_once(worker, f)
 
     def _make_swap_vars_rec(self, var_a: int, var_b: int, table: Dict):
         """Recursive swap worker factory for one (level-ordered) variable
@@ -1554,14 +1571,12 @@ class BddManager:
             return node
 
         def finish() -> None:
+            nonlocal rec
+            rec = None
             restrict0_finish()
             restrict1_finish()
             ite_finish()
-            self._op_hits[OP_SWAPVARS] += hits
-            self._op_misses[OP_SWAPVARS] += misses
-            self._unique_probes += ucounts[0]
-            self._unique_inserts += ucounts[1]
-            self._after_operation(OP_SWAPVARS, table)
+            self._fold(OP_SWAPVARS, table, hits, misses, ucounts)
 
         return rec, finish
 
@@ -1621,123 +1636,70 @@ class BddManager:
     # ------------------------------------------------------------------ #
     # batched application
     # ------------------------------------------------------------------ #
-    def batcher(self) -> "BatchApplier":
-        """A :class:`BatchApplier` bound to this manager."""
-        return BatchApplier(self)
+    # These are the gate rules' slice sweeps: one operation over all 4r
+    # slices of a state.  They work on raw node ids, so the caller keeps the
+    # inputs reachable from live handles and runs no garbage collection
+    # before anchoring the results, as with any raw-node call.
+    def and_many(self, pairs: Iterable[Tuple[int, int]]) -> List[int]:
+        """Conjunction of every ``(f, g)`` pair, in one batch transaction."""
+        return self._run_batch(starmap, pairs, self._make_binary_rec, self._make_binary_stack,
+                               OP_AND, self._tables[OP_AND])
 
-    def _count_batch(self, size: int) -> None:
-        self._batch_runs += 1
-        self._batch_items += size
+    def or_many(self, pairs: Iterable[Tuple[int, int]]) -> List[int]:
+        """Disjunction of every ``(f, g)`` pair, in one batch transaction."""
+        return self._run_batch(starmap, pairs, self._make_binary_rec, self._make_binary_stack,
+                               OP_OR, self._tables[OP_OR])
 
-    def batch_binary(self, op: int, pairs: Sequence[Tuple[int, int]]) -> List[int]:
-        """Apply one commutative binary connective (``OP_AND`` / ``OP_OR`` /
-        ``OP_XOR``) to every ``(f, g)`` pair, sharing a single computed-table
-        binding and interner transaction across the whole batch."""
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        self._count_batch(len(pairs))
-        factory = self._make_binary_rec if self._recursion_safe() else self._make_binary_stack
-        rec, finish = factory(op, self._tables[op])
-        out = [rec(f, g) for f, g in pairs]
-        finish()
-        return out
+    def xor_many(self, pairs: Iterable[Tuple[int, int]]) -> List[int]:
+        """Exclusive-or of every ``(f, g)`` pair, in one batch transaction."""
+        return self._run_batch(starmap, pairs, self._make_binary_rec, self._make_binary_stack,
+                               OP_XOR, self._tables[OP_XOR])
 
-    def batch_not(self, nodes: Sequence[int]) -> List[int]:
-        """Negate every node id in one batch transaction."""
-        nodes = list(nodes)
-        if not nodes:
-            return []
-        self._count_batch(len(nodes))
-        factory = self._make_not_rec if self._recursion_safe() else self._make_not_stack
-        rec, finish = factory(self._tables[OP_NOT])
-        out = [rec(f) for f in nodes]
-        finish()
-        return out
+    def not_many(self, nodes: Iterable[int]) -> List[int]:
+        """Negation of every node id, in one batch transaction."""
+        return self._run_batch(map, nodes, self._make_not_rec, self._make_not_stack,
+                               self._tables[OP_NOT])
 
-    def batch_ite(self, triples: Sequence[Tuple[int, int, int]]) -> List[int]:
-        """Apply ITE to every ``(f, g, h)`` triple in one batch transaction."""
-        triples = list(triples)
-        if not triples:
-            return []
-        self._count_batch(len(triples))
-        factory = self._make_ite_rec if self._recursion_safe() else self._make_ite_stack
-        rec, finish = factory(self._tables[OP_ITE])
-        out = [rec(f, g, h) for f, g, h in triples]
-        finish()
-        return out
+    def ite_many(self, triples: Iterable[Tuple[int, int, int]]) -> List[int]:
+        """If-then-else of every ``(f, g, h)`` triple, in one batch transaction."""
+        return self._run_batch(starmap, triples, self._make_ite_rec, self._make_ite_stack,
+                               self._tables[OP_ITE])
 
-    def batch_maj3(self, triples: Sequence[Tuple[int, int, int]]) -> List[int]:
-        """Apply the fused majority kernel to every triple in one batch."""
-        triples = list(triples)
-        if not triples:
-            return []
-        self._count_batch(len(triples))
-        factory = self._make_maj3_rec if self._recursion_safe() else self._make_maj3_stack
-        rec, finish = factory(self._tables[OP_MAJ3])
-        out = [rec(f, g, h) for f, g, h in triples]
-        finish()
-        return out
+    def maj3_many(self, triples: Iterable[Tuple[int, int, int]]) -> List[int]:
+        """Fused full-adder carry of every triple, in one batch transaction."""
+        return self._run_batch(starmap, triples, self._make_maj3_rec, self._make_maj3_stack,
+                               self._tables[OP_MAJ3])
 
-    def batch_xor3(self, triples: Sequence[Tuple[int, int, int]]) -> List[int]:
-        """Apply the fused three-way XOR kernel to every triple in one batch."""
-        triples = list(triples)
-        if not triples:
-            return []
-        self._count_batch(len(triples))
-        factory = self._make_xor3_rec if self._recursion_safe() else self._make_xor3_stack
-        rec, finish = factory(self._tables[OP_XOR3])
-        out = [rec(f, g, h) for f, g, h in triples]
-        finish()
-        return out
+    def xor3_many(self, triples: Iterable[Tuple[int, int, int]]) -> List[int]:
+        """Fused full-adder sum of every triple, in one batch transaction."""
+        return self._run_batch(starmap, triples, self._make_xor3_rec, self._make_xor3_stack,
+                               self._tables[OP_XOR3])
 
-    def batch_restrict(self, nodes: Sequence[int], var: int, value: bool) -> List[int]:
-        """Cofactor every node id with respect to ``var = value`` in one
+    def restrict_many(self, nodes: Iterable[int], var: int, value: bool) -> List[int]:
+        """Cofactor of every node id with respect to ``var = value``, in one
         batch transaction (the 4r-slice cofactor sweep of a gate update)."""
-        nodes = list(nodes)
-        if not nodes:
-            return []
         self._check_var(var)
-        self._count_batch(len(nodes))
-        value = bool(value)
-        factory = self._make_restrict_rec if self._recursion_safe() else self._make_restrict_stack
-        rec, finish = factory(var, value, self._tables[OP_RESTRICT])
-        out = [rec(f) for f in nodes]
-        finish()
-        return out
+        return self._run_batch(map, nodes, self._make_restrict_rec, self._make_restrict_stack,
+                               var, bool(value), self._tables[OP_RESTRICT])
 
-    def batch_flip(self, nodes: Sequence[int], var: int) -> List[int]:
-        """Negate ``x_var`` in every node id in one batch transaction (the
-        4r-slice sweep of an X-style gate)."""
-        nodes = list(nodes)
-        if not nodes:
-            return []
+    def flip_many(self, nodes: Iterable[int], var: int) -> List[int]:
+        """``f[x_var := not x_var]`` of every node id, in one batch
+        transaction (the 4r-slice sweep of an X-style gate)."""
         self._check_var(var)
-        self._count_batch(len(nodes))
-        factory = self._make_flip_rec if self._recursion_safe() else self._make_flip_stack
-        rec, finish = factory(var, self._tables[OP_COMPOSE])
-        out = [rec(f) for f in nodes]
-        finish()
-        return out
+        return self._run_batch(map, nodes, self._make_flip_rec, self._make_flip_stack,
+                               var, self._tables[OP_COMPOSE])
 
-    def batch_swap_vars(self, nodes: Sequence[int], var_a: int, var_b: int) -> List[int]:
-        """Exchange ``var_a`` / ``var_b`` in every node id in one batch."""
-        nodes = list(nodes)
-        if not nodes:
-            return []
+    def swap_vars_many(self, nodes: Iterable[int], var_a: int, var_b: int) -> List[int]:
+        """Exchange ``var_a`` / ``var_b`` in every node id, in one batch
+        transaction."""
         self._check_var(var_a)
         self._check_var(var_b)
         if var_a == var_b:
-            return nodes
-        self._count_batch(len(nodes))
+            return list(nodes)
         if self._var_to_level[var_a] > self._var_to_level[var_b]:
             var_a, var_b = var_b, var_a
-        factory = (self._make_swap_vars_rec if self._recursion_safe()
-                   else self._make_swap_vars_stack)
-        rec, finish = factory(var_a, var_b, self._tables[OP_SWAPVARS])
-        out = [rec(f) for f in nodes]
-        finish()
-        return out
+        return self._run_batch(map, nodes, self._make_swap_vars_rec, self._make_swap_vars_stack,
+                               var_a, var_b, self._tables[OP_SWAPVARS])
 
     # ------------------------------------------------------------------ #
     # queries
@@ -2451,75 +2413,3 @@ class BddManager:
     def __repr__(self) -> str:
         return (f"BddManager(num_vars={self.num_vars}, "
                 f"live_nodes={self.num_live_nodes()})")
-
-
-class BatchApplier:
-    """Runs one BDD operation over many operand tuples in one transaction.
-
-    The gate rules of the bit-sliced simulator apply the *same* operation to
-    all 4r slice BDDs of a state (cofactor every slice at the target qubit,
-    ITE every slice against the same selector, one full-adder step per bit
-    position across the four vectors).  Issuing those as 4r independent
-    top-level calls re-binds the computed table, allocates a fresh interner
-    closure and folds perf counters 4r times.  A ``BatchApplier`` performs
-    the binding once per batch: one shared computed table, one interner
-    transaction, one counter fold — the recursion itself is identical to the
-    single-shot operations, so results are node-for-node the same.
-
-    Operates on raw node ids (no :class:`~repro.bdd.expr.Bdd` wrapper churn).
-    The caller must keep input roots reachable from live handles and must
-    not run garbage collection between submitting a batch and re-anchoring
-    the returned ids in handles, exactly as with any raw-node manager call.
-
-    On managers too deep for the recursive fast path every method runs the
-    same batch through the explicit-stack driver instead, still as one
-    transaction over the persistent per-operation computed tables.
-    """
-
-    __slots__ = ("manager",)
-
-    def __init__(self, manager: BddManager):
-        self.manager = manager
-
-    def and_many(self, pairs: Sequence[Tuple[int, int]]) -> List[int]:
-        """Conjunction of every ``(f, g)`` pair."""
-        return self.manager.batch_binary(OP_AND, pairs)
-
-    def or_many(self, pairs: Sequence[Tuple[int, int]]) -> List[int]:
-        """Disjunction of every ``(f, g)`` pair."""
-        return self.manager.batch_binary(OP_OR, pairs)
-
-    def xor_many(self, pairs: Sequence[Tuple[int, int]]) -> List[int]:
-        """Exclusive-or of every ``(f, g)`` pair."""
-        return self.manager.batch_binary(OP_XOR, pairs)
-
-    def not_many(self, nodes: Sequence[int]) -> List[int]:
-        """Negation of every node id."""
-        return self.manager.batch_not(nodes)
-
-    def ite_many(self, triples: Sequence[Tuple[int, int, int]]) -> List[int]:
-        """If-then-else of every ``(f, g, h)`` triple."""
-        return self.manager.batch_ite(triples)
-
-    def maj3_many(self, triples: Sequence[Tuple[int, int, int]]) -> List[int]:
-        """Fused full-adder carry of every ``(a, b, c)`` triple."""
-        return self.manager.batch_maj3(triples)
-
-    def xor3_many(self, triples: Sequence[Tuple[int, int, int]]) -> List[int]:
-        """Fused full-adder sum of every ``(a, b, c)`` triple."""
-        return self.manager.batch_xor3(triples)
-
-    def restrict_many(self, nodes: Sequence[int], var: int, value: bool) -> List[int]:
-        """Cofactor of every node id with respect to ``var = value``."""
-        return self.manager.batch_restrict(nodes, var, value)
-
-    def flip_many(self, nodes: Sequence[int], var: int) -> List[int]:
-        """``f[x_var := not x_var]`` of every node id."""
-        return self.manager.batch_flip(nodes, var)
-
-    def swap_vars_many(self, nodes: Sequence[int], var_a: int, var_b: int) -> List[int]:
-        """Variable swap of every node id."""
-        return self.manager.batch_swap_vars(nodes, var_a, var_b)
-
-    def __repr__(self) -> str:
-        return f"BatchApplier({self.manager!r})"

@@ -288,7 +288,7 @@ class BitSlicedState:
             raise ValueError("cannot project onto a zero-probability outcome")
         keep = self.manager.literal(self.qubit_var(qubit), bool(outcome))
         flat = [bit.node for bit in self.all_slices()]
-        conjoined = self.manager.batcher().and_many(
+        conjoined = self.manager.and_many(
             [(node, keep.node) for node in flat])
         for index, name in enumerate(VECTOR_NAMES):
             self.slices[name] = [Bdd(self.manager, node)

@@ -31,9 +31,11 @@ Hot-path design (this file issues every substrate operation of a gate):
   slices stay anchored by the state's live handles until
   :meth:`~repro.core.bitslice.BitSlicedState.replace_slices` installs the new
   ones.
-* Every per-slice sweep goes through a shared
-  :class:`~repro.bdd.manager.BatchApplier`: one computed-table binding and
-  one interner transaction per 4r-slice batch instead of per slice.
+* Every per-slice sweep is one batch call on the manager
+  (:meth:`~repro.bdd.manager.BddManager.restrict_many`,
+  :meth:`~repro.bdd.manager.BddManager.ite_many`, ...): one computed-table
+  binding and one interner transaction per 4r-slice batch instead of per
+  slice.
 * The ripple-carry adders use the **fused kernels**
   :meth:`~repro.bdd.manager.BddManager.apply_xor3` /
   :meth:`~repro.bdd.manager.BddManager.apply_maj3` (sum and carry in one
@@ -84,9 +86,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from types import MethodType
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.bdd import BatchApplier, Bdd, BddManager
+from repro.bdd import Bdd, BddManager
 from repro.bdd.manager import FALSE, TRUE
 from repro.circuit.gates import Gate, GateKind
 from repro.core.bitslice import VECTOR_NAMES, BitSlicedState
@@ -116,8 +119,6 @@ class GateRuleEngine:
     def __init__(self, state: BitSlicedState):
         self.state = state
         self.manager: BddManager = state.manager
-        #: Shared batch front end: one computed-table binding per slice sweep.
-        self.batch: BatchApplier = self.manager.batcher()
         #: Per-gate-kind substrate counters (cache hits / misses, unique-table
         #: traffic, GC activity, elapsed seconds, application count).  Fed by
         #: :meth:`apply` from cheap raw-counter snapshots — two tuple reads
@@ -129,25 +130,6 @@ class GateRuleEngine:
         # reorder invalidates the stored node ids.
         self._control_cubes: Dict[Tuple[int, ...], Bdd] = {}
         self._control_cube_generation = self.manager.cache_generation
-        # Bound once: rebuilding this dispatch table per gate would put 15
-        # bound-method allocations back on the per-gate hot path.
-        self._handlers: Dict[GateKind, Callable[[Gate], GateUpdate]] = {
-            GateKind.X: self._apply_x,
-            GateKind.Y: self._apply_y,
-            GateKind.Z: self._apply_z,
-            GateKind.H: self._apply_h,
-            GateKind.S: self._apply_s,
-            GateKind.SDG: self._apply_sdg,
-            GateKind.T: self._apply_t,
-            GateKind.TDG: self._apply_tdg,
-            GateKind.RX_PI_2: self._apply_rx,
-            GateKind.RY_PI_2: self._apply_ry,
-            GateKind.CX: self._apply_cx,
-            GateKind.CZ: self._apply_cz,
-            GateKind.CCX: self._apply_ccx,
-            GateKind.CSWAP: self._apply_cswap,
-            GateKind.SWAP: self._apply_swap_gate,
-        }
 
     # ------------------------------------------------------------------ #
     # public entry point
@@ -197,10 +179,10 @@ class GateRuleEngine:
         return summary
 
     def _handler_for(self, kind: GateKind) -> Callable[[Gate], GateUpdate]:
-        handler = self._handlers.get(kind)
+        handler = self._HANDLERS.get(kind)
         if handler is None:
             raise UnsupportedGateError(f"gate kind {kind.value} is not supported")
-        return handler
+        return MethodType(handler, self)
 
     # ------------------------------------------------------------------ #
     # node-level building blocks (the batched hot path)
@@ -234,7 +216,7 @@ class GateRuleEngine:
     def _swap_on_many(self, nodes: Sequence[int], qubit: int) -> List[int]:
         """X-gate action on every node: the value at ``q = b`` becomes the
         old value at ``q = not b`` (one batched variable-flip sweep)."""
-        return self.batch.flip_many(nodes, self.state.qubit_var(qubit))
+        return self.manager.flip_many(nodes, self.state.qubit_var(qubit))
 
     def _control_conjunction(self, controls: Sequence[int]) -> Bdd:
         """Conjunction of the positive control literals, memoised per sorted
@@ -275,7 +257,7 @@ class GateRuleEngine:
         for addend_a, addend_b, _ in adders:
             if len(addend_a) != width or len(addend_b) != width:
                 raise ValueError("adder operands must have the same width")
-        batch = self.batch
+        manager = self.manager
         carries = [carry_in for _, _, carry_in in adders]
         carry_into_sign = list(carries)
         sums: List[List[int]] = [[] for _ in adders]
@@ -284,11 +266,11 @@ class GateRuleEngine:
                 carry_into_sign = list(carries)
             triples = [(addend_a[position], addend_b[position], carries[index])
                        for index, (addend_a, addend_b, _) in enumerate(adders)]
-            sum_bits = batch.xor3_many(triples)
-            carries = batch.maj3_many(triples)
+            sum_bits = manager.xor3_many(triples)
+            carries = manager.maj3_many(triples)
             for index, sum_bit in enumerate(sum_bits):
                 sums[index].append(sum_bit)
-        overflow = batch.xor_many(list(zip(carries, carry_into_sign)))
+        overflow = manager.xor_many(list(zip(carries, carry_into_sign)))
         return sums, any(node != FALSE for node in overflow)
 
     def _negate_where_many(self, vectors: Sequence[Sequence[int]],
@@ -312,24 +294,24 @@ class GateRuleEngine:
         width = len(vectors[0])
         if any(len(bits) != width for bits in vectors):
             raise ValueError("negated vectors must have the same width")
-        batch = self.batch
+        manager = self.manager
         span = width - 1
         # prefixes[v][i] is P_i = F_0 or ... or F_{i-1} of vector v, i < r.
         prefixes = [[FALSE, bits[0]] if span else [FALSE] for bits in vectors]
         for position in range(1, span):
-            extended = batch.or_many([(prefix[-1], bits[position])
-                                      for prefix, bits in zip(prefixes, vectors)])
+            extended = manager.or_many([(prefix[-1], bits[position])
+                                        for prefix, bits in zip(prefixes, vectors)])
             for prefix, node in zip(prefixes, extended):
                 prefix.append(node)
-        terms = batch.and_many(
+        terms = manager.and_many(
             [(condition, node) for condition, prefix in zip(conditions, prefixes)
              for node in prefix[1:]]
             + [(condition, bits[-1]) for condition, bits in zip(conditions, vectors)])
         split = len(vectors) * span
-        negated = batch.xor_many(list(zip(
+        negated = manager.xor_many(list(zip(
             (bit for bits in vectors for bit in bits[1:]), terms[:split])))
-        overflow = batch.ite_many([(prefix[-1], FALSE, sign_term) for prefix, sign_term
-                                   in zip(prefixes, terms[split:])])
+        overflow = manager.ite_many([(prefix[-1], FALSE, sign_term) for prefix, sign_term
+                                     in zip(prefixes, terms[split:])])
         results = [[bits[0]] + negated[index * span:(index + 1) * span]
                    for index, bits in enumerate(vectors)]
         return results, any(node != FALSE for node in overflow)
@@ -414,7 +396,7 @@ class GateRuleEngine:
         qc = self._qvar_node(control)
         flat = self._all_node_bits()
         swapped = self._swap_on_many(flat, target)
-        new_flat = self.batch.ite_many(
+        new_flat = self.manager.ite_many(
             [(qc, sw, old) for sw, old in zip(swapped, flat)])
         return self._update(self._unflatten(new_flat), 0, False)
 
@@ -423,7 +405,7 @@ class GateRuleEngine:
         condition = self._control_conjunction(gate.controls).node
         flat = self._all_node_bits()
         swapped = self._swap_on_many(flat, target)
-        new_flat = self.batch.ite_many(
+        new_flat = self.manager.ite_many(
             [(condition, sw, old) for sw, old in zip(swapped, flat)])
         return self._update(self._unflatten(new_flat), 0, False)
 
@@ -431,7 +413,7 @@ class GateRuleEngine:
         qubit_a, qubit_b = gate.targets
         var_a = self.state.qubit_var(qubit_a)
         var_b = self.state.qubit_var(qubit_b)
-        new_flat = self.batch.swap_vars_many(self._all_node_bits(), var_a, var_b)
+        new_flat = self.manager.swap_vars_many(self._all_node_bits(), var_a, var_b)
         return self._update(self._unflatten(new_flat), 0, False)
 
     def _apply_cswap(self, gate: Gate) -> GateUpdate:
@@ -440,8 +422,8 @@ class GateRuleEngine:
         var_b = self.state.qubit_var(qubit_b)
         condition = self._control_conjunction(gate.controls).node
         flat = self._all_node_bits()
-        swapped = self.batch.swap_vars_many(flat, var_a, var_b)
-        new_flat = self.batch.ite_many(
+        swapped = self.manager.swap_vars_many(flat, var_a, var_b)
+        new_flat = self.manager.ite_many(
             [(condition, sw, old) for sw, old in zip(swapped, flat)])
         return self._update(self._unflatten(new_flat), 0, False)
 
@@ -487,7 +469,7 @@ class GateRuleEngine:
         un-negated sources; :meth:`_negate_where_many` negates under q_t."""
         qt = self._qvar_node(gate.targets[0])
         old = {name: self._node_bits(name) for name in VECTOR_NAMES}
-        mixed = self._unflatten(self.batch.ite_many(
+        mixed = self._unflatten(self.manager.ite_many(
             [(qt, src, own)
              for name, source in zip(VECTOR_NAMES, sources)
              for src, own in zip(old[source], old[name])]))
@@ -518,12 +500,12 @@ class GateRuleEngine:
         target = gate.targets[0]
         var = self.state.qubit_var(target)
         qt = self._qvar_node(target)
-        batch = self.batch
+        manager = self.manager
         flat = self._all_node_bits()
-        low = batch.restrict_many(flat, var, False)
-        high = batch.restrict_many(flat, var, True)
+        low = manager.restrict_many(flat, var, False)
+        high = manager.restrict_many(flat, var, True)
         # ite(q_t, not F, F|q_t=1) is q_t ^ F|q_t=1.
-        second = batch.xor_many([(qt, hi) for hi in high])
+        second = manager.xor_many([(qt, hi) for hi in high])
         r = self.state.r
         adders = [(low[index * r:(index + 1) * r],
                    second[index * r:(index + 1) * r], qt)
@@ -537,12 +519,12 @@ class GateRuleEngine:
         var = self.state.qubit_var(target)
         qt = self._qvar_node(target)
         not_qt = self.manager.apply_not(qt)
-        batch = self.batch
+        manager = self.manager
         flat = self._all_node_bits()
-        low = batch.restrict_many(flat, var, False)
-        high = batch.restrict_many(flat, var, True)
+        low = manager.restrict_many(flat, var, False)
+        high = manager.restrict_many(flat, var, True)
         # ite(q_t, F, not F|q_t=1) is (not q_t) ^ F|q_t=1.
-        second = batch.xor_many([(not_qt, hi) for hi in high])
+        second = manager.xor_many([(not_qt, hi) for hi in high])
         r = self.state.r
         adders = [(low[index * r:(index + 1) * r],
                    second[index * r:(index + 1) * r], not_qt)
@@ -555,13 +537,13 @@ class GateRuleEngine:
         # Contributions: a' = a - c_swapped, b' = b - d_swapped,
         #                c' = c + a_swapped, d' = d + b_swapped.
         target = gate.targets[0]
-        batch = self.batch
+        manager = self.manager
         fa, fb, fc, fd = (self._node_bits(name) for name in VECTOR_NAMES)
         r = self.state.r
         # "other" operand per destination vector, in VECTOR_NAMES order.
         others = fc + fd + fa + fb
         swapped = self._swap_on_many(others, target)
-        negated = batch.not_many(swapped[:2 * r])
+        negated = manager.not_many(swapped[:2 * r])
         second = negated + swapped[2 * r:]
         adders = [(fa, second[:r], TRUE),
                   (fb, second[r:2 * r], TRUE),
@@ -569,3 +551,24 @@ class GateRuleEngine:
                   (fd, second[3 * r:], FALSE)]
         sums, overflowed = self._ripple_add_many(adders)
         return self._update(dict(zip(VECTOR_NAMES, sums)), 1, overflowed)
+
+    # Plain functions, bound per call: a dict of bound methods on the
+    # instance would make every engine (and its state and manager) a
+    # reference cycle left for the cyclic collector.
+    _HANDLERS: Dict[GateKind, Callable[["GateRuleEngine", Gate], GateUpdate]] = {
+        GateKind.X: _apply_x,
+        GateKind.Y: _apply_y,
+        GateKind.Z: _apply_z,
+        GateKind.H: _apply_h,
+        GateKind.S: _apply_s,
+        GateKind.SDG: _apply_sdg,
+        GateKind.T: _apply_t,
+        GateKind.TDG: _apply_tdg,
+        GateKind.RX_PI_2: _apply_rx,
+        GateKind.RY_PI_2: _apply_ry,
+        GateKind.CX: _apply_cx,
+        GateKind.CZ: _apply_cz,
+        GateKind.CCX: _apply_ccx,
+        GateKind.CSWAP: _apply_cswap,
+        GateKind.SWAP: _apply_swap_gate,
+    }

@@ -18,14 +18,15 @@ the ``r`` encodings of each vector.
 Probability accumulation walks the top ``n`` (qubit) levels of the monolithic
 BDD once, memoising per node, and decodes amplitudes only at the boundary
 nodes — the direct analogue of the QMDD traversal the paper compares against.
-:meth:`MeasurementEngine.total_probability` and
-:meth:`MeasurementEngine.measurement_distribution` use that construction.
+:meth:`MeasurementEngine.build_hyperfunction` and
+:meth:`MeasurementEngine._accumulate` keep that construction as the
+reference the exactness tests compare against.
 
-Outcome queries and shot sampling skip the hyper-function.  They cofactor
-the slices by the outcome cube (for the usual all-qubit cube a plain path
-walk that ends on terminals) and hand the tuple of ``4r`` cofactor node ids
-to :class:`SliceMass`, which sums the squared amplitudes in one memoised
-walk over the tuple itself.
+Every query skips the hyper-function.  It cofactors the slices by the
+outcome cube (for the usual all-qubit cube a plain path walk that ends on
+terminals) and hands the tuple of ``4r`` cofactor node ids to
+:class:`SliceMass`, which sums the squared amplitudes in one memoised walk
+over the tuple itself; no encoding variable is added to the manager.
 All accumulation is exact: a probability is kept as an integer pair
 ``(x, y)`` meaning ``(x + y*sqrt(2)) / 2**k`` until the final conversion to
 float (this substitutes for the MPFR high-precision floats of the original
@@ -169,15 +170,17 @@ class SliceMass:
 
 
 class MeasurementEngine:
-    """Monolithic-BDD measurement and probability queries for one state.
+    """Measurement and probability queries for one state.
 
     The engine snapshots nothing: every public query reads the state's
     current slices, so it can be used before and after gate applications
-    and collapses alike.  Outcome queries (:meth:`probability_of_outcome`
-    and the collapse path through :meth:`probability_of_qubit_exact`)
-    cofactor the slices by the outcome cube and sum the cofactors with
-    :class:`SliceMass`, then shift the exact ``(x, y)`` pair right by the
-    number of fixed variables (see :meth:`_restricted_probability`).
+    and collapses alike.  Every query (the total, outcome and qubit
+    probabilities, the distribution and the collapse path) cofactors the
+    slices by an outcome cube and sums the cofactors with
+    :class:`SliceMass`, then shifts the exact ``(x, y)`` pair right by the
+    number of fixed variables (see :meth:`_restricted_probability`).  The
+    Eq. 12 hyper-function (:meth:`build_hyperfunction`) is kept as the
+    reference construction.
     """
 
     def __init__(self, state: BitSlicedState):
@@ -350,8 +353,7 @@ class MeasurementEngine:
     # ------------------------------------------------------------------ #
     def total_probability(self) -> float:
         """Sum of all outcome probabilities (1.0 for a healthy state)."""
-        exact = self._accumulate(self.build_hyperfunction())
-        return exact.to_float(self.state.s ** 2)
+        return self._restricted_probability([], []).to_float(self.state.s ** 2)
 
     def probability_of_qubit_exact(self, qubit: int, value: int = 0) -> ExactProbability:
         """``Pr[qubit == value]`` as an exact :class:`ExactProbability`
@@ -379,27 +381,30 @@ class MeasurementEngine:
                                  cutoff: float = 1e-15) -> Dict[int, float]:
         """Joint distribution over ``qubits`` (default all), as a dict mapping
         outcome integers (first listed qubit = most significant bit) to
-        probabilities above ``cutoff``."""
+        probabilities above ``cutoff``.
+
+        One :class:`~repro.core.sampling.SliceSampler` descent: every
+        prefix's mass comes from the shared memoised cofactor walk, and a
+        prefix at or below ``cutoff`` is not extended."""
+        from repro.core.sampling import SliceSampler
+
         if qubits is None:
-            qubits = list(range(self.state.num_qubits))
-        qubits = list(qubits)
-        hyper = self.build_hyperfunction()
-        scale = self.state.s ** 2
+            qubits = range(self.state.num_qubits)
+        sampler = SliceSampler(self.state, qubits)
+        width = len(sampler.qubits)
         distribution: Dict[int, float] = {}
-
-        def descend(position: int, restricted: Bdd, outcome: int) -> None:
-            exact = self._accumulate(restricted)
-            probability = exact.to_float(scale)
+        pending = [((), 0)]
+        while pending:
+            prefix, outcome = pending.pop()
+            probability = sampler.prefix_probability(prefix)
             if probability <= cutoff:
-                return
-            if position == len(qubits):
+                continue
+            if len(prefix) == width:
                 distribution[outcome] = probability
-                return
-            var = self.state.qubit_var(qubits[position])
-            descend(position + 1, restricted & self.manager.nvar(var), outcome << 1)
-            descend(position + 1, restricted & self.manager.var(var), (outcome << 1) | 1)
-
-        descend(0, hyper, 0)
+                continue
+            # Pushed 1 first, so the 0 branch (smaller outcomes) comes first.
+            pending.append((prefix + (1,), (outcome << 1) | 1))
+            pending.append((prefix + (0,), outcome << 1))
         return distribution
 
     # ------------------------------------------------------------------ #

@@ -8,7 +8,7 @@ fresh probability query.  This module walks the *slices themselves* instead:
   slice whose top variable is the qubit's; only a fixed variable that lies
   below a free one (a permuted or partial qubit list, or a sifted order)
   falls back to one batched
-  :meth:`~repro.bdd.manager.BatchApplier.restrict_many` call, and
+  :meth:`~repro.bdd.manager.BddManager.restrict_many` call, and
 * the probability mass of a prefix is the exact integer pair ``(x, y)`` that
   :class:`~repro.core.measurement.SliceMass` sums over the tuple of
   cofactor node ids — the total ``(x + y*sqrt(2)) / 2**k`` of
@@ -60,7 +60,6 @@ class SliceSampler:
         self._distinct = [0]
         for position, earlier in enumerate(self._repeat_of):
             self._distinct.append(self._distinct[-1] + (earlier == position))
-        self._batcher = self.manager.batcher()
         self._kernel = SliceMass(state)
         # prefix tuple -> cofactor node ids (a..d major, bit order).
         self._families: Dict[Tuple[int, ...], Tuple[int, ...]] = {
@@ -93,7 +92,7 @@ class SliceSampler:
                 elif level_of[top] < level:
                     below.append(position)
         if below:
-            restricted = self._batcher.restrict_many(
+            restricted = manager.restrict_many(
                 [cofactor[position] for position in below], var, bool(value))
             for position, node in zip(below, restricted):
                 cofactor[position] = node

@@ -8,8 +8,8 @@ the strongest possible check.  Coverage:
 * ``apply_xor3`` vs ``f ^ g ^ h``,
 * ``apply_swap_vars`` vs the cofactor / connective SWAP formula, including
   adjacent, distant, absent-variable and involution cases,
-* every :class:`~repro.bdd.manager.BatchApplier` method vs the equivalent
-  sequence of single-shot operations,
+* every batch method of the manager (``and_many``, ..., ``swap_vars_many``)
+  vs the equivalent sequence of single-shot operations,
 * the one-pass literal kernels: ``apply_flip`` / ``flip_many`` vs
   ``ite(x_v, f|v=0, f|v=1)`` and the condition XOR vs ``ite(c, not f, f)``
   (including the H and Ry(pi/2) second addends), on hypothesis-drawn BDDs
@@ -27,7 +27,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BatchApplier, Bdd, BddManager
+from repro.bdd import Bdd, BddManager
 from repro.bdd.manager import OP_NAMES
 
 
@@ -166,50 +166,65 @@ class TestFusedSwapVars:
         assert renamed == (manager.var(5) & ~manager.var(3))
 
 
-class TestBatchApplier:
+class TestBatchMethods:
+    """The manager's ``*_many`` methods: each is one batch transaction of
+    the matching single-shot operation."""
+
     def _functions(self, manager, rng, count=9):
         return [random_function(manager, rng) for _ in range(count)]
+
+    def _batches(self, manager, nodes):
+        """Every batch method with its single-shot twin, on ``nodes``."""
+        pairs = list(zip(nodes, nodes[1:]))
+        triples = list(zip(nodes, nodes[1:], nodes[2:]))
+        return [
+            (manager.and_many, (pairs,), manager.apply_and, pairs),
+            (manager.or_many, (pairs,), manager.apply_or, pairs),
+            (manager.xor_many, (pairs,), manager.apply_xor, pairs),
+            (manager.not_many, (nodes,), manager.apply_not, [(n,) for n in nodes]),
+            (manager.ite_many, (triples,), manager.apply_ite, triples),
+            (manager.maj3_many, (triples,), manager.apply_maj3, triples),
+            (manager.xor3_many, (triples,), manager.apply_xor3, triples),
+            (manager.restrict_many, (nodes, 4, True), manager.apply_restrict,
+             [(n, 4, True) for n in nodes]),
+            (manager.flip_many, (nodes, 3), manager.apply_flip, [(n, 3) for n in nodes]),
+            (manager.swap_vars_many, (nodes, 1, 7), manager.apply_swap_vars,
+             [(n, 1, 7) for n in nodes]),
+        ]
 
     def test_batches_match_single_shot_operations(self):
         manager = BddManager(10)
         rng = random.Random(53)
-        functions = self._functions(manager, rng)
-        nodes = [f.node for f in functions]
-        pairs = list(zip(nodes, nodes[1:]))
-        triples = list(zip(nodes, nodes[1:], nodes[2:]))
-        batch = BatchApplier(manager)
-        assert batch.and_many(pairs) == [manager.apply_and(*p) for p in pairs]
-        assert batch.or_many(pairs) == [manager.apply_or(*p) for p in pairs]
-        assert batch.xor_many(pairs) == [manager.apply_xor(*p) for p in pairs]
-        assert batch.not_many(nodes) == [manager.apply_not(n) for n in nodes]
-        assert batch.ite_many(triples) == [manager.apply_ite(*t) for t in triples]
-        assert batch.maj3_many(triples) == [manager.apply_maj3(*t) for t in triples]
-        assert batch.xor3_many(triples) == [manager.apply_xor3(*t) for t in triples]
-        assert (batch.restrict_many(nodes, 4, True)
-                == [manager.apply_restrict(n, 4, True) for n in nodes])
-        assert (batch.swap_vars_many(nodes, 1, 7)
-                == [manager.apply_swap_vars(n, 1, 7) for n in nodes])
+        nodes = [f.node for f in self._functions(manager, rng)]
+        batches = self._batches(manager, nodes)
+        assert len(batches) == 10
+        for many, args, single, operands in batches:
+            assert many(*args) == [single(*operand) for operand in operands], many
 
-    def test_empty_batches(self):
-        manager = BddManager(4)
-        batch = BatchApplier(manager)
-        assert batch.and_many([]) == []
-        assert batch.not_many([]) == []
-        assert batch.maj3_many([]) == []
-        assert batch.restrict_many([], 0, False) == []
-        assert batch.swap_vars_many([], 0, 1) == []
+    def test_empty_batches_are_not_counted(self):
+        manager = BddManager(10)
+        before = manager.perf_stats()
+        for many, args, _, _ in self._batches(manager, []):
+            assert many(*args) == [], many
+        assert manager.swap_vars_many([], 2, 2) == []
+        stats = manager.perf_stats()
+        assert stats["batch_runs"] == before["batch_runs"]
+        assert stats["batch_items"] == before["batch_items"]
 
     def test_batch_counters(self):
-        manager = BddManager(6)
+        manager = BddManager(10)
         rng = random.Random(59)
         nodes = [f.node for f in self._functions(manager, rng, 5)]
+        for many, args, _, operands in self._batches(manager, nodes):
+            before = manager.perf_stats()
+            many(*args)
+            stats = manager.perf_stats()
+            assert stats["batch_runs"] == before["batch_runs"] + 1, many
+            assert stats["batch_items"] == before["batch_items"] + len(operands), many
+        # Swapping a variable with itself returns the nodes without a batch.
         before = manager.perf_stats()
-        batch = BatchApplier(manager)
-        batch.not_many(nodes)
-        batch.xor3_many(list(zip(nodes, nodes[1:], nodes[2:])))
-        stats = manager.perf_stats()
-        assert stats["batch_runs"] == before["batch_runs"] + 2
-        assert stats["batch_items"] == before["batch_items"] + 5 + 3
+        assert manager.swap_vars_many(nodes, 2, 2) == nodes
+        assert manager.perf_stats()["batch_runs"] == before["batch_runs"]
 
 
 def reference_flip(manager: BddManager, f: int, var: int) -> int:
@@ -230,10 +245,9 @@ def check_literal_kernels(manager: BddManager, functions, variables,
     builds in the same manager.  Each kernel runs cache-cold first, so its
     results are computed, not served by the reference's table entries."""
     nodes = [f.node for f in functions]
-    batch = BatchApplier(manager)
     for var in variables:
         manager.clear_cache()
-        flipped = batch.flip_many(nodes, var)
+        flipped = manager.flip_many(nodes, var)
         manager.clear_cache()
         single = [manager.apply_flip(f, var) for f in nodes]
         assert flipped == single == [reference_flip(manager, f, var) for f in nodes]
@@ -242,18 +256,18 @@ def check_literal_kernels(manager: BddManager, functions, variables,
                   manager.apply_and(literal_a, literal_b), nodes[0]]
     for condition in conditions:
         manager.clear_cache()
-        negated = batch.xor_many([(condition, f) for f in nodes])
+        negated = manager.xor_many([(condition, f) for f in nodes])
         assert negated == [reference_negate_where(manager, condition, f)
                            for f in nodes]
     for var in rng.sample(variables, 2):
         literal = manager.var_node(var)
         not_literal = manager.apply_not(literal)
-        high = batch.restrict_many(nodes, var, True)
+        high = manager.restrict_many(nodes, var, True)
         manager.clear_cache()
         # H's second addend: ite(q, not F, F|q=1) == q ^ F|q=1.
-        h_second = batch.xor_many([(literal, hi) for hi in high])
+        h_second = manager.xor_many([(literal, hi) for hi in high])
         # Ry's second addend: ite(q, F, not F|q=1) == (not q) ^ F|q=1.
-        ry_second = batch.xor_many([(not_literal, hi) for hi in high])
+        ry_second = manager.xor_many([(not_literal, hi) for hi in high])
         assert h_second == [manager.apply_ite(literal, manager.apply_not(f), hi)
                             for f, hi in zip(nodes, high)]
         assert ry_second == [manager.apply_ite(literal, f, manager.apply_not(hi))
@@ -307,7 +321,7 @@ class TestLiteralKernels:
             manager.var_node(5))
         with pytest.raises(ValueError):
             manager.apply_flip(f.node, 6)
-        assert BatchApplier(manager).flip_many([], 0) == []
+        assert manager.flip_many([], 0) == []
 
     def test_flip_shares_the_compose_table_and_counters(self):
         manager = BddManager(8)
@@ -316,7 +330,7 @@ class TestLiteralKernels:
         nodes = [f.node for f in functions]
         not_x3 = manager.apply_not(manager.var_node(3))
         before = manager.perf_stats()
-        flipped = BatchApplier(manager).flip_many(nodes, 3)
+        flipped = manager.flip_many(nodes, 3)
         middle = manager.perf_stats()
         assert set(middle) == set(before)
         assert OP_NAMES == ("and", "or", "xor", "not", "ite", "restrict",
@@ -355,11 +369,10 @@ class TestDeepManagerFusedKernels:
             swapped = f.swap_vars(5, 1400)
             assert swapped == naive_swap_vars(f, 5, 1400)
             assert swapped.swap_vars(1400, 5) == f
-            batch = BatchApplier(manager)
             triples = [(f.node, g.node, h.node), (g.node, h.node, f.node)]
-            assert batch.maj3_many(triples) == [manager.apply_maj3(*t) for t in triples]
-            assert batch.xor3_many(triples) == [manager.apply_xor3(*t) for t in triples]
-            assert (batch.swap_vars_many([f.node, g.node], 5, 1400)
+            assert manager.maj3_many(triples) == [manager.apply_maj3(*t) for t in triples]
+            assert manager.xor3_many(triples) == [manager.apply_xor3(*t) for t in triples]
+            assert (manager.swap_vars_many([f.node, g.node], 5, 1400)
                     == [manager.apply_swap_vars(n, 5, 1400) for n in (f.node, g.node)])
         finally:
             sys.setrecursionlimit(old_limit)

@@ -193,7 +193,7 @@ class TestCofactorAndQuantification:
         with pytest.raises(ValueError, match="unknown variable index"):
             f.cofactor(index, True)
         with pytest.raises(ValueError, match="unknown variable index"):
-            manager.batcher().restrict_many([f.node], index, False)
+            manager.restrict_many([f.node], index, False)
         with pytest.raises(ValueError, match="unknown variable index"):
             f.compose(index, g)
         with pytest.raises(ValueError, match="unknown variable index"):

@@ -4,7 +4,7 @@ Managers deeper than ``_MAX_RECURSIVE_VARS`` run every operation through
 :meth:`~repro.bdd.manager.BddManager._stack_apply` instead of the recursive
 ``_make_*_rec`` closures.  Forcing that threshold to 0 sends a small manager
 down the stack path, so one seeded script of every operation and every
-:class:`~repro.bdd.manager.BatchApplier` method can be replayed on both
+batch method (``and_many``, ..., ``swap_vars_many``) can be replayed on both
 paths.  They must agree on every returned node id and on every computed-
 and unique-table counter: same subproblems, same memo hits, same nodes
 interned in the same order, and (under a small ``cache_size_limit``) the
@@ -18,7 +18,7 @@ import random
 import pytest
 
 import repro.bdd.manager as manager_module
-from repro.bdd import BatchApplier, BddManager
+from repro.bdd import BddManager
 
 NUM_VARS = 10
 STEPS = 300
@@ -33,7 +33,6 @@ def run_script(seed: int, cache_size_limit: int):
     the counters and the node-store size."""
     rng = random.Random(seed)
     manager = BddManager(NUM_VARS, cache_size_limit=cache_size_limit)
-    batch = BatchApplier(manager)
     pool = [0, 1] + [manager.var_node(index) for index in range(NUM_VARS)]
 
     def node():
@@ -64,16 +63,16 @@ def run_script(seed: int, cache_size_limit: int):
         lambda: manager.apply_xor3(node(), node(), node()),
         lambda: manager.apply_swap_vars(node(), var(), var()),
         lambda: manager.apply_flip(node(), var()),
-        lambda: batch.and_many(pairs()),
-        lambda: batch.or_many(pairs()),
-        lambda: batch.xor_many(pairs()),
-        lambda: batch.not_many(nodes()),
-        lambda: batch.ite_many(triples()),
-        lambda: batch.maj3_many(triples()),
-        lambda: batch.xor3_many(triples()),
-        lambda: batch.restrict_many(nodes(), var(), rng.random() < 0.5),
-        lambda: batch.flip_many(nodes(), var()),
-        lambda: batch.swap_vars_many(nodes(), var(), var()),
+        lambda: manager.and_many(pairs()),
+        lambda: manager.or_many(pairs()),
+        lambda: manager.xor_many(pairs()),
+        lambda: manager.not_many(nodes()),
+        lambda: manager.ite_many(triples()),
+        lambda: manager.maj3_many(triples()),
+        lambda: manager.xor3_many(triples()),
+        lambda: manager.restrict_many(nodes(), var(), rng.random() < 0.5),
+        lambda: manager.flip_many(nodes(), var()),
+        lambda: manager.swap_vars_many(nodes(), var(), var()),
     ]
     results = []
     for _ in range(STEPS):

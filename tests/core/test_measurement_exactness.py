@@ -1,11 +1,12 @@
 """Exactness of the cofactor-then-combine probability query (hypothesis).
 
 :meth:`MeasurementEngine._restricted_probability` cofactors every slice by
-the outcome cube before building Eq. 12's hyper-function and shifts the
-accumulated integer pair right by the number of fixed variables.  The
-reference below keeps the combine-then-conjoin form it replaced (the full
-hyper-function ANDed with the cube), and every test demands *identical*
-``(x, y, k)`` integers, not merely equal floats.
+the outcome cube, sums the cofactors with ``SliceMass`` and shifts the
+integer pair right by the number of fixed variables; the total probability
+and the distribution are built from the same query.  The reference below
+keeps the combine-then-conjoin form it replaced (Eq. 12's hyper-function
+over the full slices, ANDed with the cube), and every test demands
+*identical* ``(x, y, k)`` integers, not merely equal floats.
 """
 
 from __future__ import annotations
@@ -169,3 +170,27 @@ def test_measure_qubit_collapse_stays_exact(ops, order, wanted):
         for name in VECTOR_NAMES:
             assert ([bit.node for bit in state.slices[name]]
                     == [bit.node for bit in reference_state.slices[name]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(op_lists(), st.lists(st.integers(0, NUM_QUBITS - 1), min_size=1,
+                            max_size=NUM_QUBITS + 1))
+def test_distribution_and_total_match_the_hyperfunction(ops, qubits):
+    simulator = BitSliceSimulator.simulate(build_circuit_from_ops(NUM_QUBITS, ops))
+    engine = MeasurementEngine(simulator.state)
+    num_vars = engine.manager.num_vars
+    distribution = engine.measurement_distribution(qubits)
+    total = engine.total_probability()
+    # No query adds Eq. 12's encoding variables to the manager.
+    assert engine.manager.num_vars == num_vars
+    scale = simulator.state.s ** 2
+    expected = {}
+    for outcome in range(1 << len(qubits)):
+        bits = [(outcome >> (len(qubits) - 1 - position)) & 1
+                for position in range(len(qubits))]
+        probability = ExactProbability(
+            *reference_exact(engine, qubits, bits)).to_float(scale)
+        if probability > 1e-15:
+            expected[outcome] = probability
+    assert distribution == expected
+    assert total == ExactProbability(*reference_exact(engine, [], [])).to_float(scale)

@@ -38,14 +38,13 @@ class GramReference:
         self.state = state
         self.manager = state.manager
         self.qubits = list(qubits)
-        self.batcher = self.manager.batcher()
         self.families = {(): [Bdd(self.manager, bit.node) for bit in state.all_slices()]}
 
     def family(self, prefix):
         if prefix not in self.families:
             parent = self.family(prefix[:-1])
             var = self.state.qubit_var(self.qubits[len(prefix) - 1])
-            nodes = self.batcher.restrict_many([h.node for h in parent], var,
+            nodes = self.manager.restrict_many([h.node for h in parent], var,
                                                bool(prefix[-1]))
             self.families[prefix] = [Bdd(self.manager, node) for node in nodes]
         return self.families[prefix]
@@ -62,7 +61,7 @@ class GramReference:
             for j, u in enumerate(blocks[left]):
                 for l, v in enumerate(blocks[right]):
                     if u and v:
-                        both = self.batcher.and_many([(u, v)])[0]
+                        both = self.manager.and_many([(u, v)])[0]
                         count = self.manager.satcount(both, self.state.num_qubits)
                         total += weights[j] * weights[l] * count
             return total

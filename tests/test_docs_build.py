@@ -45,7 +45,7 @@ class TestDocstringCoverage:
     def test_api_reference_covers_headline_symbols(self, build_docs):
         text = build_docs.ApiCollector().build()
         for symbol in ("class `Engine`", "class `Capabilities`",
-                       "class `RunResult`", "class `BatchApplier`",
+                       "class `RunResult`", "`restrict_many(",
                        "`run(", "`run_sweep(", "`sample_by_descent(",
                        "`snap_probability(", "class `SliceSampler`"):
             assert symbol in text, symbol
