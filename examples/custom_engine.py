@@ -28,6 +28,7 @@ from typing import Dict, Optional, Sequence
 import repro
 from repro import Capabilities, Engine, QuantumCircuit, ResourceLimits, register_engine
 from repro.circuit.gates import Gate, GateKind, gate_matrix
+from repro.engines.base import check_outcome_query
 
 
 @register_engine("sparse-dict", aliases=("sparse",))
@@ -114,6 +115,7 @@ class SparseDictEngine(Engine):
 
     # -- queries --------------------------------------------------------- #
     def probability(self, qubits: Sequence[int], bits: Sequence[int]) -> float:
+        check_outcome_query(self.num_qubits, qubits, bits)
         total = 0.0
         for index, amplitude in self._amplitudes.items():
             if all(self._bit(index, q) == int(b) for q, b in zip(qubits, bits)):

@@ -36,6 +36,7 @@ from repro.engines.base import (
     CLIFFORD_GATE_KINDS,
     Capabilities,
     Engine,
+    check_outcome_query,
     dense_memory_nodes,
 )
 from repro.engines.limits import ResourceLimits
@@ -53,8 +54,23 @@ def _reject_stream_dynamic(gate: Gate) -> None:
             "Engine.run or the LimitEnforcer instead of applying it directly")
 
 
+class _SimulatorEngine(Engine):
+    """An engine wrapping one native simulator (``self._simulator``), which
+    answers its probability queries, collapses and register width."""
+
+    def _query(self, qubits: Sequence[int], bits: Sequence[int]) -> float:
+        return self._simulator.probability_of_outcome(qubits, bits)
+
+    def collapse(self, qubit: int, outcome: int) -> None:
+        self._simulator.measure_qubit(qubit, forced_outcome=outcome)
+
+    @property
+    def num_qubits(self) -> int:
+        return self._simulator.num_qubits
+
+
 @register_engine("bitslice", aliases=("bdd", "sliqsim"))
-class BitSliceEngine(Engine):
+class BitSliceEngine(_SimulatorEngine):
     """The paper's exact bit-sliced BDD engine."""
 
     capabilities = Capabilities(
@@ -152,10 +168,8 @@ class BitSliceEngine(Engine):
         self._count_gate(gate)
 
     def probability(self, qubits: Sequence[int], bits: Sequence[int]) -> float:
-        return self._simulator.probability_of_outcome(qubits, bits)
-
-    def collapse(self, qubit: int, outcome: int) -> None:
-        self._simulator.measure_qubit(qubit, forced_outcome=outcome)
+        check_outcome_query(self.num_qubits, qubits, bits)
+        return self._query(qubits, bits)
 
     def sample(self, shots: int, qubits: Optional[Sequence[int]] = None,
                rng=None):
@@ -184,10 +198,6 @@ class BitSliceEngine(Engine):
     def memory_nodes(self) -> int:
         return self._simulator.state.num_nodes()
 
-    @property
-    def num_qubits(self) -> int:
-        return self._simulator.num_qubits
-
     def statistics(self):
         stats = self._simulator.statistics()
         stats["peak_memory_nodes"] = stats.pop("peak_bdd_nodes")
@@ -198,7 +208,7 @@ class BitSliceEngine(Engine):
 
 
 @register_engine("qmdd", aliases=("ddsim",))
-class QmddEngine(Engine):
+class QmddEngine(_SimulatorEngine):
     """Float-weighted decision-diagram comparison engine (DDSIM stand-in)."""
 
     capabilities = Capabilities(
@@ -227,17 +237,11 @@ class QmddEngine(Engine):
         self._count_gate(gate)
 
     def probability(self, qubits: Sequence[int], bits: Sequence[int]) -> float:
-        return self._simulator.probability_of_outcome(qubits, bits)
-
-    def collapse(self, qubit: int, outcome: int) -> None:
-        self._simulator.measure_qubit(qubit, forced_outcome=outcome)
+        check_outcome_query(self.num_qubits, qubits, bits)
+        return self._query(qubits, bits)
 
     def memory_nodes(self) -> int:
         return self._simulator.num_nodes()
-
-    @property
-    def num_qubits(self) -> int:
-        return self._simulator.num_qubits
 
     def statistics(self):
         stats = self._simulator.statistics()
@@ -248,7 +252,7 @@ class QmddEngine(Engine):
 
 
 @register_engine("statevector", aliases=("dense", "sv"))
-class StatevectorEngine(Engine):
+class StatevectorEngine(_SimulatorEngine):
     """Dense numpy statevector comparison engine (the memory-wall baseline)."""
 
     capabilities = Capabilities(
@@ -280,22 +284,17 @@ class StatevectorEngine(Engine):
         self._count_gate(gate)
 
     def probability(self, qubits: Sequence[int], bits: Sequence[int]) -> float:
-        return self._simulator.probability_of_outcome(qubits, bits)
+        check_outcome_query(self.num_qubits, qubits, bits)
+        return self._query(qubits, bits)
 
     def branch_probability(self, qubits: Sequence[int]) -> Callable[[tuple], float]:
         """Prefix lookups into one marginal tree per state
         (:meth:`StatevectorSimulator.prefix_marginals`)."""
+        check_outcome_query(self.num_qubits, qubits)
         return self._simulator.branch_probability(qubits)
-
-    def collapse(self, qubit: int, outcome: int) -> None:
-        self._simulator.measure_qubit(qubit, forced_outcome=outcome)
 
     def memory_nodes(self) -> int:
         return dense_memory_nodes(self._simulator.num_qubits)
-
-    @property
-    def num_qubits(self) -> int:
-        return self._simulator.num_qubits
 
     def statistics(self):
         stats = super().statistics()
@@ -304,7 +303,7 @@ class StatevectorEngine(Engine):
 
 
 @register_engine("stabilizer", aliases=("chp", "tableau"))
-class StabilizerEngine(Engine):
+class StabilizerEngine(_SimulatorEngine):
     """CHP stabilizer-tableau comparison engine (Clifford circuits only)."""
 
     capabilities = Capabilities(
@@ -337,18 +336,12 @@ class StabilizerEngine(Engine):
         self._count_gate(gate)
 
     def probability(self, qubits: Sequence[int], bits: Sequence[int]) -> float:
-        return self._simulator.probability_of_outcome(qubits, bits)
-
-    def collapse(self, qubit: int, outcome: int) -> None:
-        self._simulator.measure_qubit(qubit, forced_outcome=outcome)
+        check_outcome_query(self.num_qubits, qubits, bits)
+        return self._query(qubits, bits)
 
     def memory_nodes(self) -> int:
         stats = self._simulator.statistics()
         return max(1, int(stats["tableau_bytes"]) // BYTES_PER_NODE)
-
-    @property
-    def num_qubits(self) -> int:
-        return self._simulator.num_qubits
 
     def statistics(self):
         stats = self._simulator.statistics()

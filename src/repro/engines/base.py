@@ -82,6 +82,23 @@ def dense_memory_nodes(num_qubits: int) -> int:
     return max(1, (BYTES_PER_AMPLITUDE << num_qubits) // BYTES_PER_NODE)
 
 
+def check_outcome_query(num_qubits: int, qubits: Sequence[int],
+                        bits: Optional[Sequence[int]] = None) -> None:
+    """Reject a malformed probability query with ``ValueError``: every
+    queried qubit must index the ``num_qubits``-qubit register, and
+    ``bits``, when given, must pair one value with each qubit.  Every
+    built-in engine's :meth:`Engine.probability` and the default
+    :meth:`Engine.branch_probability` run it, so no engine wraps a
+    negative index, ignores an out-of-range qubit or truncates a short
+    outcome."""
+    if bits is not None and len(bits) != len(qubits):
+        raise ValueError("qubits and outcome must have the same length")
+    for qubit in qubits:
+        if not 0 <= qubit < num_qubits:
+            raise ValueError(f"qubit {qubit} out of range for "
+                             f"{num_qubits} qubits")
+
+
 #: The Clifford subset an Aaronson-Gottesman tableau can apply exactly.
 CLIFFORD_GATE_KINDS: FrozenSet[GateKind] = frozenset({
     GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.S, GateKind.SDG,
@@ -295,16 +312,26 @@ class Engine(abc.ABC):
 
         The returned callable maps a bit-tuple ``prefix`` to the joint
         probability of observing it on ``qubits[:len(prefix)]``.  The
-        default asks :meth:`probability` once per prefix; an engine with a
-        cheaper way to answer every prefix of one state overrides this
-        instead of re-implementing the descent.
+        default checks ``qubits`` once (:func:`check_outcome_query`) and
+        then asks :meth:`_query` once per prefix; an engine with a cheaper
+        way to answer every prefix of one state overrides this instead of
+        re-implementing the descent.
         """
         qubits = list(qubits)
+        check_outcome_query(self.num_qubits, qubits)
+        query = self._query
 
         def branch_probability(prefix):
-            return self.probability(qubits[:len(prefix)], list(prefix))
+            return query(qubits[:len(prefix)], list(prefix))
 
         return branch_probability
+
+    def _query(self, qubits: Sequence[int], bits: Sequence[int]) -> float:
+        """:meth:`probability` for a query already checked by the caller.
+        Engines whose ``probability`` checks its arguments override this
+        with the bare query, so a descent checks its qubits once, not once
+        per prefix."""
+        return self.probability(qubits, bits)
 
     # -- tuning ---------------------------------------------------------- #
     def configure_reordering(self, threshold: Optional[int]) -> bool:

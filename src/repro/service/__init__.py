@@ -37,7 +37,6 @@ from repro.service.protocol import (
     ProtocolError,
     QueryProbability,
     RunCompleted,
-    SampleShots,
     ServerStatsRequest,
     SessionClosed,
     SessionList,
@@ -88,7 +87,6 @@ __all__ = [
     "QueryProbability",
     "QueueFullError",
     "RunCompleted",
-    "SampleShots",
     "Server",
     "ServerStatsRequest",
     "ServiceError",

@@ -6,7 +6,11 @@ front door does — :meth:`Client.run` mirrors :func:`repro.run`,
 :meth:`Client.run_tasks` mirrors :func:`repro.engines.frontdoor.run_tasks`
 (signature-compatible, so the harness can swap one for the other) — plus
 the service-only verbs: sessions, job submission/cancellation, stats,
-health and the live ``watch`` stream.
+health and, on the sync client only, the live ``watch`` stream.  Each
+verb is written once, in a layer both clients share: it states its
+request, the replies it accepts, how its answer is read off the final
+reply and whether it may be resent; a client supplies only the round
+trip (blocking on :class:`Client`, a coroutine on :class:`AsyncClient`).
 
 Replies demultiplex by ``in_reply_to``: a client may have several requests
 in flight and each blocking call reads lines until *its* terminal reply
@@ -44,8 +48,10 @@ import asyncio
 import itertools
 import socket
 import uuid
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Type, Union)
+from dataclasses import asdict
+from operator import attrgetter
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Type, Union)
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.engines.limits import ResourceLimits
@@ -68,7 +74,6 @@ from repro.service.protocol import (
     ProbabilityReply,
     QueryProbability,
     RunCompleted,
-    SampleShots,
     ServerStatsRequest,
     SessionClosed,
     SessionList,
@@ -175,16 +180,207 @@ def _accept(message: Message, accept: Tuple[Type[Message], ...],
                        f"unexpected reply kind {message.kind!r}")
 
 
-class Client:
+class _Call(NamedTuple):
+    """One verb's round trip: the request, the reply kinds that end it,
+    how the answer is read off the final reply, the reply kinds skipped
+    on the way, and whether a retry policy may resend it."""
+
+    request: Message
+    accept: Tuple[Type[Message], ...]
+    answer: Callable[[Message], Any]
+    intermediate: Tuple[Type[Message], ...] = ()
+    retry: bool = True
+
+
+def _job(request: Message, reply: Type[Message],
+         answer: Callable[[Message], Any]) -> _Call:
+    """A job verb's round trip: ``job_accepted`` first, then ``reply``."""
+    return _Call(request, (reply,), answer, (JobAccepted,))
+
+
+_result = attrgetter("result")
+
+
+class _ServiceVerbs:
+    """The service verbs, each stated once for both clients.
+
+    A verb builds its :class:`_Call` and hands it to ``_call``, which each
+    client supplies: :class:`Client` makes a blocking round trip and
+    returns the answer, :class:`AsyncClient` returns a coroutine that
+    resolves to it.  Job submissions carry a fresh idempotency key that
+    every resend of the same call reuses; ``open_session`` and
+    ``close_session`` are never resent (see the module docstring).
+    """
+
+    _retry: Optional[RetryPolicy]
+
+    def _call(self, call: _Call) -> Any:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _teardown(self) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _lost(self, reason: str,
+              exc: Optional[BaseException] = None) -> ServiceError:
+        self._teardown()
+        error = ServiceError("connection_lost", reason)
+        if exc is not None:
+            error.__cause__ = exc
+        return error
+
+    # ------------------------------------------------------------------ #
+    # front-door mirrors
+    # ------------------------------------------------------------------ #
+    def run(self, circuit: QuantumCircuit, engine: str = "auto",
+            limits: Optional[ResourceLimits] = None,
+            shots: Optional[int] = None, seed: Optional[int] = None,
+            reorder: Optional[int] = None,
+            priority: int = 0) -> RunResult:
+        """Run one circuit on the server and answer its run record once it
+        arrives (mirrors :func:`repro.run`)."""
+        return self._call(_job(
+            SubmitRun(circuit, engine=engine, limits=limits, shots=shots,
+                      seed=seed, reorder=reorder, priority=priority,
+                      idempotency_key=new_idempotency_key()),
+            RunCompleted, _result))
+
+    def run_tasks(self, tasks: Sequence[Tuple[str, QuantumCircuit]],
+                  limits: Optional[ResourceLimits] = None, jobs: int = 1,
+                  shots: Optional[int] = None, seed: Optional[int] = None,
+                  reorder: Optional[int] = None,
+                  priority: int = 0) -> List[RunResult]:
+        """Run an (engine, circuit) task list as one sweep job; results come
+        back in task order, byte-identical to a local serial
+        :func:`repro.engines.frontdoor.run_tasks` of the same list.
+
+        ``jobs`` is accepted for signature compatibility with the local
+        front door (so the harness can swap runners) but ignored: the
+        server always executes a sweep serially inside one job, which is
+        what guarantees the byte-identity."""
+        del jobs
+        return self._call(_job(
+            SubmitSweep(list(tasks), limits=limits, shots=shots, seed=seed,
+                        reorder=reorder, priority=priority,
+                        idempotency_key=new_idempotency_key()),
+            SweepCompleted, attrgetter("results")))
+
+    def sample(self, circuit: QuantumCircuit, shots: int,
+               engine: str = "auto",
+               limits: Optional[ResourceLimits] = None,
+               seed: Optional[int] = None,
+               priority: int = 0) -> RunResult:
+        """Sample ``shots`` measurement shots; the run record carries the
+        counts histogram (a :meth:`run` with ``shots``)."""
+        return self.run(circuit, engine=engine, limits=limits, shots=shots,
+                        seed=seed, priority=priority)
+
+    def query_probability(self, circuit: QuantumCircuit,
+                          qubits: Sequence[int], values: Sequence[int],
+                          engine: str = "auto",
+                          limits: Optional[ResourceLimits] = None,
+                          priority: int = 0) -> float:
+        """Joint probability ``P(qubits = values)`` after running the
+        circuit server-side."""
+        return self._call(_job(
+            QueryProbability(circuit, qubits=list(qubits),
+                             values=list(values), engine=engine,
+                             limits=limits, priority=priority,
+                             idempotency_key=new_idempotency_key()),
+            ProbabilityReply, attrgetter("probability")))
+
+    # ------------------------------------------------------------------ #
+    # job control
+    # ------------------------------------------------------------------ #
+    def submit(self, circuit: QuantumCircuit, engine: str = "auto",
+               limits: Optional[ResourceLimits] = None,
+               shots: Optional[int] = None, seed: Optional[int] = None,
+               reorder: Optional[int] = None, priority: int = 0) -> str:
+        """Fire-and-return submission: wait only for ``job_accepted`` and
+        answer the job id (the terminal reply is read later by whichever
+        call drains the connection, or discarded at close).  A retried
+        submit reuses its idempotency key, so the job never
+        double-executes."""
+        return self._call(_Call(
+            SubmitRun(circuit, engine=engine, limits=limits, shots=shots,
+                      seed=seed, reorder=reorder, priority=priority,
+                      idempotency_key=new_idempotency_key()),
+            (JobAccepted,), attrgetter("job_id")))
+
+    def cancel(self, job_id: str) -> str:
+        """Cancel a job by id; answers the server's outcome string
+        (``cancelled`` / ``cancelling`` / ``finished`` / ``unknown``)."""
+        return self._call(_Call(CancelJob(job_id), (CancelReply,),
+                                attrgetter("outcome")))
+
+    # ------------------------------------------------------------------ #
+    # sessions
+    # ------------------------------------------------------------------ #
+    def open_session(self, num_qubits: int, engine: str = "bitslice",
+                     limits: Optional[ResourceLimits] = None) -> str:
+        """Open a warm session; answers its id.  Never auto-retried — a
+        lost reply could mean the session *did* open, and a blind resend
+        would open (and leak) a second one."""
+        return self._call(_Call(OpenSession(num_qubits=num_qubits,
+                                            engine=engine, limits=limits),
+                                (SessionOpened,), attrgetter("session_id"),
+                                retry=False))
+
+    def append(self, session_id: str, circuit: QuantumCircuit,
+               shots: Optional[int] = None, seed: Optional[int] = None,
+               priority: int = 0) -> RunResult:
+        """Append a delta circuit to a session and run it, resuming from
+        the session's retained prefix state; answers the run record of the
+        cumulative circuit.  Retries are safe: the idempotency key is
+        checked at the session under its lock, so a retried append whose
+        original committed replays the recorded result instead of
+        advancing the session twice."""
+        return self._call(_job(
+            AppendToSession(session_id, circuit, shots=shots, seed=seed,
+                            priority=priority,
+                            idempotency_key=new_idempotency_key()),
+            RunCompleted, _result))
+
+    def close_session(self, session_id: str) -> int:
+        """Close a session; answers how many appends it served.  Never
+        auto-retried (the first close frees the id; a resend would report
+        ``unknown_session`` and mask the real outcome)."""
+        return self._call(_Call(CloseSession(session_id), (SessionClosed,),
+                                attrgetter("appends"), retry=False))
+
+    # ------------------------------------------------------------------ #
+    # admin
+    # ------------------------------------------------------------------ #
+    def stats(self) -> Dict[str, Any]:
+        """One admin snapshot (queue gauges, sessions, merged counters)."""
+        return self._call(_Call(ServerStatsRequest(), (StatsReply,),
+                                attrgetter("stats")))
+
+    def sessions(self) -> List[Dict[str, Any]]:
+        """Live-session summaries."""
+        return self._call(_Call(ListSessions(), (SessionList,),
+                                attrgetter("sessions")))
+
+    def health(self) -> Dict[str, Any]:
+        """The server's degradation snapshot: ``state`` (``ok`` /
+        ``draining``), queue depth and capacity, running jobs, worker
+        liveness, live sessions, uptime and the session-checkpoint gauges
+        (on-disk snapshots, sessions restored at startup, seconds since
+        the last snapshot write — ``-1`` when none), keyed by the
+        :class:`~repro.service.protocol.HealthReply` field names."""
+        return self._call(_Call(HealthRequest(), (HealthReply,), asdict))
+
+
+class Client(_ServiceVerbs):
     """Blocking socket client for the simulation service.
 
     Connect with an address accepted by :func:`parse_address`; use as a
-    context manager to close the socket deterministically.  All methods
-    are synchronous; ``timeout`` (seconds) bounds each socket read.  Pass
-    ``retry`` (a :class:`~repro.resilience.retry.RetryPolicy`) to make the
-    idempotent verbs reconnect and resend on transient failures; without
-    it every failure surfaces on the first attempt (but transport errors
-    are still normalised to ``connection_lost``).
+    context manager to close the socket deterministically.  Every verb
+    blocks until its answer arrives; ``timeout`` (seconds) bounds each
+    socket read.  Pass ``retry`` (a
+    :class:`~repro.resilience.retry.RetryPolicy`) to make the idempotent
+    verbs reconnect and resend on transient failures; without it every
+    failure surfaces on the first attempt (but transport errors are still
+    normalised to ``connection_lost``).
     """
 
     def __init__(self, address: Address, timeout: Optional[float] = 60.0,
@@ -213,8 +409,7 @@ class Client:
 
     def _teardown(self) -> None:
         """Drop a dead connection: close both ends, forget parked replies.
-        The next :meth:`_ensure_connected` (under a retry policy) dials
-        fresh."""
+        The next call dials fresh."""
         if self._reader is not None:
             try:
                 self._reader.close()
@@ -228,17 +423,6 @@ class Client:
                 pass
             self._socket = None
         self._router.drop_pending()
-
-    def _ensure_connected(self) -> None:
-        if self._socket is None:
-            self._connect()
-
-    def _lost(self, reason: str, exc: Optional[BaseException] = None) -> ServiceError:
-        self._teardown()
-        error = ServiceError("connection_lost", reason)
-        if exc is not None:
-            error.__cause__ = exc
-        return error
 
     def close(self) -> None:
         """Close the connection (outstanding server-side jobs of this
@@ -290,188 +474,20 @@ class Client:
             if verdict == "final":
                 return message
 
-    def _roundtrip(self, request: Message,
-                   accept: Tuple[Type[Message], ...],
-                   intermediate: Tuple[Type[Message], ...] = ()) -> Message:
-        return self._wait(self._send(request), accept,
-                          intermediate=intermediate)
-
-    def _retrying(self, request: Message,
-                  accept: Tuple[Type[Message], ...],
-                  intermediate: Tuple[Type[Message], ...] = ()) -> Message:
-        """Roundtrip under the retry policy (when configured): reconnect
-        if the previous attempt tore the connection down, resend the
-        *same* request — same idempotency key — and classify failures via
-        the policy.  Without a policy this is a plain roundtrip."""
-        if self._retry is None:
-            return self._roundtrip(request, accept, intermediate=intermediate)
-
-        def attempt() -> Message:
-            self._ensure_connected()
-            return self._roundtrip(request, accept,
-                                   intermediate=intermediate)
+    def _call(self, call: _Call) -> Any:
+        """One round trip, resent under the retry policy (when configured
+        and the verb allows it) with the *same* request — same idempotency
+        key — after reconnecting if the previous attempt tore the
+        connection down."""
+        def attempt() -> Any:
+            if self._socket is None:
+                self._connect()
+            reply = self._wait(self._send(call.request), call.accept,
+                               call.intermediate)
+            return call.answer(reply)
+        if self._retry is None or not call.retry:
+            return attempt()
         return self._retry.call(attempt)
-
-    # ------------------------------------------------------------------ #
-    # front-door mirrors
-    # ------------------------------------------------------------------ #
-    def run(self, circuit: QuantumCircuit, engine: str = "auto",
-            limits: Optional[ResourceLimits] = None,
-            shots: Optional[int] = None, seed: Optional[int] = None,
-            reorder: Optional[int] = None,
-            priority: int = 0) -> RunResult:
-        """Run one circuit on the server; blocks until the run record
-        arrives (mirrors :func:`repro.run`)."""
-        reply = self._retrying(
-            SubmitRun(circuit, engine=engine, limits=limits, shots=shots,
-                      seed=seed, reorder=reorder, priority=priority,
-                      idempotency_key=new_idempotency_key()),
-            accept=(RunCompleted,), intermediate=(JobAccepted,))
-        return reply.result
-
-    def run_tasks(self, tasks: Sequence[Tuple[str, QuantumCircuit]],
-                  limits: Optional[ResourceLimits] = None, jobs: int = 1,
-                  shots: Optional[int] = None, seed: Optional[int] = None,
-                  reorder: Optional[int] = None,
-                  priority: int = 0) -> List[RunResult]:
-        """Run an (engine, circuit) task list as one sweep job; results come
-        back in task order, byte-identical to a local serial
-        :func:`repro.engines.frontdoor.run_tasks` of the same list.
-
-        ``jobs`` is accepted for signature compatibility with the local
-        front door (so the harness can swap runners) but ignored: the
-        server always executes a sweep serially inside one job, which is
-        what guarantees the byte-identity."""
-        del jobs
-        reply = self._retrying(
-            SubmitSweep(list(tasks), limits=limits, shots=shots, seed=seed,
-                        reorder=reorder, priority=priority,
-                        idempotency_key=new_idempotency_key()),
-            accept=(SweepCompleted,), intermediate=(JobAccepted,))
-        return reply.results
-
-    def sample(self, circuit: QuantumCircuit, shots: int,
-               engine: str = "auto",
-               limits: Optional[ResourceLimits] = None,
-               seed: Optional[int] = None,
-               priority: int = 0) -> RunResult:
-        """Sample ``shots`` measurement shots; the run record carries the
-        counts histogram."""
-        reply = self._retrying(
-            SampleShots(circuit, shots=shots, engine=engine, limits=limits,
-                        seed=seed, priority=priority,
-                        idempotency_key=new_idempotency_key()),
-            accept=(RunCompleted,), intermediate=(JobAccepted,))
-        return reply.result
-
-    def query_probability(self, circuit: QuantumCircuit,
-                          qubits: Sequence[int], values: Sequence[int],
-                          engine: str = "auto",
-                          limits: Optional[ResourceLimits] = None,
-                          priority: int = 0) -> float:
-        """Joint probability ``P(qubits = values)`` after running the
-        circuit server-side."""
-        reply = self._retrying(
-            QueryProbability(circuit, qubits=list(qubits),
-                             values=list(values), engine=engine,
-                             limits=limits, priority=priority,
-                             idempotency_key=new_idempotency_key()),
-            accept=(ProbabilityReply,), intermediate=(JobAccepted,))
-        return reply.probability
-
-    # ------------------------------------------------------------------ #
-    # job control
-    # ------------------------------------------------------------------ #
-    def submit(self, circuit: QuantumCircuit, engine: str = "auto",
-               limits: Optional[ResourceLimits] = None,
-               shots: Optional[int] = None, seed: Optional[int] = None,
-               reorder: Optional[int] = None, priority: int = 0) -> str:
-        """Fire-and-return submission: block only until ``job_accepted``
-        and return the job id (the terminal reply is read later by
-        whichever call drains the connection, or discarded at close).
-        A retried submit reuses its idempotency key, so the job never
-        double-executes."""
-        reply = self._retrying(
-            SubmitRun(circuit, engine=engine, limits=limits, shots=shots,
-                      seed=seed, reorder=reorder, priority=priority,
-                      idempotency_key=new_idempotency_key()),
-            accept=(JobAccepted,))
-        return reply.job_id
-
-    def cancel(self, job_id: str) -> str:
-        """Cancel a job by id; returns the server's outcome string
-        (``cancelled`` / ``cancelling`` / ``finished`` / ``unknown``)."""
-        reply = self._retrying(CancelJob(job_id), accept=(CancelReply,))
-        return reply.outcome
-
-    # ------------------------------------------------------------------ #
-    # sessions
-    # ------------------------------------------------------------------ #
-    def open_session(self, num_qubits: int, engine: str = "bitslice",
-                     limits: Optional[ResourceLimits] = None) -> str:
-        """Open a warm session; returns its id.  Never auto-retried — a
-        lost reply could mean the session *did* open, and a blind resend
-        would open (and leak) a second one."""
-        reply = self._roundtrip(
-            OpenSession(num_qubits=num_qubits, engine=engine, limits=limits),
-            accept=(SessionOpened,))
-        return reply.session_id
-
-    def append(self, session_id: str, circuit: QuantumCircuit,
-               shots: Optional[int] = None, seed: Optional[int] = None,
-               priority: int = 0) -> RunResult:
-        """Append a delta circuit to a session and run it, resuming from
-        the session's retained prefix state; returns the run record of the
-        cumulative circuit.  Retries are safe: the idempotency key is
-        checked at the session under its lock, so a retried append whose
-        original committed replays the recorded result instead of
-        advancing the session twice."""
-        reply = self._retrying(
-            AppendToSession(session_id, circuit, shots=shots, seed=seed,
-                            priority=priority,
-                            idempotency_key=new_idempotency_key()),
-            accept=(RunCompleted,), intermediate=(JobAccepted,))
-        return reply.result
-
-    def close_session(self, session_id: str) -> int:
-        """Close a session; returns how many appends it served.  Never
-        auto-retried (the first close frees the id; a resend would report
-        ``unknown_session`` and mask the real outcome)."""
-        reply = self._roundtrip(CloseSession(session_id),
-                                accept=(SessionClosed,))
-        return reply.appends
-
-    # ------------------------------------------------------------------ #
-    # admin
-    # ------------------------------------------------------------------ #
-    def stats(self) -> Dict[str, Any]:
-        """One admin snapshot (queue gauges, sessions, merged counters)."""
-        reply = self._retrying(ServerStatsRequest(), accept=(StatsReply,))
-        return reply.stats
-
-    def sessions(self) -> List[Dict[str, Any]]:
-        """Live-session summaries."""
-        reply = self._retrying(ListSessions(), accept=(SessionList,))
-        return reply.sessions
-
-    def health(self) -> Dict[str, Any]:
-        """The server's degradation snapshot: ``state`` (``ok`` /
-        ``draining``), queue depth and capacity, running jobs, worker
-        liveness, live sessions, uptime and the session-checkpoint gauges
-        (on-disk snapshots, sessions restored at startup, seconds since
-        the last snapshot write — ``-1`` when none)."""
-        reply = self._retrying(HealthRequest(), accept=(HealthReply,))
-        return {"state": reply.state,
-                "queue_depth": reply.queue_depth,
-                "queue_capacity": reply.queue_capacity,
-                "running": reply.running,
-                "workers": reply.workers,
-                "workers_alive": reply.workers_alive,
-                "sessions": reply.sessions,
-                "uptime_seconds": reply.uptime_seconds,
-                "checkpointed_sessions": reply.checkpointed_sessions,
-                "restored_sessions": reply.restored_sessions,
-                "checkpoint_age_seconds": reply.checkpoint_age_seconds}
 
     def watch(self, interval: float = 1.0,
               count: Optional[int] = None) -> Iterator[Dict[str, Any]]:
@@ -488,9 +504,9 @@ class Client:
             yield message.stats
 
 
-class AsyncClient:
-    """Asyncio client for the simulation service (same verbs as
-    :class:`Client`, every method a coroutine).
+class AsyncClient(_ServiceVerbs):
+    """Asyncio client for the simulation service: :class:`Client`'s verbs
+    except ``watch``, each returning a coroutine.
 
     Create via :meth:`connect` (optionally passing ``retry=``);
     concurrent coroutines may issue requests on one connection — replies
@@ -547,14 +563,6 @@ class AsyncClient:
             reader, writer = await self._open(self._address)
             self._stream_reader = reader
             self._writer = writer
-
-    def _lost(self, reason: str,
-              exc: Optional[BaseException] = None) -> ServiceError:
-        self._teardown()
-        error = ServiceError("connection_lost", reason)
-        if exc is not None:
-            error.__cause__ = exc
-        return error
 
     async def close(self) -> None:
         """Close the connection."""
@@ -622,132 +630,16 @@ class AsyncClient:
             if verdict == "final":
                 return message
 
-    async def _roundtrip(self, request: Message,
-                         accept: Tuple[Type[Message], ...],
-                         intermediate: Tuple[Type[Message], ...] = ()
-                         ) -> Message:
-        msg_id = await self._send(request)
-        return await self._wait(msg_id, accept, intermediate=intermediate)
-
-    async def _retrying(self, request: Message,
-                        accept: Tuple[Type[Message], ...],
-                        intermediate: Tuple[Type[Message], ...] = ()
-                        ) -> Message:
-        if self._retry is None:
-            return await self._roundtrip(request, accept,
-                                         intermediate=intermediate)
-
-        async def attempt() -> Message:
+    async def _call(self, call: _Call) -> Any:
+        """The coroutine twin of :meth:`Client._call`."""
+        async def attempt() -> Any:
             await self._ensure_connected()
-            return await self._roundtrip(request, accept,
-                                         intermediate=intermediate)
+            reply = await self._wait(await self._send(call.request),
+                                     call.accept, call.intermediate)
+            return call.answer(reply)
+        if self._retry is None or not call.retry:
+            return await attempt()
         return await self._retry.async_call(attempt)
-
-    async def run(self, circuit: QuantumCircuit, engine: str = "auto",
-                  limits: Optional[ResourceLimits] = None,
-                  shots: Optional[int] = None, seed: Optional[int] = None,
-                  reorder: Optional[int] = None,
-                  priority: int = 0) -> RunResult:
-        """Async mirror of :meth:`Client.run`."""
-        reply = await self._retrying(
-            SubmitRun(circuit, engine=engine, limits=limits, shots=shots,
-                      seed=seed, reorder=reorder, priority=priority,
-                      idempotency_key=new_idempotency_key()),
-            accept=(RunCompleted,), intermediate=(JobAccepted,))
-        return reply.result
-
-    async def run_tasks(self, tasks: Sequence[Tuple[str, QuantumCircuit]],
-                        limits: Optional[ResourceLimits] = None,
-                        jobs: int = 1, shots: Optional[int] = None,
-                        seed: Optional[int] = None,
-                        reorder: Optional[int] = None,
-                        priority: int = 0) -> List[RunResult]:
-        """Async mirror of :meth:`Client.run_tasks` (``jobs`` likewise
-        accepted-and-ignored)."""
-        del jobs
-        reply = await self._retrying(
-            SubmitSweep(list(tasks), limits=limits, shots=shots, seed=seed,
-                        reorder=reorder, priority=priority,
-                        idempotency_key=new_idempotency_key()),
-            accept=(SweepCompleted,), intermediate=(JobAccepted,))
-        return reply.results
-
-    async def query_probability(self, circuit: QuantumCircuit,
-                                qubits: Sequence[int],
-                                values: Sequence[int],
-                                engine: str = "auto",
-                                limits: Optional[ResourceLimits] = None,
-                                priority: int = 0) -> float:
-        """Async mirror of :meth:`Client.query_probability`."""
-        reply = await self._retrying(
-            QueryProbability(circuit, qubits=list(qubits),
-                             values=list(values), engine=engine,
-                             limits=limits, priority=priority,
-                             idempotency_key=new_idempotency_key()),
-            accept=(ProbabilityReply,), intermediate=(JobAccepted,))
-        return reply.probability
-
-    async def open_session(self, num_qubits: int, engine: str = "bitslice",
-                           limits: Optional[ResourceLimits] = None) -> str:
-        """Async mirror of :meth:`Client.open_session` (never
-        auto-retried)."""
-        reply = await self._roundtrip(
-            OpenSession(num_qubits=num_qubits, engine=engine, limits=limits),
-            accept=(SessionOpened,))
-        return reply.session_id
-
-    async def append(self, session_id: str, circuit: QuantumCircuit,
-                     shots: Optional[int] = None,
-                     seed: Optional[int] = None,
-                     priority: int = 0) -> RunResult:
-        """Async mirror of :meth:`Client.append` (retry-safe via the
-        session-level idempotency key)."""
-        reply = await self._retrying(
-            AppendToSession(session_id, circuit, shots=shots, seed=seed,
-                            priority=priority,
-                            idempotency_key=new_idempotency_key()),
-            accept=(RunCompleted,), intermediate=(JobAccepted,))
-        return reply.result
-
-    async def close_session(self, session_id: str) -> int:
-        """Async mirror of :meth:`Client.close_session` (never
-        auto-retried)."""
-        reply = await self._roundtrip(CloseSession(session_id),
-                                      accept=(SessionClosed,))
-        return reply.appends
-
-    async def stats(self) -> Dict[str, Any]:
-        """Async mirror of :meth:`Client.stats`."""
-        reply = await self._retrying(ServerStatsRequest(),
-                                     accept=(StatsReply,))
-        return reply.stats
-
-    async def sessions(self) -> List[Dict[str, Any]]:
-        """Async mirror of :meth:`Client.sessions`."""
-        reply = await self._retrying(ListSessions(),
-                                     accept=(SessionList,))
-        return reply.sessions
-
-    async def health(self) -> Dict[str, Any]:
-        """Async mirror of :meth:`Client.health`."""
-        reply = await self._retrying(HealthRequest(), accept=(HealthReply,))
-        return {"state": reply.state,
-                "queue_depth": reply.queue_depth,
-                "queue_capacity": reply.queue_capacity,
-                "running": reply.running,
-                "workers": reply.workers,
-                "workers_alive": reply.workers_alive,
-                "sessions": reply.sessions,
-                "uptime_seconds": reply.uptime_seconds,
-                "checkpointed_sessions": reply.checkpointed_sessions,
-                "restored_sessions": reply.restored_sessions,
-                "checkpoint_age_seconds": reply.checkpoint_age_seconds}
-
-    async def cancel(self, job_id: str) -> str:
-        """Async mirror of :meth:`Client.cancel`."""
-        reply = await self._retrying(CancelJob(job_id),
-                                     accept=(CancelReply,))
-        return reply.outcome
 
 
 def make_runner(client: Client) -> Callable:

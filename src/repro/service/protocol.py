@@ -3,7 +3,7 @@
 Messages travel as **newline-delimited JSON** (one object per line) over a
 TCP or unix-domain stream.  Every line is an *envelope*::
 
-    {"kind": "submit_run", "v": 1, "id": "c1", ...payload...}
+    {"kind": "submit_run", "v": 2, "id": "c1", ...payload...}
 
 ``kind`` names the message type, ``v`` pins :data:`PROTOCOL_VERSION` (a
 mismatch is rejected before any payload parsing), ``id`` is the sender's
@@ -12,8 +12,9 @@ payload fields are flattened into the envelope; they never collide with
 the reserved keys.
 
 Each message kind is a dataclass below — requests in
-:data:`REQUEST_TYPES`, responses in :data:`RESPONSE_TYPES` — and the
-value-level codecs (:func:`circuit_to_wire`, :func:`result_to_wire`,
+:data:`REQUEST_TYPES`, responses in :data:`RESPONSE_TYPES`.  Its fields are
+its payload: JSON-native fields travel as they are, and the value-level
+codecs declared on the other fields (:func:`circuit_to_wire`, :func:`result_to_wire`,
 :func:`limits_to_wire`) translate the repository's first-class objects
 (:class:`~repro.circuit.circuit.QuantumCircuit`,
 :class:`~repro.engines.result.RunResult`,
@@ -24,7 +25,7 @@ reconstructs a :class:`RunResult` whose deterministic serialisation
 the wire adds no lossy re-encoding step.
 
 Asynchronous request kinds (``submit_run``, ``submit_sweep``,
-``sample_shots``, ``query_probability``, ``append_to_session``) are
+``query_probability``, ``append_to_session``) are
 answered twice: a :class:`JobAccepted` immediately (carrying the server's
 job id, usable with :class:`CancelJob`), then the terminal result /
 :class:`ErrorReply` when the job finishes.  Synchronous kinds (session
@@ -34,8 +35,10 @@ management, stats, cancellation) are answered once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from typing import (Any, Callable, ClassVar, Dict, List, Optional, Tuple, Type,
+                    Union, get_args, get_origin, get_type_hints)
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import Gate, GateKind
@@ -45,11 +48,17 @@ from repro.exceptions import SimulationError
 
 #: Version tag carried by every envelope; a peer speaking another version
 #: is rejected with a ``version_mismatch`` error before payload parsing.
-PROTOCOL_VERSION = 1
+#: Version 2 dropped the ``sample_shots`` kind (a ``submit_run`` with
+#: ``shots`` asks the same question).
+PROTOCOL_VERSION = 2
 
 
 class ProtocolError(SimulationError):
     """A malformed, unknown-kind or version-incompatible wire message."""
+
+    #: The ``id`` of the envelope that failed to decode, when the line was
+    #: a JSON object carrying one, so the error reply can answer it.
+    msg_id: Optional[str] = None
 
 
 # --------------------------------------------------------------------- #
@@ -138,42 +147,57 @@ def result_from_wire(data: Dict[str, Any]) -> RunResult:
         raise ProtocolError(str(exc)) from exc
 
 
-# Field codecs used by the generic payload machinery below.
-def _encode_field(codec: str, value: Any) -> Any:
-    if value is None:
-        return None
-    if codec == "circuit":
-        return circuit_to_wire(value)
-    if codec == "limits":
-        return limits_to_wire(value)
-    if codec == "result":
-        return result_to_wire(value)
-    if codec == "results":
-        return [result_to_wire(result) for result in value]
-    if codec == "tasks":
-        return [{"engine": engine, "circuit": circuit_to_wire(circuit)}
-                for engine, circuit in value]
-    return value
+def _results_to_wire(results: List[RunResult]) -> List[Dict[str, Any]]:
+    return [result_to_wire(result) for result in results]
 
 
-def _decode_field(codec: str, value: Any) -> Any:
-    if value is None:
-        return None
-    if codec == "circuit":
-        return circuit_from_wire(value)
-    if codec == "limits":
-        return limits_from_wire(value)
-    if codec == "result":
-        return result_from_wire(value)
-    if codec == "results":
-        return [result_from_wire(entry) for entry in value]
-    if codec == "tasks":
-        try:
-            return [(entry["engine"], circuit_from_wire(entry["circuit"]))
-                    for entry in value]
-        except (KeyError, TypeError) as exc:
-            raise ProtocolError(f"bad task list payload: {exc}") from exc
-    return value
+def _results_from_wire(data: List[Dict[str, Any]]) -> List[RunResult]:
+    return [result_from_wire(entry) for entry in data]
+
+
+def _tasks_to_wire(tasks: List[Tuple[str, QuantumCircuit]]) -> List[Dict[str, Any]]:
+    return [{"engine": engine, "circuit": circuit_to_wire(circuit)}
+            for engine, circuit in tasks]
+
+
+def _tasks_from_wire(data: List[Dict[str, Any]]) -> List[Tuple[str, QuantumCircuit]]:
+    try:
+        return [(entry["engine"], circuit_from_wire(entry["circuit"]))
+                for entry in data]
+    except (KeyError, TypeError) as exc:
+        raise ProtocolError(f"bad task list payload: {exc}") from exc
+
+
+# Field codecs: the metadata a dataclass field declares when its value is a
+# first-class object, naming the (encode, decode) pair that translates it.
+# Fields without a codec are JSON-native and travel as they are.
+Codec = Tuple[Callable[[Any], Any], Callable[[Any], Any]]
+_CIRCUIT = {"codec": (circuit_to_wire, circuit_from_wire)}
+_LIMITS = {"codec": (limits_to_wire, limits_from_wire)}
+_RESULT = {"codec": (result_to_wire, result_from_wire)}
+_RESULTS = {"codec": (_results_to_wire, _results_from_wire)}
+_TASKS = {"codec": (_tasks_to_wire, _tasks_from_wire)}
+
+
+def _json_types(hint: Any) -> Tuple[type, ...]:
+    """The JSON value types a field annotated ``hint`` accepts on decode
+    (``NoneType`` among them when the field is ``Optional``)."""
+    args = get_args(hint) if get_origin(hint) is Union else (hint,)
+    types: List[type] = []
+    for arg in args:
+        arg = get_origin(arg) or arg
+        types.extend((int, float) if arg is float else (arg,))
+    return tuple(types)
+
+
+@lru_cache(maxsize=None)
+def _wire_fields(cls: type) -> Tuple[Tuple[str, Optional[Codec], Tuple[type, ...]], ...]:
+    """Each payload field of a message class, in declaration order, with
+    its codec (``None`` for JSON-native fields) and the JSON types a
+    JSON-native field accepts (read off its annotation)."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, f.metadata.get("codec"), _json_types(hints[f.name]))
+                 for f in fields(cls))
 
 
 # --------------------------------------------------------------------- #
@@ -181,36 +205,44 @@ def _decode_field(codec: str, value: Any) -> Any:
 # --------------------------------------------------------------------- #
 @dataclass
 class Message:
-    """Base of every wire message: a ``kind`` tag plus a declarative field
-    table (``_WIRE``: name → codec) driving generic JSON (de)serialisation.
+    """Base of every wire message: a ``kind`` tag plus dataclass fields
+    that are the payload.
 
-    Subclasses are plain dataclasses; their ``_WIRE`` entries name each
-    field and the codec translating it (``raw`` for JSON-native values,
-    ``circuit`` / ``limits`` / ``result`` / ``results`` / ``tasks`` for the
-    first-class objects)."""
+    Subclasses are plain dataclasses.  A field whose value is a
+    first-class object declares its codec in its metadata
+    (``_CIRCUIT`` / ``_LIMITS`` / ``_RESULT`` / ``_RESULTS`` / ``_TASKS``);
+    every other field is JSON-native and travels as it is."""
 
     kind: ClassVar[str] = ""
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = ()
 
     def payload(self) -> Dict[str, Any]:
         """Encode the message's fields into a JSON-ready payload dict
         (``None``-valued optional fields are omitted from the wire)."""
         data: Dict[str, Any] = {}
-        for name, codec in self._WIRE:
-            value = _encode_field(codec, getattr(self, name))
+        for name, codec, _ in _wire_fields(type(self)):
+            value = getattr(self, name)
             if value is not None:
-                data[name] = value
+                data[name] = value if codec is None else codec[0](value)
         return data
 
     @classmethod
     def from_payload(cls, data: Dict[str, Any]) -> "Message":
         """Rebuild a message of this kind from a decoded envelope dict
         (unknown keys are ignored, missing optional fields keep their
-        defaults, a missing required field raises :class:`ProtocolError`)."""
+        defaults; a missing required field, or a JSON-native field whose
+        value is not of its annotated type, raises :class:`ProtocolError`)."""
         kwargs = {}
-        for name, codec in cls._WIRE:
+        for name, codec, types in _wire_fields(cls):
             if name in data:
-                kwargs[name] = _decode_field(codec, data[name])
+                value = data[name]
+                if codec is not None:
+                    value = None if value is None else codec[1](value)
+                elif not isinstance(value, types):
+                    raise ProtocolError(
+                        f"bad {cls.kind} payload: {name} must be "
+                        f"{' or '.join(t.__name__ for t in types)}, "
+                        f"not {type(value).__name__}")
+                kwargs[name] = value
         try:
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
@@ -225,9 +257,9 @@ class SubmitRun(Message):
     """Run one circuit on one engine asynchronously; answered by
     :class:`JobAccepted` and then :class:`RunCompleted`."""
 
-    circuit: QuantumCircuit
+    circuit: QuantumCircuit = field(metadata=_CIRCUIT)
     engine: str = "auto"
-    limits: Optional[ResourceLimits] = None
+    limits: Optional[ResourceLimits] = field(default=None, metadata=_LIMITS)
     shots: Optional[int] = None
     seed: Optional[int] = None
     reorder: Optional[int] = None
@@ -239,10 +271,6 @@ class SubmitRun(Message):
     idempotency_key: Optional[str] = None
 
     kind: ClassVar[str] = "submit_run"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (
-        ("circuit", "circuit"), ("engine", "raw"), ("limits", "limits"),
-        ("shots", "raw"), ("seed", "raw"), ("reorder", "raw"),
-        ("priority", "raw"), ("idempotency_key", "raw"))
 
 
 @dataclass
@@ -253,8 +281,8 @@ class SubmitSweep(Message):
     byte-identical to a local ``run_sweep()`` of the same grid.  Answered
     by :class:`JobAccepted` and then :class:`SweepCompleted`."""
 
-    tasks: List[Tuple[str, QuantumCircuit]]
-    limits: Optional[ResourceLimits] = None
+    tasks: List[Tuple[str, QuantumCircuit]] = field(metadata=_TASKS)
+    limits: Optional[ResourceLimits] = field(default=None, metadata=_LIMITS)
     shots: Optional[int] = None
     seed: Optional[int] = None
     reorder: Optional[int] = None
@@ -262,31 +290,6 @@ class SubmitSweep(Message):
     idempotency_key: Optional[str] = None
 
     kind: ClassVar[str] = "submit_sweep"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (
-        ("tasks", "tasks"), ("limits", "limits"), ("shots", "raw"),
-        ("seed", "raw"), ("reorder", "raw"), ("priority", "raw"),
-        ("idempotency_key", "raw"))
-
-
-@dataclass
-class SampleShots(Message):
-    """Sample measurement shots from a circuit (a :class:`SubmitRun` whose
-    ``shots`` is mandatory); answered by :class:`JobAccepted` and then
-    :class:`RunCompleted` carrying the counts."""
-
-    circuit: QuantumCircuit
-    shots: int = 0
-    engine: str = "auto"
-    limits: Optional[ResourceLimits] = None
-    seed: Optional[int] = None
-    priority: int = 0
-    idempotency_key: Optional[str] = None
-
-    kind: ClassVar[str] = "sample_shots"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (
-        ("circuit", "circuit"), ("shots", "raw"), ("engine", "raw"),
-        ("limits", "limits"), ("seed", "raw"), ("priority", "raw"),
-        ("idempotency_key", "raw"))
 
 
 @dataclass
@@ -295,19 +298,15 @@ class QueryProbability(Message):
     (``P(qubits = values)``); answered by :class:`JobAccepted` and then
     :class:`ProbabilityReply`."""
 
-    circuit: QuantumCircuit
+    circuit: QuantumCircuit = field(metadata=_CIRCUIT)
     qubits: List[int] = field(default_factory=list)
     values: List[int] = field(default_factory=list)
     engine: str = "auto"
-    limits: Optional[ResourceLimits] = None
+    limits: Optional[ResourceLimits] = field(default=None, metadata=_LIMITS)
     priority: int = 0
     idempotency_key: Optional[str] = None
 
     kind: ClassVar[str] = "query_probability"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (
-        ("circuit", "circuit"), ("qubits", "raw"), ("values", "raw"),
-        ("engine", "raw"), ("limits", "limits"), ("priority", "raw"),
-        ("idempotency_key", "raw"))
 
 
 @dataclass
@@ -317,11 +316,9 @@ class OpenSession(Message):
 
     num_qubits: int = 1
     engine: str = "bitslice"
-    limits: Optional[ResourceLimits] = None
+    limits: Optional[ResourceLimits] = field(default=None, metadata=_LIMITS)
 
     kind: ClassVar[str] = "open_session"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (
-        ("num_qubits", "raw"), ("engine", "raw"), ("limits", "limits"))
 
 
 @dataclass
@@ -331,7 +328,8 @@ class AppendToSession(Message):
     ``|0>``; answered by :class:`JobAccepted` then :class:`RunCompleted`."""
 
     session_id: str = ""
-    circuit: Optional[QuantumCircuit] = None
+    circuit: Optional[QuantumCircuit] = field(default=None,
+                                              metadata=_CIRCUIT)
     shots: Optional[int] = None
     seed: Optional[int] = None
     priority: int = 0
@@ -341,9 +339,6 @@ class AppendToSession(Message):
     idempotency_key: Optional[str] = None
 
     kind: ClassVar[str] = "append_to_session"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (
-        ("session_id", "raw"), ("circuit", "circuit"), ("shots", "raw"),
-        ("seed", "raw"), ("priority", "raw"), ("idempotency_key", "raw"))
 
 
 @dataclass
@@ -355,7 +350,6 @@ class CloseSession(Message):
     session_id: str = ""
 
     kind: ClassVar[str] = "close_session"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (("session_id", "raw"),)
 
 
 @dataclass
@@ -393,7 +387,6 @@ class CancelJob(Message):
     job_id: str = ""
 
     kind: ClassVar[str] = "cancel_job"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (("job_id", "raw"),)
 
 
 @dataclass
@@ -405,8 +398,6 @@ class WatchRequest(Message):
     count: Optional[int] = None
 
     kind: ClassVar[str] = "watch"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (
-        ("interval", "raw"), ("count", "raw"))
 
 
 # --------------------------------------------------------------------- #
@@ -420,7 +411,6 @@ class JobAccepted(Message):
     job_id: str = ""
 
     kind: ClassVar[str] = "job_accepted"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (("job_id", "raw"),)
 
 
 @dataclass
@@ -428,11 +418,9 @@ class RunCompleted(Message):
     """Terminal reply of a single-circuit job: the full run record."""
 
     job_id: str = ""
-    result: Optional[RunResult] = None
+    result: Optional[RunResult] = field(default=None, metadata=_RESULT)
 
     kind: ClassVar[str] = "run_result"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (
-        ("job_id", "raw"), ("result", "result"))
 
 
 @dataclass
@@ -441,11 +429,10 @@ class SweepCompleted(Message):
     order."""
 
     job_id: str = ""
-    results: List[RunResult] = field(default_factory=list)
+    results: List[RunResult] = field(default_factory=list,
+                                     metadata=_RESULTS)
 
     kind: ClassVar[str] = "sweep_result"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (
-        ("job_id", "raw"), ("results", "results"))
 
 
 @dataclass
@@ -457,8 +444,6 @@ class ProbabilityReply(Message):
     engine: str = ""
 
     kind: ClassVar[str] = "probability"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (
-        ("job_id", "raw"), ("probability", "raw"), ("engine", "raw"))
 
 
 @dataclass
@@ -470,8 +455,6 @@ class SessionOpened(Message):
     num_qubits: int = 0
 
     kind: ClassVar[str] = "session_opened"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (
-        ("session_id", "raw"), ("engine", "raw"), ("num_qubits", "raw"))
 
 
 @dataclass
@@ -482,8 +465,6 @@ class SessionClosed(Message):
     appends: int = 0
 
     kind: ClassVar[str] = "session_closed"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (
-        ("session_id", "raw"), ("appends", "raw"))
 
 
 @dataclass
@@ -494,7 +475,6 @@ class StatsReply(Message):
     stats: Dict[str, Any] = field(default_factory=dict)
 
     kind: ClassVar[str] = "stats"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (("stats", "raw"),)
 
 
 @dataclass
@@ -505,7 +485,6 @@ class SessionList(Message):
     sessions: List[Dict[str, Any]] = field(default_factory=list)
 
     kind: ClassVar[str] = "session_list"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (("sessions", "raw"),)
 
 
 @dataclass
@@ -535,12 +514,6 @@ class HealthReply(Message):
     checkpoint_age_seconds: float = -1.0
 
     kind: ClassVar[str] = "health_reply"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (
-        ("state", "raw"), ("queue_depth", "raw"), ("queue_capacity", "raw"),
-        ("running", "raw"), ("workers", "raw"), ("workers_alive", "raw"),
-        ("sessions", "raw"), ("uptime_seconds", "raw"),
-        ("checkpointed_sessions", "raw"), ("restored_sessions", "raw"),
-        ("checkpoint_age_seconds", "raw"))
 
 
 @dataclass
@@ -553,8 +526,6 @@ class CancelReply(Message):
     outcome: str = "unknown"
 
     kind: ClassVar[str] = "cancel_result"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (
-        ("job_id", "raw"), ("outcome", "raw"))
 
 
 @dataclass
@@ -571,8 +542,6 @@ class ErrorReply(Message):
     details: Dict[str, Any] = field(default_factory=dict)
 
     kind: ClassVar[str] = "error"
-    _WIRE: ClassVar[Tuple[Tuple[str, str], ...]] = (
-        ("code", "raw"), ("message", "raw"), ("details", "raw"))
 
 
 def _registry(*classes: Type[Message]) -> Dict[str, Type[Message]]:
@@ -581,7 +550,7 @@ def _registry(*classes: Type[Message]) -> Dict[str, Type[Message]]:
 
 #: Request kinds the server accepts, keyed by ``kind`` tag.
 REQUEST_TYPES: Dict[str, Type[Message]] = _registry(
-    SubmitRun, SubmitSweep, SampleShots, QueryProbability, OpenSession,
+    SubmitRun, SubmitSweep, QueryProbability, OpenSession,
     AppendToSession, CloseSession, ServerStatsRequest, ListSessions,
     HealthRequest, CancelJob, WatchRequest)
 
@@ -616,16 +585,20 @@ def _decode_line(line: bytes,
         raise ProtocolError(f"undecodable message line: {exc}") from exc
     if not isinstance(data, dict):
         raise ProtocolError("message line is not a JSON object")
-    version = data.get("v")
-    if version != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"unsupported protocol version {version!r} "
-            f"(this peer speaks {PROTOCOL_VERSION})")
-    kind = data.get("kind")
-    cls = registry.get(kind)
-    if cls is None:
-        raise ProtocolError(f"unknown message kind {kind!r}")
-    return cls.from_payload(data), data
+    try:
+        version = data.get("v")
+        if version != PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"unsupported protocol version {version!r} "
+                f"(this peer speaks {PROTOCOL_VERSION})")
+        kind = data.get("kind")
+        cls = registry.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ProtocolError(f"unknown message kind {kind!r}")
+        return cls.from_payload(data), data
+    except ProtocolError as exc:
+        exc.msg_id = data.get("id")
+        raise
 
 
 def decode_request(line: bytes) -> Tuple[Message, Dict[str, Any]]:
@@ -646,7 +619,6 @@ __all__ = [
     "Message",
     "SubmitRun",
     "SubmitSweep",
-    "SampleShots",
     "QueryProbability",
     "OpenSession",
     "AppendToSession",

@@ -42,13 +42,16 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cache.result_cache import ResultCache
 from repro.cache.sessions import SessionPool
 from repro.engines.frontdoor import run, run_tasks
 from repro.engines.limits import LimitEnforcer, ResourceLimits
-from repro.engines.registry import create_engine, resolve_engine
+from repro.engines.base import check_outcome_query
+from repro.engines.registry import (AUTO_ENGINE, UnknownEngineError,
+                                    create_engine, resolve_engine,
+                                    resolve_engine_name)
 from repro.engines.result import STATUS_OK
 from repro.exceptions import JobCancelledError
 from repro.perf.counters import PerfCounters
@@ -70,7 +73,6 @@ from repro.service.protocol import (
     ProtocolError,
     QueryProbability,
     RunCompleted,
-    SampleShots,
     ServerStatsRequest,
     SessionClosed,
     SessionList,
@@ -101,6 +103,21 @@ MIN_WATCH_INTERVAL = 0.05
 #: point a retry re-executes, which is safe for run/sweep/sample requests
 #: (pure functions of their payload) and caught at the session for appends.
 IDEMPOTENCY_KEYS_CAP = 1024
+
+
+def _check_job(engines: Iterable[str], shots: Optional[int] = None) -> None:
+    """Reject a malformed job at dispatch, before it is queued: an unknown
+    engine name or a negative shot count is the client's ``bad_request``
+    (raised as :class:`ProtocolError`), not a failed job's ``internal``.
+    Field types were checked when the request was decoded."""
+    if shots is not None and shots < 0:
+        raise ProtocolError(f"shots must be non-negative, not {shots}")
+    for engine in engines:
+        if engine != AUTO_ENGINE:
+            try:
+                resolve_engine_name(engine)
+            except UnknownEngineError as exc:
+                raise ProtocolError(f"unknown engine {engine!r}") from exc
 
 
 class Server:
@@ -436,7 +453,7 @@ class Server:
                     code = ("version_mismatch"
                             if "protocol version" in str(exc)
                             else "bad_request")
-                    await send(ErrorReply(code, str(exc)), None)
+                    await send(ErrorReply(code, str(exc)), exc.msg_id)
                     continue
                 msg_id = envelope.get("id")
                 self.counters.add("service_requests_total")
@@ -561,24 +578,34 @@ class Server:
     async def _dispatch(self, request: Message, msg_id: Optional[str],
                         send, conn_jobs: Dict[str, Any],
                         deliver_tasks: set) -> None:
-        if isinstance(request, (SubmitRun, SampleShots)):
+        if isinstance(request, SubmitRun):
+            _check_job([request.engine], request.shots)
             await self._submit(self._run_fn(request), request, msg_id, send,
                                conn_jobs, deliver_tasks,
                                lambda job_id, result:
                                RunCompleted(job_id, result))
         elif isinstance(request, SubmitSweep):
+            _check_job([engine for engine, _ in request.tasks], request.shots)
             await self._submit(self._sweep_fn(request), request, msg_id,
                                send, conn_jobs, deliver_tasks,
                                lambda job_id, results:
                                SweepCompleted(job_id, results))
         elif isinstance(request, QueryProbability):
+            _check_job([request.engine])
+            try:
+                check_outcome_query(request.circuit.num_qubits,
+                                    request.qubits, request.values)
+            except (TypeError, ValueError) as exc:
+                raise ProtocolError(f"bad probability query: {exc}") from exc
             await self._submit(self._probability_fn(request), request,
                                msg_id, send, conn_jobs, deliver_tasks,
                                lambda job_id, value:
                                ProbabilityReply(job_id, value[0], value[1]))
         elif isinstance(request, OpenSession):
+            _check_job([request.engine])
             await self._open_session(request, msg_id, send)
         elif isinstance(request, AppendToSession):
+            _check_job((), request.shots)
             await self._append_to_session(request, msg_id, send, conn_jobs,
                                           deliver_tasks)
         elif isinstance(request, CloseSession):
@@ -609,14 +636,13 @@ class Server:
             raise ProtocolError(f"unhandled request kind {request.kind!r}")
 
     # -- job builders --------------------------------------------------- #
-    def _run_fn(self, request):
+    def _run_fn(self, request: SubmitRun):
         limits = request.limits or self.default_limits
-        reorder = getattr(request, "reorder", None)
 
         def fn(cancel):
             return run(request.circuit, engine=request.engine, limits=limits,
                        shots=request.shots, seed=request.seed,
-                       reorder=reorder, cache=self.cache,
+                       reorder=request.reorder, cache=self.cache,
                        sessions=self.session_pool, cancel=cancel)
         return fn
 

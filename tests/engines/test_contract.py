@@ -47,6 +47,60 @@ def _gate_for_kind(kind: GateKind) -> Gate:
     return Gate(kind, (0,))
 
 
+
+BELL = QuantumCircuit(2, name="bell").h(0).cx(0, 1)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestMalformedQuery:
+    @pytest.mark.parametrize("qubits,bits", [([5], [0]), ([2], [0]),
+                                             ([-1], [0]), ([0, 1], [0]),
+                                             ([0], [0, 1])])
+    def test_probability_rejects_a_malformed_query(self, engine, qubits,
+                                                   bits):
+        """An out-of-range or negative qubit, or an outcome of the wrong
+        length, is a ``ValueError`` on every engine — never a wrapped
+        index, an ignored qubit or a truncated outcome."""
+        instance = create_engine(engine)
+        instance.run(BELL, LIMITS)
+        with pytest.raises(ValueError):
+            instance.probability(qubits, bits)
+        assert instance.probability([0, 1], [1, 1]) == pytest.approx(
+            0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("qubits", [[0, 5], [-1, 0]])
+    def test_branch_probability_rejects_a_bad_qubit(self, engine, qubits):
+        instance = create_engine(engine)
+        instance.run(BELL, LIMITS)
+        with pytest.raises(ValueError):
+            instance.branch_probability(qubits)
+
+    def test_branch_probability_checks_once_per_call(self, engine,
+                                                     monkeypatch):
+        """The descent's prefix oracle checks its qubit list when it is
+        built, not again for every prefix it answers."""
+        import repro.engines.adapters as adapters
+        import repro.engines.base as base
+
+        calls = []
+        original = base.check_outcome_query
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(base, "check_outcome_query", counting)
+        monkeypatch.setattr(adapters, "check_outcome_query", counting)
+        instance = create_engine(engine)
+        instance.run(BELL, LIMITS)
+        oracle = instance.branch_probability([0, 1])
+        answers = [oracle(prefix) for prefix in
+                   [(0,), (1,), (0, 0), (1, 1), (0, 1)]]
+        assert answers == pytest.approx([0.5, 0.5, 0.5, 0.5, 0.0],
+                                        abs=1e-9)
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 class TestLifecycle:
     def test_prepare_apply_probability_statistics(self, engine):

@@ -121,7 +121,8 @@ def test_version_mismatch_rejected():
 
 def test_unknown_kind_and_malformed_lines_rejected():
     with pytest.raises(ProtocolError, match="unknown message kind"):
-        decode_request(json.dumps({"kind": "nope", "v": 1}).encode())
+        decode_request(json.dumps({"kind": "nope",
+                                    "v": PROTOCOL_VERSION}).encode())
     with pytest.raises(ProtocolError):
         decode_request(b"this is not json\n")
     with pytest.raises(ProtocolError):
@@ -135,3 +136,40 @@ def test_request_and_response_registries_are_disjoint_views():
     assert response.details == {"depth": 4}
     with pytest.raises(ProtocolError):  # responses are not requests
         decode_request(line)
+
+
+@pytest.mark.parametrize("kind,payload,field", [
+    ("submit_run", {"circuit": circuit_to_wire(QuantumCircuit(1)),
+                    "priority": "high"}, "priority"),
+    ("submit_run", {"circuit": circuit_to_wire(QuantumCircuit(1)),
+                    "priority": None}, "priority"),
+    ("submit_run", {"circuit": circuit_to_wire(QuantumCircuit(1)),
+                    "engine": ["bitslice"]}, "engine"),
+    ("open_session", {"num_qubits": [2]}, "num_qubits"),
+    ("watch", {"interval": "fast"}, "interval"),
+    ("query_probability", {"circuit": circuit_to_wire(QuantumCircuit(1)),
+                           "qubits": 0}, "qubits"),
+])
+def test_raw_field_of_the_wrong_type_is_rejected_with_its_id(kind, payload,
+                                                             field):
+    """A JSON-native field must have its annotated type; the error names
+    the field and carries the envelope's id for the reply."""
+    line = json.dumps({"kind": kind, "v": PROTOCOL_VERSION, "id": "c7",
+                       **payload}).encode()
+    with pytest.raises(ProtocolError, match=field) as excinfo:
+        decode_request(line)
+    assert excinfo.value.msg_id == "c7"
+
+
+def test_undecodable_envelope_errors_carry_the_id_when_known():
+    with pytest.raises(ProtocolError) as excinfo:
+        decode_request(json.dumps({"kind": ["nope"], "v": PROTOCOL_VERSION,
+                                   "id": "c8"}).encode())
+    assert excinfo.value.msg_id == "c8"
+    with pytest.raises(ProtocolError) as excinfo:
+        decode_request(json.dumps({"kind": "watch", "v": 1,
+                                   "id": "c9"}).encode())
+    assert excinfo.value.msg_id == "c9"
+    with pytest.raises(ProtocolError) as excinfo:
+        decode_request(b"not json\n")
+    assert excinfo.value.msg_id is None

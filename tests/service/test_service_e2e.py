@@ -341,3 +341,67 @@ def test_priority_jobs_overtake_the_queue():
                 else:
                     assert message.kind in ("error", "cancel_result")
             assert completed == [high_id, low_id]
+
+
+BELL = QuantumCircuit(2, name="bell").h(0).cx(0, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda client: client.run(BELL, engine="nope"),
+    lambda client: client.run_tasks([("bitslice", BELL), ("nope", BELL)]),
+    lambda client: client.submit(BELL, engine="nope"),
+    lambda client: client.sample(BELL, shots=-1),
+    lambda client: client.run(BELL, shots=-1),
+    lambda client: client.run_tasks([("bitslice", BELL)], shots=-1),
+    lambda client: client.query_probability(BELL, [0], [0], engine="nope"),
+    lambda client: client.run(BELL, priority="high"),
+    lambda client: client.open_session("2"),
+], ids=["run-engine", "sweep-engine", "submit-engine", "sample-shots",
+        "run-shots", "sweep-shots", "query-engine", "run-priority-type",
+        "session-width-type"])
+def test_malformed_job_is_a_bad_request_before_it_is_queued(server, call):
+    """An unknown engine, a negative shot count or a field of the wrong
+    type is answered ``bad_request`` to the request that sent it, never
+    queued and never ``internal`` (nor a dropped connection)."""
+    with Client(server.address) as client:
+        before = client.stats()["counters"].get("service_jobs_submitted", 0)
+        with pytest.raises(ServiceError) as excinfo:
+            call(client)
+        assert excinfo.value.code == "bad_request"
+        after = client.stats()["counters"].get("service_jobs_submitted", 0)
+    assert after == before
+
+
+def test_malformed_append_is_a_bad_request(server):
+    with Client(server.address) as client:
+        session_id = client.open_session(2)
+        with pytest.raises(ServiceError) as excinfo:
+            client.append(session_id, BELL, shots=-1)
+        assert excinfo.value.code == "bad_request"
+        # The session did not move: a good append still runs on |00>.
+        result = client.append(session_id, BELL, shots=8, seed=1)
+        assert result.status == "ok"
+        assert client.close_session(session_id) == 1
+
+
+def test_session_with_an_unknown_engine_is_never_opened(server):
+    with Client(server.address) as client:
+        before = {row["session_id"] for row in client.sessions()}
+        with pytest.raises(ServiceError) as excinfo:
+            client.open_session(2, engine="nope")
+        assert excinfo.value.code == "bad_request"
+        assert {row["session_id"] for row in client.sessions()} == before
+
+
+@pytest.mark.parametrize("engine", ["auto", "bitslice", "qmdd",
+                                    "statevector", "stabilizer"])
+@pytest.mark.parametrize("qubits,values", [([5], [0]), ([-1], [0]),
+                                           ([0, 1], [0])])
+def test_malformed_probability_query_is_a_bad_request(server, engine,
+                                                      qubits, values):
+    with Client(server.address) as client:
+        with pytest.raises(ServiceError) as excinfo:
+            client.query_probability(BELL, qubits, values, engine=engine)
+        assert excinfo.value.code == "bad_request"
+        assert client.query_probability(BELL, [0, 1], [1, 1],
+                                        engine=engine) == pytest.approx(0.5)

@@ -216,3 +216,36 @@ class TestJobTimeouts:
 
     def test_nightly_jobs_have_timeouts(self):
         self.assert_every_job_times_out(nightly_text(), "nightly.yml")
+
+
+class TestHarnessOverTheWire:
+    @staticmethod
+    def wire_step():
+        """The tier-1 job's step that drives the harness through a live
+        ``repro-serve``."""
+        steps = job_sections(ci_text(), "ci.yml")["tests"].split("- name:")
+        matching = [step for step in steps if "repro-serve" in step]
+        assert len(matching) == 1, "ci.yml's tier-1 job lost the wire step"
+        return matching[0]
+
+    def test_harness_sweep_runs_through_a_unix_socket_server(self):
+        """A sweep sent with ``--server`` reaches a real server: the step
+        starts ``repro-serve --unix`` and points the table3 harness at it."""
+        step = self.wire_step()
+        assert "repro-serve --unix" in step
+        assert re.search(r"python -m repro\.harness table3 --quick "
+                         r"--engines bitslice,qmdd\s*\\?\s*"
+                         r"--server \"?unix:", step)
+        assert "--json harness-table3-wire.json" in step
+
+    def test_wire_runs_must_equal_the_local_report(self):
+        """Every run's status, final probability and peak node count over
+        the wire must equal the local harness step's JSON report."""
+        step = self.wire_step()
+        assert "harness-table3.json" in step
+        for field in ("status", "final_probability", "peak_memory_nodes"):
+            assert f'"{field}"' in step
+        assert "assert wire == local" in step
+        local_step = job_sections(ci_text(), "ci.yml")["tests"]
+        assert local_step.index("--json harness-table3.json") < \
+            local_step.index("repro-serve --unix")
