@@ -12,9 +12,10 @@ payload fields are flattened into the envelope; they never collide with
 the reserved keys.
 
 Each message kind is a dataclass below — requests in
-:data:`REQUEST_TYPES`, responses in :data:`RESPONSE_TYPES`.  Its fields are
-its payload: JSON-native fields travel as they are, and the value-level
-codecs declared on the other fields (:func:`circuit_to_wire`, :func:`result_to_wire`,
+:data:`REQUEST_TYPES`, responses in :data:`RESPONSE_TYPES`.  Its fields
+are its payload: JSON-native fields travel as they are (and must decode
+to their annotated type), and the value-level codecs declared on the
+other fields (:func:`circuit_to_wire`, :func:`result_to_wire`,
 :func:`limits_to_wire`) translate the repository's first-class objects
 (:class:`~repro.circuit.circuit.QuantumCircuit`,
 :class:`~repro.engines.result.RunResult`,
@@ -25,11 +26,11 @@ reconstructs a :class:`RunResult` whose deterministic serialisation
 the wire adds no lossy re-encoding step.
 
 Asynchronous request kinds (``submit_run``, ``submit_sweep``,
-``query_probability``, ``append_to_session``) are
-answered twice: a :class:`JobAccepted` immediately (carrying the server's
-job id, usable with :class:`CancelJob`), then the terminal result /
-:class:`ErrorReply` when the job finishes.  Synchronous kinds (session
-management, stats, cancellation) are answered once.
+``query_probability``, ``append_to_session``) are answered twice: a
+:class:`JobAccepted` immediately (carrying the server's job id, usable
+with :class:`CancelJob`), then the terminal result / :class:`ErrorReply`
+when the job finishes.  Synchronous kinds (session management, stats,
+cancellation) are answered once.
 """
 
 from __future__ import annotations
