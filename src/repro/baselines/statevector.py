@@ -28,6 +28,9 @@ import numpy as np
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import Gate, GateKind, gate_matrix
 
+#: The marginal over no qubits: the empty prefix is certain.
+_CERTAIN = (1.0,)
+
 
 class StatevectorSimulator:
     """Dense state-vector simulation of the supported gate set.
@@ -251,15 +254,16 @@ class StatevectorSimulator:
     def branch_probability(self, qubits: Sequence[int]) -> Callable[[tuple], float]:
         """The descent's prefix oracle over ``qubits``, read from
         :meth:`prefix_marginals`: ``Pr[qubits[:len(prefix)] == prefix]``,
-        0 when a repeated qubit's bits conflict."""
+        1.0 for the empty prefix, 0 when a repeated qubit's bits conflict."""
         qubits = list(qubits)
-        levels = self.prefix_marginals(qubits)
+        # Level j answers the prefixes of length j.
+        levels = [_CERTAIN, *self.prefix_marginals(qubits)]
         if len(set(qubits)) == len(qubits):
             def lookup(prefix):
                 index = 0
                 for bit in prefix:
                     index = (index << 1) | bit
-                return float(levels[len(prefix) - 1][index])
+                return float(levels[len(prefix)][index])
             return lookup
 
         def lookup_repeated(prefix):
@@ -271,5 +275,5 @@ class StatevectorSimulator:
                     index = (index << 1) | bit
                 elif seen[qubit] != bit:
                     return 0.0
-            return float(levels[len(seen) - 1][index])
+            return float(levels[len(seen)][index])
         return lookup_repeated

@@ -311,18 +311,19 @@ class Engine(abc.ABC):
         """The prefix oracle :meth:`sample` descends with over ``qubits``.
 
         The returned callable maps a bit-tuple ``prefix`` to the joint
-        probability of observing it on ``qubits[:len(prefix)]``.  The
-        default checks ``qubits`` once (:func:`check_outcome_query`) and
-        then asks :meth:`_query` once per prefix; an engine with a cheaper
-        way to answer every prefix of one state overrides this instead of
-        re-implementing the descent.
+        probability of observing it on ``qubits[:len(prefix)]``; the empty
+        prefix is certain (1.0).  The default checks ``qubits`` once
+        (:func:`check_outcome_query`) and then asks :meth:`_query` once per
+        non-empty prefix; an engine with a cheaper way to answer every
+        prefix of one state overrides this instead of re-implementing the
+        descent.
         """
         qubits = list(qubits)
         check_outcome_query(self.num_qubits, qubits)
         query = self._query
 
         def branch_probability(prefix):
-            return query(qubits[:len(prefix)], list(prefix))
+            return query(qubits[:len(prefix)], list(prefix)) if prefix else 1.0
 
         return branch_probability
 

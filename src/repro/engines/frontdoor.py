@@ -46,6 +46,7 @@ a process worker.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import os
 import re
 import time
@@ -73,6 +74,7 @@ from repro.engines.registry import (
     create_engine,
     engine_capabilities,
     resolve_engine,
+    resolve_engine_name,
 )
 from repro.engines.result import (
     STATUS_CRASH,
@@ -247,12 +249,18 @@ class RunRequest:
     """One run request: exactly the inputs that shape its result.
 
     The fields are the inputs of :func:`~repro.cache.result_cache.run_key`.
-    Construction validates ``shots`` and defaults ``limits`` once.  The
-    resolved engine and the run key are computed on first use and
-    memoised, so a request fingerprints its circuit at most once, and the
-    memo travels with the request to a sweep's process workers.
-    Resolution is lazy: an unknown engine raises where the request is
-    first resolved, not where it is built.
+    Construction is the one place that decides whether a run's options are
+    valid, and raises before anything runs: ``shots`` and ``seed`` must be
+    ``None`` or a non-negative int, ``reorder`` ``None``, a bool or a
+    non-negative int (``ValueError`` otherwise), and ``engine`` ``"auto"``
+    or a registered name or alias
+    (:class:`~repro.engines.registry.UnknownEngineError` otherwise).  It
+    also defaults ``limits``.  The engine *name* is checked eagerly, but
+    picking the engine for ``"auto"`` is lazy: the resolved engine and the
+    run key are computed on first use and memoised, so a request
+    fingerprints its circuit at most once, and the memo travels with the
+    request to a sweep's process workers.  An ``"auto"`` request that no
+    engine supports raises where it is first resolved.
     """
 
     circuit: QuantumCircuit
@@ -263,8 +271,17 @@ class RunRequest:
     reorder: Union[bool, int, None] = None
 
     def __post_init__(self) -> None:
-        if self.shots is not None and self.shots < 0:
-            raise ValueError("shots must be non-negative")
+        # A bool is a count only as ``reorder``'s on/off switch.
+        reorder = None if isinstance(self.reorder, bool) else self.reorder
+        for name, value in (("shots", self.shots), ("seed", self.seed),
+                            ("reorder", reorder)):
+            if value is not None and (
+                    isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral) or value < 0):
+                raise ValueError(f"{name} must be a non-negative int, "
+                                 f"not {value!r}")
+        if self.engine != AUTO_ENGINE:
+            resolve_engine_name(self.engine)
         if self.limits is None:
             object.__setattr__(self, "limits", ResourceLimits())
 
@@ -712,8 +729,9 @@ def _task_key(request: RunRequest, keyed: bool,
               cache: Optional[ResultCache]) -> Optional[RunKey]:
     """The run key of a sweep task when anything keys on it (``keyed``: a
     journal or checkpoints; or a cache the request may use), else ``None``.
-    An unknown engine has no key either: the request raises that error
-    when it runs, and until then it has nothing to be keyed on."""
+    The engine name was checked when the request was built; only an
+    ``"auto"`` task, resolved lazily here, can still find no engine, and
+    it has no key either: it raises that error when it runs."""
     if not (keyed or (cache is not None and request.cacheable)):
         return None
     try:

@@ -43,6 +43,10 @@ class UnknownEngineError(KeyError):
         super().__init__(message)
         self.name = name
 
+    def __str__(self) -> str:
+        # The message itself, not KeyError's quoted repr of it.
+        return self.args[0]
+
 
 def register_engine(name: str, *, aliases: Tuple[str, ...] = (),
                     replace: bool = False):

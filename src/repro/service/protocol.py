@@ -55,11 +55,18 @@ PROTOCOL_VERSION = 2
 
 
 class ProtocolError(SimulationError):
-    """A malformed, unknown-kind or version-incompatible wire message."""
+    """A malformed, unknown-kind or version-incompatible wire message.
+
+    ``code`` is the error reply's code: ``bad_request``, or
+    ``version_mismatch`` for a peer speaking another protocol version."""
 
     #: The ``id`` of the envelope that failed to decode, when the line was
     #: a JSON object carrying one, so the error reply can answer it.
     msg_id: Optional[str] = None
+
+    def __init__(self, message: str, code: str = "bad_request"):
+        super().__init__(message)
+        self.code = code
 
 
 # --------------------------------------------------------------------- #
@@ -591,7 +598,7 @@ def _decode_line(line: bytes,
         if version != PROTOCOL_VERSION:
             raise ProtocolError(
                 f"unsupported protocol version {version!r} "
-                f"(this peer speaks {PROTOCOL_VERSION})")
+                f"(this peer speaks {PROTOCOL_VERSION})", "version_mismatch")
         kind = data.get("kind")
         cls = registry.get(kind) if isinstance(kind, str) else None
         if cls is None:

@@ -42,16 +42,15 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.cache.result_cache import ResultCache
 from repro.cache.sessions import SessionPool
-from repro.engines.frontdoor import run, run_tasks
+from repro.circuit.circuit import QuantumCircuit
+from repro.engines.frontdoor import RunRequest, run, run_tasks
 from repro.engines.limits import LimitEnforcer, ResourceLimits
 from repro.engines.base import check_outcome_query
-from repro.engines.registry import (AUTO_ENGINE, UnknownEngineError,
-                                    create_engine, resolve_engine,
-                                    resolve_engine_name)
+from repro.engines.registry import UnknownEngineError, create_engine
 from repro.engines.result import STATUS_OK
 from repro.exceptions import JobCancelledError
 from repro.perf.counters import PerfCounters
@@ -103,21 +102,6 @@ MIN_WATCH_INTERVAL = 0.05
 #: point a retry re-executes, which is safe for run/sweep/sample requests
 #: (pure functions of their payload) and caught at the session for appends.
 IDEMPOTENCY_KEYS_CAP = 1024
-
-
-def _check_job(engines: Iterable[str], shots: Optional[int] = None) -> None:
-    """Reject a malformed job at dispatch, before it is queued: an unknown
-    engine name or a negative shot count is the client's ``bad_request``
-    (raised as :class:`ProtocolError`), not a failed job's ``internal``.
-    Field types were checked when the request was decoded."""
-    if shots is not None and shots < 0:
-        raise ProtocolError(f"shots must be non-negative, not {shots}")
-    for engine in engines:
-        if engine != AUTO_ENGINE:
-            try:
-                resolve_engine_name(engine)
-            except UnknownEngineError as exc:
-                raise ProtocolError(f"unknown engine {engine!r}") from exc
 
 
 class Server:
@@ -447,22 +431,23 @@ class Server:
                 line = await reader.readline()
                 if not line:
                     break
+                msg_id = None
                 try:
                     request, envelope = protocol.decode_request(line)
-                except ProtocolError as exc:
-                    code = ("version_mismatch"
-                            if "protocol version" in str(exc)
-                            else "bad_request")
-                    await send(ErrorReply(code, str(exc)), exc.msg_id)
-                    continue
-                msg_id = envelope.get("id")
-                self.counters.add("service_requests_total")
-                self.counters.add(f"service_requests_{request.kind}")
-                try:
+                    msg_id = envelope.get("id")
+                    self.counters.add("service_requests_total")
+                    self.counters.add(f"service_requests_{request.kind}")
                     await self._dispatch(request, msg_id, send, conn_jobs,
                                          deliver_tasks)
-                except ProtocolError as exc:
-                    await send(ErrorReply("bad_request", str(exc)), msg_id)
+                except (ProtocolError, UnknownEngineError, ValueError) as exc:
+                    # The one refusal of a malformed request, before anything
+                    # is queued: a line that does not decode (answered to the
+                    # id it carried), or a job whose RunRequest, query or
+                    # session width is refused at dispatch.
+                    if msg_id is None:
+                        msg_id = getattr(exc, "msg_id", None)
+                    await send(ErrorReply(getattr(exc, "code", "bad_request"),
+                                          str(exc)), msg_id)
         except (ConnectionResetError, BrokenPipeError,
                 asyncio.IncompleteReadError):
             pass
@@ -578,36 +563,58 @@ class Server:
     async def _dispatch(self, request: Message, msg_id: Optional[str],
                         send, conn_jobs: Dict[str, Any],
                         deliver_tasks: set) -> None:
+        # Every job's options are validated by building its RunRequest(s)
+        # here; a ValueError or UnknownEngineError is the client's
+        # bad_request, answered by _handle_connection before anything runs.
         if isinstance(request, SubmitRun):
-            _check_job([request.engine], request.shots)
-            await self._submit(self._run_fn(request), request, msg_id, send,
+            job = RunRequest(request.circuit, request.engine,
+                             request.limits or self.default_limits,
+                             request.shots, request.seed, request.reorder)
+            await self._submit(self._run_fn(job), request, msg_id, send,
                                conn_jobs, deliver_tasks,
                                lambda job_id, result:
                                RunCompleted(job_id, result))
         elif isinstance(request, SubmitSweep):
-            _check_job([engine for engine, _ in request.tasks], request.shots)
-            await self._submit(self._sweep_fn(request), request, msg_id,
-                               send, conn_jobs, deliver_tasks,
+            limits = request.limits or self.default_limits
+            for engine, circuit in request.tasks:
+                RunRequest(circuit, engine, limits, request.shots,
+                           request.seed, request.reorder)
+            await self._submit(self._sweep_fn(request, limits), request,
+                               msg_id, send, conn_jobs, deliver_tasks,
                                lambda job_id, results:
                                SweepCompleted(job_id, results))
         elif isinstance(request, QueryProbability):
-            _check_job([request.engine])
+            job = RunRequest(request.circuit, request.engine,
+                             request.limits or self.default_limits)
             try:
                 check_outcome_query(request.circuit.num_qubits,
                                     request.qubits, request.values)
             except (TypeError, ValueError) as exc:
                 raise ProtocolError(f"bad probability query: {exc}") from exc
-            await self._submit(self._probability_fn(request), request,
+            await self._submit(self._probability_fn(job, request), request,
                                msg_id, send, conn_jobs, deliver_tasks,
                                lambda job_id, value:
                                ProbabilityReply(job_id, value[0], value[1]))
         elif isinstance(request, OpenSession):
-            _check_job([request.engine])
-            await self._open_session(request, msg_id, send)
+            # The empty-circuit run that pins the session's |0> state.
+            pin = RunRequest(QuantumCircuit(request.num_qubits),
+                             request.engine,
+                             request.limits or self.default_limits)
+            await self._open_session(pin, msg_id, send)
         elif isinstance(request, AppendToSession):
-            _check_job((), request.shots)
-            await self._append_to_session(request, msg_id, send, conn_jobs,
-                                          deliver_tasks)
+            session = self.sessions.get(request.session_id)
+            if session is None:
+                await send(ErrorReply("unknown_session",
+                                      f"no session {request.session_id!r}"),
+                           msg_id)
+                return
+            if request.circuit is None:
+                raise ValueError("append_to_session needs a circuit")
+            delta = RunRequest(request.circuit, session.engine,
+                               session.limits, request.shots, request.seed)
+            session.check_width(delta.circuit)
+            await self._append_to_session(session, delta, request, msg_id,
+                                          send, conn_jobs, deliver_tasks)
         elif isinstance(request, CloseSession):
             session = self.sessions.close(request.session_id)
             if session is None:
@@ -636,19 +643,15 @@ class Server:
             raise ProtocolError(f"unhandled request kind {request.kind!r}")
 
     # -- job builders --------------------------------------------------- #
-    def _run_fn(self, request: SubmitRun):
-        limits = request.limits or self.default_limits
-
+    def _run_fn(self, job: RunRequest):
         def fn(cancel):
-            return run(request.circuit, engine=request.engine, limits=limits,
-                       shots=request.shots, seed=request.seed,
-                       reorder=request.reorder, cache=self.cache,
-                       sessions=self.session_pool, cancel=cancel)
+            return run(job.circuit, engine=job.engine, limits=job.limits,
+                       shots=job.shots, seed=job.seed, reorder=job.reorder,
+                       cache=self.cache, sessions=self.session_pool,
+                       cancel=cancel)
         return fn
 
-    def _sweep_fn(self, request: SubmitSweep):
-        limits = request.limits or self.default_limits
-
+    def _sweep_fn(self, request: SubmitSweep, limits: ResourceLimits):
         def fn(cancel):
             return run_tasks(request.tasks, limits=limits, jobs=1,
                              shots=request.shots, seed=request.seed,
@@ -656,31 +659,24 @@ class Server:
                              sessions=self.session_pool, cancel=cancel)
         return fn
 
-    def _probability_fn(self, request: QueryProbability):
-        limits = request.limits or self.default_limits
-
+    def _probability_fn(self, job: RunRequest, request: QueryProbability):
         def fn(cancel):
-            resolved = resolve_engine(request.engine, request.circuit, limits)
-            instance = create_engine(resolved)
-            enforcer = LimitEnforcer(instance, limits, cancel_token=cancel)
-            enforcer.execute(request.circuit)
+            instance = create_engine(job.resolved)
+            enforcer = LimitEnforcer(instance, job.limits, cancel_token=cancel)
+            enforcer.execute(job.circuit)
             return (instance.probability(list(request.qubits),
-                                         list(request.values)), resolved)
+                                         list(request.values)), job.resolved)
         return fn
 
     # -- sessions -------------------------------------------------------- #
-    async def _open_session(self, request: OpenSession,
+    async def _open_session(self, pin: RunRequest,
                             msg_id: Optional[str], send) -> None:
         try:
-            session = self.sessions.open(
-                int(request.num_qubits), request.engine,
-                request.limits or self.default_limits)
+            session = self.sessions.open(pin.circuit.num_qubits, pin.engine,
+                                         pin.limits)
         except SessionLimitError as exc:
             await send(ErrorReply("too_many_sessions", str(exc),
                                   {"limit": exc.limit}), msg_id)
-            return
-        except ValueError as exc:
-            await send(ErrorReply("bad_request", str(exc)), msg_id)
             return
         # Pin the |0> (empty-prefix) state into the warm pool, so the
         # session's very first append already resumes instead of preparing
@@ -691,7 +687,7 @@ class Server:
         # queue is full (or the pin fails) the session still opens and its
         # first append simply starts cold.
         try:
-            job = self.scheduler.submit(self._pin_fn(session),
+            job = self.scheduler.submit(self._pin_fn(session, pin),
                                         request_kind="session_pin",
                                         priority=-1)
         except (QueueFullError, DrainingError, RuntimeError):
@@ -707,35 +703,18 @@ class Server:
         await send(SessionOpened(session.session_id, session.engine,
                                  session.num_qubits), msg_id)
 
-    def _pin_fn(self, session):
+    def _pin_fn(self, session, pin: RunRequest):
         def fn(cancel):
             with session.lock:
-                run(session.circuit, engine=session.engine,
-                    limits=session.limits, sessions=self.session_pool,
-                    cache=None, cancel=cancel)
+                run(pin.circuit, engine=pin.engine, limits=pin.limits,
+                    sessions=self.session_pool, cache=None, cancel=cancel)
         return fn
 
-    async def _append_to_session(self, request: AppendToSession,
+    async def _append_to_session(self, session, delta: RunRequest,
+                                 request: AppendToSession,
                                  msg_id: Optional[str], send,
                                  conn_jobs: Dict[str, Any],
                                  deliver_tasks: set) -> None:
-        session = self.sessions.get(request.session_id)
-        if session is None:
-            await send(ErrorReply("unknown_session",
-                                  f"no session {request.session_id!r}"),
-                       msg_id)
-            return
-        if request.circuit is None:
-            await send(ErrorReply("bad_request",
-                                  "append_to_session needs a circuit"),
-                       msg_id)
-            return
-        try:
-            session.check_width(request.circuit)
-        except ValueError as exc:
-            await send(ErrorReply("bad_request", str(exc)), msg_id)
-            return
-
         # The cumulative snapshot must happen on the worker, under the
         # session lock: with two appends in flight on one session, a
         # snapshot taken here at dispatch time would give both the same
@@ -753,10 +732,10 @@ class Server:
                     self.counters.add("service_append_replays")
                     return replayed
                 maybe_fire(FAULT_SESSION_APPEND)
-                cumulative = session.extended(request.circuit)
-                result = run(cumulative, engine=session.engine,
-                             limits=session.limits, shots=request.shots,
-                             seed=request.seed, sessions=self.session_pool,
+                cumulative = session.extended(delta.circuit)
+                result = run(cumulative, engine=delta.engine,
+                             limits=delta.limits, shots=delta.shots,
+                             seed=delta.seed, sessions=self.session_pool,
                              cancel=cancel)
                 self.counters.add("service_session_appends")
                 resumed = result.extra.get("resumed_from_depth")

@@ -100,6 +100,13 @@ class TestMalformedQuery:
                                         abs=1e-9)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("qubits", [[0, 1], [1, 0], [0, 0]])
+    def test_branch_probability_of_the_empty_prefix_is_one(self, engine,
+                                                           qubits):
+        instance = create_engine(engine)
+        instance.run(BELL, LIMITS)
+        assert instance.branch_probability(qubits)(()) == 1.0
+
 
 @pytest.mark.parametrize("engine", ENGINES)
 class TestLifecycle:

@@ -18,6 +18,7 @@ import repro
 from repro import QuantumCircuit, ResourceLimits
 from repro.engines import frontdoor, run, run_sweep, run_tasks
 from repro.engines.frontdoor import RunRequest
+from repro.engines.registry import UnknownEngineError
 from repro.harness.__main__ import QUICK_TABLE3_QUBITS
 from repro.workloads.algorithms import ghz_circuit
 from repro.workloads.random_circuits import generate_random_circuit
@@ -119,10 +120,32 @@ class TestRunFrontDoor:
 
 
 class TestRunRequest:
-    def test_validates_once_and_defaults_limits(self):
-        with pytest.raises(ValueError):
-            RunRequest(ghz_circuit(2), shots=-1)
+    @pytest.mark.parametrize("options,error", [
+        ({"shots": -1}, ValueError),
+        ({"seed": -5}, ValueError),
+        ({"shots": 2.5}, ValueError),
+        ({"shots": True}, ValueError),
+        ({"reorder": "yes"}, ValueError),
+        ({"reorder": -1}, ValueError),
+        ({"engine": "nope"}, UnknownEngineError),
+    ], ids=["negative-shots", "negative-seed", "float-shots", "bool-shots",
+            "str-reorder", "negative-reorder", "unknown-engine"])
+    def test_validates_once_and_defaults_limits(self, options, error,
+                                                monkeypatch):
+        """A bad option is refused when the request is built, so
+        ``run()`` raises it before any engine is created."""
+        with pytest.raises(error):
+            RunRequest(ghz_circuit(2), **options)
+
+        def no_engine(name):
+            raise AssertionError(f"engine {name!r} created")
+        monkeypatch.setattr(frontdoor, "create_engine", no_engine)
+        with pytest.raises(error):
+            run(ghz_circuit(2), **{"shots": 4, **options})
         assert RunRequest(ghz_circuit(2)).limits == ResourceLimits()
+        RunRequest(ghz_circuit(2), engine="bdd", shots=0, seed=0,
+                   reorder=True)
+        RunRequest(ghz_circuit(2), reorder=0)
 
     def test_memo_travels_with_the_request(self, monkeypatch):
         """A sweep worker receives the request pickled: the engine resolved

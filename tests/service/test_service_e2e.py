@@ -356,9 +356,12 @@ BELL = QuantumCircuit(2, name="bell").h(0).cx(0, 1)
     lambda client: client.query_probability(BELL, [0], [0], engine="nope"),
     lambda client: client.run(BELL, priority="high"),
     lambda client: client.open_session("2"),
+    lambda client: client.run(BELL, shots=4, seed=-5),
+    lambda client: client.run_tasks([("bitslice", BELL)], shots=4, seed=-5),
+    lambda client: client.sample(BELL, shots=4, seed=-5),
 ], ids=["run-engine", "sweep-engine", "submit-engine", "sample-shots",
         "run-shots", "sweep-shots", "query-engine", "run-priority-type",
-        "session-width-type"])
+        "session-width-type", "run-seed", "sweep-seed", "sample-seed"])
 def test_malformed_job_is_a_bad_request_before_it_is_queued(server, call):
     """An unknown engine, a negative shot count or a field of the wrong
     type is answered ``bad_request`` to the request that sent it, never
@@ -372,12 +375,17 @@ def test_malformed_job_is_a_bad_request_before_it_is_queued(server, call):
     assert after == before
 
 
-def test_malformed_append_is_a_bad_request(server):
+@pytest.mark.parametrize("options", [{"shots": -1}, {"shots": 4, "seed": -5}],
+                         ids=["shots", "seed"])
+def test_malformed_append_is_a_bad_request(server, options):
     with Client(server.address) as client:
         session_id = client.open_session(2)
+        before = client.stats()["counters"].get("service_jobs_submitted", 0)
         with pytest.raises(ServiceError) as excinfo:
-            client.append(session_id, BELL, shots=-1)
+            client.append(session_id, BELL, **options)
         assert excinfo.value.code == "bad_request"
+        after = client.stats()["counters"].get("service_jobs_submitted", 0)
+        assert after == before
         # The session did not move: a good append still runs on |00>.
         result = client.append(session_id, BELL, shots=8, seed=1)
         assert result.status == "ok"

@@ -8,8 +8,10 @@ files (plain text — no YAML dependency) and fail when the pipeline and
 the repository drift apart.
 """
 
+import ast
 import json
 import re
+import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -139,6 +141,49 @@ class TestCoverageGate:
     def test_cov_extra_is_declared(self):
         pyproject = PYPROJECT.read_text(encoding="utf-8")
         assert re.search(r"^cov\s*=\s*\[", pyproject, re.MULTILINE)
+
+
+def declared_modules():
+    """Import names of the distributions ``pyproject.toml`` declares in
+    ``dependencies`` and in the ``test`` extra (``pytest-benchmark`` ->
+    ``pytest_benchmark``)."""
+    pyproject = PYPROJECT.read_text(encoding="utf-8")
+    names = set()
+    for key in ("dependencies", "test"):
+        match = re.search(rf"^{key}\s*=\s*\[(.*?)\]", pyproject,
+                          re.MULTILINE | re.DOTALL)
+        assert match, f"pyproject.toml declares no {key} list"
+        for requirement in re.findall(r'"([A-Za-z0-9_.-]+)', match.group(1)):
+            names.add(requirement.lower().replace("-", "_"))
+    return names
+
+
+class TestTestDependencies:
+    def test_every_third_party_import_under_tests_is_declared(self):
+        """CI installs ``.[test]`` and nothing else, so a module a test
+        imports that no dependency list declares fails collection there
+        while passing on a machine that happens to have it."""
+        first_party = {"repro", "tests"}
+        declared = declared_modules()
+        undeclared = {}
+        for path in sorted((REPO_ROOT / "tests").rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                for module in modules:
+                    top = module.split(".")[0]
+                    if (top not in sys.stdlib_module_names
+                            and top not in first_party
+                            and top.lower() not in declared):
+                        undeclared.setdefault(top, path.name)
+        assert not undeclared, (
+            f"imported under tests/ but not declared in pyproject.toml: "
+            f"{undeclared}")
 
 
 def job_sections(text, source):
