@@ -1,9 +1,9 @@
 """Micro-benchmarks of the fused gate-application kernels.
 
 PR 3 collapsed the gate rules' dominant operation patterns into fused
-multi-operand kernels: the full-adder sum / carry run as single
-three-operand recursions (``apply_xor3`` / ``apply_maj3``) batched across
-the four coefficient vectors, the SWAP action runs as one cofactor-based
+multi-operand kernels: the full-adder sum and carry run as one
+three-operand traversal (``full_add_many``) batched across the four
+coefficient vectors, the SWAP action runs as one cofactor-based
 pass (``apply_swap_vars``), the X action as one variable-flip pass
 (``apply_flip``), and conditional negation in closed form (prefix ORs, one
 AND and one XOR per bit instead of a complement-plus-carry adder).  These
@@ -73,16 +73,16 @@ def _adder_operands(simulator: BitSliceSimulator, target: int = 0):
 
 
 def _fused_adder_chain(manager: BddManager, adders):
-    """The hot path: lockstep fused sum / carry batches per bit position."""
+    """The hot path: one lockstep full-adder batch per bit position."""
     carries = [carry for _, _, carry in adders]
     per_adder = [[] for _ in adders]
     for position in range(len(adders[0][0])):
         triples = [(a_bits[position], b_bits[position], carries[index])
                    for index, (a_bits, b_bits, _) in enumerate(adders)]
-        for index, sum_bit in enumerate(manager.xor3_many(triples)):
+        sum_bits, carries = zip(*manager.full_add_many(triples))
+        for index, sum_bit in enumerate(sum_bits):
             per_adder[index].append(sum_bit)
-        carries = manager.maj3_many(triples)
-    return [bit for bits in per_adder for bit in bits], carries
+    return [bit for bits in per_adder for bit in bits], list(carries)
 
 
 def _composition_adder_chain(manager: BddManager, adders):
@@ -111,7 +111,8 @@ def _best_of(function, repeats: int = 5) -> float:
 
 
 def test_fused_adder_chain(benchmark):
-    """Cache-cold fused H/adder path (xor3 + maj3 batches over 4 vectors)."""
+    """Cache-cold fused H/adder path (one full-adder batch per bit position
+    over 4 vectors)."""
     simulator = _prepared_simulator()
     manager = simulator.state.manager
     adders = _adder_operands(simulator)

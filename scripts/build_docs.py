@@ -93,10 +93,11 @@ API_MODULES = [
 #: Extra individual symbols that must be documented even though their home
 #: module is too large to document wholesale (the fused BDD kernels).
 API_EXTRA_SYMBOLS = [
-    ("repro.bdd.manager", "BddManager", ["apply_maj3", "apply_xor3",
-                                         "apply_swap_vars", "and_many",
-                                         "or_many", "xor_many", "not_many",
-                                         "ite_many", "maj3_many", "xor3_many",
+    ("repro.bdd.manager", "BddManager", ["apply_full_add", "apply_maj3",
+                                         "apply_xor3", "apply_swap_vars",
+                                         "and_many", "or_many", "xor_many",
+                                         "not_many", "ite_many",
+                                         "full_add_many",
                                          "restrict_many", "flip_many",
                                          "swap_vars_many", "satcount",
                                          "swap_adjacent_levels", "sift",

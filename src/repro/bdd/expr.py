@@ -122,7 +122,8 @@ class Bdd:
 
     def maj3(self, other: "Bdd", third: "Bdd") -> "Bdd":
         """Fused three-operand majority (the full-adder carry):
-        ``self·other + self·third + other·third`` in a single recursion."""
+        ``self·other + self·third + other·third``, the carry half of one
+        :meth:`~repro.bdd.manager.BddManager.apply_full_add` traversal."""
         self._check_same_manager(other)
         self._check_same_manager(third)
         return Bdd(self.manager,
@@ -130,7 +131,8 @@ class Bdd:
 
     def xor3(self, other: "Bdd", third: "Bdd") -> "Bdd":
         """Fused three-operand exclusive-or (the full-adder sum):
-        ``self ^ other ^ third`` in a single recursion."""
+        ``self ^ other ^ third``, the sum half of one
+        :meth:`~repro.bdd.manager.BddManager.apply_full_add` traversal."""
         self._check_same_manager(other)
         self._check_same_manager(third)
         return Bdd(self.manager,

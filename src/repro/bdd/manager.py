@@ -30,11 +30,13 @@ here, so the constant factors of this file dominate end-to-end runtime):
   :meth:`BddManager._stack_apply`, one work-stack driver to which each
   operation contributes only its terminal rules and cofactor step.  Both
   forms return the same node ids and count the same table traffic.
-* **Fused multi-operand kernels**: :meth:`BddManager.apply_maj3` (the
-  full-adder carry ``ab + ac + bc``) and :meth:`BddManager.apply_xor3` (the
-  full-adder sum ``a ^ b ^ c``) traverse all three operands in a single
-  recursion with one ternary computed table, instead of chaining generic
-  2-operand applies that materialise intermediate BDDs.
+* **Fused multi-operand kernels**: :meth:`BddManager.apply_full_add`
+  builds the full-adder sum ``a ^ b ^ c`` *and* carry ``ab + ac + bc`` in
+  one traversal of the three operands, with one ternary computed table
+  whose entries pack both node ids into one int, instead of chaining
+  generic 2-operand applies that materialise intermediate BDDs.
+  :meth:`BddManager.apply_xor3` and :meth:`BddManager.apply_maj3` read one
+  half of its pair.
   :meth:`BddManager.apply_swap_vars` exchanges the roles of two variables in
   one cofactor-based pass, replacing the compose/cube-algebra SWAP path.
 * **One-pass literal kernels**: :meth:`BddManager.apply_flip` computes
@@ -44,7 +46,7 @@ here, so the constant factors of this file dominate end-to-end runtime):
   conditional negation ``ite(c, not f, f)`` is the plain XOR ``c ^ f``,
   with no NOT sweep over all of ``f`` first.
 * **Batched application**: the ``*_many`` methods (:meth:`BddManager.and_many`,
-  :meth:`BddManager.restrict_many`, ...) run one operation over many operand
+  :meth:`BddManager.full_add_many`, ...) run one operation over many operand
   tuples as one transaction — one computed-table binding, one interner, one
   counter fold — so a 4r-slice gate update pays the per-operation setup once
   instead of 4r times.
@@ -102,6 +104,7 @@ OP_NAMES = ("and", "or", "xor", "not", "ite", "restrict", "exists", "compose",
 #: Node ids and variable indices are packed into single-integer cache keys.
 #: 30 bits bounds both at ~10**9, far beyond what one process can hold.
 _KEY_BITS = 30
+_KEY_MASK = (1 << _KEY_BITS) - 1
 
 #: Managers with at most this many variables use the recursive fast path
 #: (apply depth is bounded by the number of levels plus a constant, so this
@@ -524,7 +527,7 @@ class BddManager:
     def _top_cofactors(self, a: int, b: int, c: int):
         """Cofactor an operand triple on its top variable:
         ``(var, (a0, b0, c0), (a1, b1, c1))``.  Shared by the three-operand
-        visits (ITE, maj3, xor3) of the explicit-stack driver."""
+        visits (ITE, full adder) of the explicit-stack driver."""
         var_arr = self._var
         low_arr = self._low
         high_arr = self._high
@@ -1218,47 +1221,55 @@ class BddManager:
     # ------------------------------------------------------------------ #
     # fused multi-operand kernels
     # ------------------------------------------------------------------ #
-    def apply_maj3(self, f: int, g: int, h: int) -> int:
-        """Majority of three node ids: ``fg + fh + gh``.
+    def apply_full_add(self, f: int, g: int, h: int) -> Tuple[int, int]:
+        """One full-adder step on three node ids: ``(sum, carry)``.
 
-        This is the full-adder *carry* ``Car(A, B, C)`` of the paper's
-        Table II rules, computed in a single three-operand recursion under
-        its own computed table instead of the four 2-operand applies of the
-        naive composition ``(A & B) | ((A | B) & C)``.  Fully symmetric, so
-        operands are sorted to canonicalise the cache key.
+        ``sum = f ^ g ^ h`` and ``carry = fg + fh + gh`` are the
+        ``Sum(A, B, C)`` and ``Car(A, B, C)`` of the paper's Table II.  One
+        three-operand traversal builds both: per triple one sort, one
+        computed-table lookup and one cofactor step, then one ``make`` for
+        the sum and one for the carry, instead of the six 2-operand applies
+        of the naive composition.  Both functions are fully symmetric, so
+        the operands are sorted to canonicalise the key.  The table sits in
+        the ``maj3`` slot and counts one hit or miss per triple lookup.
         """
-        # Sort the three operands (majority is fully commutative).
         if f > g:
             f, g = g, f
         if g > h:
             g, h = h, g
         if f > g:
             f, g = g, f
-        if f == g:          # maj(a, a, c) == a
-            return f
-        if g == h:          # maj(a, b, b) == b
-            return g
-        if f == 0:          # maj(0, b, c) == b & c
-            return self.apply_and(g, h)
-        if f == 1:          # maj(1, b, c) == b | c
-            return self.apply_or(g, h)
         table = self._tables[OP_MAJ3]
-        key = (((f << _KEY_BITS) | g) << _KEY_BITS) | h
-        node = table.get(key)
-        if node is not None:
+        # Degenerate triples are never stored, so they always miss here.
+        packed = table.get((((f << _KEY_BITS) | g) << _KEY_BITS) | h)
+        if packed is None:
+            worker = self._worker(self._make_full_add_rec, self._make_full_add_stack, table)
+            packed = self._apply_once(worker, f, g, h)
+        else:
             self._op_hits[OP_MAJ3] += 1
-            return node
-        worker = self._worker(self._make_maj3_rec, self._make_maj3_stack, table)
-        return self._apply_once(worker, f, g, h)
+        return packed >> _KEY_BITS, packed & _KEY_MASK
 
-    def _make_maj3_rec(self, table: Dict):
-        """Recursive majority worker factory (``(rec, finish)`` contract of
+    def apply_maj3(self, f: int, g: int, h: int) -> int:
+        """Majority ``fg + fh + gh``: the carry of :meth:`apply_full_add`."""
+        return self.apply_full_add(f, g, h)[1]
+
+    def apply_xor3(self, f: int, g: int, h: int) -> int:
+        """Three-way exclusive-or ``f ^ g ^ h``: the sum of
+        :meth:`apply_full_add`."""
+        return self.apply_full_add(f, g, h)[0]
+
+    def _make_full_add_rec(self, table: Dict):
+        """Recursive full-adder worker factory (``(rec, finish)`` contract of
         :meth:`_make_binary_rec`).
 
-        The degenerate cases (``maj(0, b, c) = b & c``, ``maj(1, b, c) =
-        b | c``) delegate to *shared* nested AND / OR workers created once
-        per transaction, so a carry chain full of terminal cofactors does
-        not rebuild a binary-apply closure per delegation.
+        ``rec(a, b, c)`` returns the pair packed into one int, ``(sum <<
+        _KEY_BITS) | carry``, which is also the table entry.  After sorting,
+        ``a == b`` gives ``(c, a)`` and ``b == c`` gives ``(a, b)``; the
+        terminal cases (``a = 0``: ``(b ^ c, b & c)``, ``a = 1``: ``(not
+        (b ^ c), b | c)``) delegate to *shared* nested AND / OR / XOR / NOT
+        workers created once per transaction, so a carry chain full of
+        terminal cofactors does not rebuild a binary-apply closure per
+        delegation.
         """
         var_arr = self._var
         low_arr = self._low
@@ -1268,135 +1279,6 @@ class BddManager:
         table_get = table.get
         apply_and, and_finish = self._make_binary_rec(OP_AND, self._tables[OP_AND])
         apply_or, or_finish = self._make_binary_rec(OP_OR, self._tables[OP_OR])
-        make, ucounts = self._interner()
-        hits = 0
-        misses = 0
-
-        def rec(a: int, b: int, c: int) -> int:
-            nonlocal hits, misses
-            if a > b:
-                a, b = b, a
-            if b > c:
-                b, c = c, b
-            if a > b:
-                a, b = b, a
-            if a == b:
-                return a
-            if b == c:
-                return b
-            if a == 0:
-                return apply_and(b, c)
-            if a == 1:
-                return apply_or(b, c)
-            key = (((a << _KEY_BITS) | b) << _KEY_BITS) | c
-            node = table_get(key)
-            if node is not None:
-                hits += 1
-                return node
-            misses += 1
-            alev = v2l[var_arr[a]]
-            blev = v2l[var_arr[b]]
-            clev = v2l[var_arr[c]]
-            top = alev
-            if blev < top:
-                top = blev
-            if clev < top:
-                top = clev
-            if alev == top:
-                a0, a1 = low_arr[a], high_arr[a]
-            else:
-                a0 = a1 = a
-            if blev == top:
-                b0, b1 = low_arr[b], high_arr[b]
-            else:
-                b0 = b1 = b
-            if clev == top:
-                c0, c1 = low_arr[c], high_arr[c]
-            else:
-                c0 = c1 = c
-            node = make(l2v[top], rec(a0, b0, c0), rec(a1, b1, c1))
-            table[key] = node
-            return node
-
-        def finish() -> None:
-            nonlocal rec
-            rec = None
-            and_finish()
-            or_finish()
-            self._fold(OP_MAJ3, table, hits, misses, ucounts)
-
-        return rec, finish
-
-    def _make_maj3_stack(self, table: Dict):
-        """Explicit-stack twin of :meth:`_make_maj3_rec` (deep managers),
-        with the same nested AND / OR workers for the degenerate cases."""
-        apply_and, and_finish = self._make_binary_stack(OP_AND, self._tables[OP_AND])
-        apply_or, or_finish = self._make_binary_stack(OP_OR, self._tables[OP_OR])
-        top_cofactors = self._top_cofactors
-
-        def visit(args):
-            a, b, c = args
-            if a > b:
-                a, b = b, a
-            if b > c:
-                b, c = c, b
-            if a > b:
-                a, b = b, a
-            if a == b:
-                return a
-            if b == c:
-                return b
-            if a == 0:
-                return apply_and(b, c)
-            if a == 1:
-                return apply_or(b, c)
-            return ((((a << _KEY_BITS) | b) << _KEY_BITS) | c, *top_cofactors(a, b, c))
-
-        make, ucounts = self._interner()
-        return self._stack_apply(OP_MAJ3, table, visit, make, ucounts,
-                                 nested=(and_finish, or_finish))
-
-    def apply_xor3(self, f: int, g: int, h: int) -> int:
-        """Three-way exclusive-or of node ids: ``f ^ g ^ h``.
-
-        The full-adder *sum* ``Sum(A, B, C)`` of Table II, computed in one
-        three-operand recursion instead of two chained binary XORs (whose
-        intermediate result is materialised and interned only to be consumed
-        once).  Fully symmetric; operands are sorted for the cache key.
-        """
-        if f > g:
-            f, g = g, f
-        if g > h:
-            g, h = h, g
-        if f > g:
-            f, g = g, f
-        if f == g:          # a ^ a ^ c == c
-            return h
-        if g == h:          # a ^ b ^ b == a
-            return f
-        if f == 0:          # 0 ^ b ^ c == b ^ c
-            return self.apply_xor(g, h)
-        if f == 1:          # 1 ^ b ^ c == ~(b ^ c)
-            return self.apply_not(self.apply_xor(g, h))
-        table = self._tables[OP_XOR3]
-        key = (((f << _KEY_BITS) | g) << _KEY_BITS) | h
-        node = table.get(key)
-        if node is not None:
-            self._op_hits[OP_XOR3] += 1
-            return node
-        worker = self._worker(self._make_xor3_rec, self._make_xor3_stack, table)
-        return self._apply_once(worker, f, g, h)
-
-    def _make_xor3_rec(self, table: Dict):
-        """Recursive three-way-XOR worker factory (``(rec, finish)`` contract
-        of :meth:`_make_binary_rec`).  Degenerate cases delegate to shared
-        nested XOR / NOT workers created once per transaction."""
-        var_arr = self._var
-        low_arr = self._low
-        high_arr = self._high
-        v2l = self._var_to_level
-        l2v = self._level_to_var
-        table_get = table.get
         apply_xor, xor_finish = self._make_binary_rec(OP_XOR, self._tables[OP_XOR])
         apply_not, not_finish = self._make_not_rec(self._tables[OP_NOT])
         make, ucounts = self._interner()
@@ -1412,18 +1294,18 @@ class BddManager:
             if a > b:
                 a, b = b, a
             if a == b:
-                return c
+                return (c << _KEY_BITS) | a
             if b == c:
-                return a
+                return (a << _KEY_BITS) | b
             if a == 0:
-                return apply_xor(b, c)
+                return (apply_xor(b, c) << _KEY_BITS) | apply_and(b, c)
             if a == 1:
-                return apply_not(apply_xor(b, c))
+                return (apply_not(apply_xor(b, c)) << _KEY_BITS) | apply_or(b, c)
             key = (((a << _KEY_BITS) | b) << _KEY_BITS) | c
-            node = table_get(key)
-            if node is not None:
+            packed = table_get(key)
+            if packed is not None:
                 hits += 1
-                return node
+                return packed
             misses += 1
             alev = v2l[var_arr[a]]
             blev = v2l[var_arr[b]]
@@ -1445,25 +1327,36 @@ class BddManager:
                 c0, c1 = low_arr[c], high_arr[c]
             else:
                 c0 = c1 = c
-            node = make(l2v[top], rec(a0, b0, c0), rec(a1, b1, c1))
-            table[key] = node
-            return node
+            low = rec(a0, b0, c0)
+            high = rec(a1, b1, c1)
+            var = l2v[top]
+            packed = ((make(var, low >> _KEY_BITS, high >> _KEY_BITS) << _KEY_BITS)
+                      | make(var, low & _KEY_MASK, high & _KEY_MASK))
+            table[key] = packed
+            return packed
 
         def finish() -> None:
             nonlocal rec
             rec = None
+            and_finish()
+            or_finish()
             xor_finish()
             not_finish()
-            self._fold(OP_XOR3, table, hits, misses, ucounts)
+            self._fold(OP_MAJ3, table, hits, misses, ucounts)
 
         return rec, finish
 
-    def _make_xor3_stack(self, table: Dict):
-        """Explicit-stack twin of :meth:`_make_xor3_rec` (deep managers),
-        with the same nested XOR / NOT workers for the degenerate cases."""
+    def _make_full_add_stack(self, table: Dict):
+        """Explicit-stack twin of :meth:`_make_full_add_rec` (deep managers),
+        with the same nested AND / OR / XOR / NOT workers for the terminal
+        cases; ``combine`` unpacks both halves, makes both nodes and repacks
+        them."""
+        apply_and, and_finish = self._make_binary_stack(OP_AND, self._tables[OP_AND])
+        apply_or, or_finish = self._make_binary_stack(OP_OR, self._tables[OP_OR])
         apply_xor, xor_finish = self._make_binary_stack(OP_XOR, self._tables[OP_XOR])
         apply_not, not_finish = self._make_not_stack(self._tables[OP_NOT])
         top_cofactors = self._top_cofactors
+        make, ucounts = self._interner()
 
         def visit(args):
             a, b, c = args
@@ -1474,18 +1367,21 @@ class BddManager:
             if a > b:
                 a, b = b, a
             if a == b:
-                return c
+                return (c << _KEY_BITS) | a
             if b == c:
-                return a
+                return (a << _KEY_BITS) | b
             if a == 0:
-                return apply_xor(b, c)
+                return (apply_xor(b, c) << _KEY_BITS) | apply_and(b, c)
             if a == 1:
-                return apply_not(apply_xor(b, c))
+                return (apply_not(apply_xor(b, c)) << _KEY_BITS) | apply_or(b, c)
             return ((((a << _KEY_BITS) | b) << _KEY_BITS) | c, *top_cofactors(a, b, c))
 
-        make, ucounts = self._interner()
-        return self._stack_apply(OP_XOR3, table, visit, make, ucounts,
-                                 nested=(xor_finish, not_finish))
+        def combine(var: int, low: int, high: int) -> int:
+            return ((make(var, low >> _KEY_BITS, high >> _KEY_BITS) << _KEY_BITS)
+                    | make(var, low & _KEY_MASK, high & _KEY_MASK))
+
+        return self._stack_apply(OP_MAJ3, table, visit, make, ucounts, combine,
+                                 nested=(and_finish, or_finish, xor_finish, not_finish))
 
     def apply_swap_vars(self, f: int, var_a: int, var_b: int) -> int:
         """The function with the roles of ``var_a`` and ``var_b`` exchanged.
@@ -1665,15 +1561,12 @@ class BddManager:
         return self._run_batch(starmap, triples, self._make_ite_rec, self._make_ite_stack,
                                self._tables[OP_ITE])
 
-    def maj3_many(self, triples: Iterable[Tuple[int, int, int]]) -> List[int]:
-        """Fused full-adder carry of every triple, in one batch transaction."""
-        return self._run_batch(starmap, triples, self._make_maj3_rec, self._make_maj3_stack,
-                               self._tables[OP_MAJ3])
-
-    def xor3_many(self, triples: Iterable[Tuple[int, int, int]]) -> List[int]:
-        """Fused full-adder sum of every triple, in one batch transaction."""
-        return self._run_batch(starmap, triples, self._make_xor3_rec, self._make_xor3_stack,
-                               self._tables[OP_XOR3])
+    def full_add_many(self, triples: Iterable[Tuple[int, int, int]]) -> List[Tuple[int, int]]:
+        """Full-adder ``(sum, carry)`` of every triple, in one batch
+        transaction (one bit position of the gate rules' ripple adders)."""
+        packed = self._run_batch(starmap, triples, self._make_full_add_rec,
+                                 self._make_full_add_stack, self._tables[OP_MAJ3])
+        return [(pair >> _KEY_BITS, pair & _KEY_MASK) for pair in packed]
 
     def restrict_many(self, nodes: Iterable[int], var: int, value: bool) -> List[int]:
         """Cofactor of every node id with respect to ``var = value``, in one

@@ -36,13 +36,12 @@ Hot-path design (this file issues every substrate operation of a gate):
   :meth:`~repro.bdd.manager.BddManager.ite_many`, ...): one computed-table
   binding and one interner transaction per 4r-slice batch instead of per
   slice.
-* The ripple-carry adders use the **fused kernels**
-  :meth:`~repro.bdd.manager.BddManager.apply_xor3` /
-  :meth:`~repro.bdd.manager.BddManager.apply_maj3` (sum and carry in one
-  traversal each, two fused operations per bit instead of six binary
-  applies), and all independent adders of a gate — the four vectors of H,
-  the two of S — advance through their bit positions in lockstep so each
-  position is a single batch.
+* The ripple-carry adders use the **fused full-adder kernel**
+  :meth:`~repro.bdd.manager.BddManager.full_add_many` (sum and carry of
+  Table II from one traversal, one fused operation per bit instead of six
+  binary applies), and all independent adders of a gate — the four vectors
+  of H, the two of S — advance through their bit positions in lockstep so
+  each position is a single batch.
 * SWAP / CSWAP route through the fused
   :meth:`~repro.bdd.manager.BddManager.apply_swap_vars` cofactor kernel
   instead of the three-cofactor / five-connective formula.
@@ -241,12 +240,11 @@ class GateRuleEngine:
         lockstep.
 
         ``adders`` is a list of ``(addend_a, addend_b, carry_in)`` with
-        node-id bit lists.  Each bit position is one fused-sum batch
-        (:meth:`~repro.bdd.manager.BddManager.apply_xor3`) plus one
-        fused-carry batch (:meth:`~repro.bdd.manager.BddManager.apply_maj3`)
-        across all adders, so an H gate's four vector additions cost two
-        batched kernel sweeps per position instead of ~6 binary applies per
-        vector per position.
+        node-id bit lists.  Each bit position is one full-adder batch
+        (:meth:`~repro.bdd.manager.BddManager.full_add_many`, sum and carry
+        from one traversal) across all adders, so an H gate's four vector
+        additions cost one batched kernel sweep per position instead of ~6
+        binary applies per vector per position.
 
         Returns ``(sum_bit_lists, overflowed)`` where ``overflowed`` is True
         when, for at least one adder and one basis state, the signed result
@@ -266,8 +264,7 @@ class GateRuleEngine:
                 carry_into_sign = list(carries)
             triples = [(addend_a[position], addend_b[position], carries[index])
                        for index, (addend_a, addend_b, _) in enumerate(adders)]
-            sum_bits = manager.xor3_many(triples)
-            carries = manager.maj3_many(triples)
+            sum_bits, carries = zip(*manager.full_add_many(triples))
             for index, sum_bit in enumerate(sum_bits):
                 sums[index].append(sum_bit)
         overflow = manager.xor_many(list(zip(carries, carry_into_sign)))

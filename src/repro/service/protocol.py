@@ -238,14 +238,18 @@ class Message:
         """Rebuild a message of this kind from a decoded envelope dict
         (unknown keys are ignored, missing optional fields keep their
         defaults; a missing required field, or a JSON-native field whose
-        value is not of its annotated type, raises :class:`ProtocolError`)."""
+        value is not of its annotated type, raises :class:`ProtocolError`;
+        a boolean passes only where the annotation names ``bool``)."""
         kwargs = {}
         for name, codec, types in _wire_fields(cls):
             if name in data:
                 value = data[name]
                 if codec is not None:
                     value = None if value is None else codec[1](value)
-                elif not isinstance(value, types):
+                elif not isinstance(value, types) or (
+                        value.__class__ is bool and bool not in types):
+                    # A JSON boolean is a Python int: refuse it unless the
+                    # annotation names bool.
                     raise ProtocolError(
                         f"bad {cls.kind} payload: {name} must be "
                         f"{' or '.join(t.__name__ for t in types)}, "
@@ -270,7 +274,7 @@ class SubmitRun(Message):
     limits: Optional[ResourceLimits] = field(default=None, metadata=_LIMITS)
     shots: Optional[int] = None
     seed: Optional[int] = None
-    reorder: Optional[int] = None
+    reorder: Optional[Union[bool, int]] = None
     priority: int = 0
     #: Client-generated token making retried submissions safe: a resend
     #: carrying a key the server has already accepted is answered with the
@@ -293,7 +297,7 @@ class SubmitSweep(Message):
     limits: Optional[ResourceLimits] = field(default=None, metadata=_LIMITS)
     shots: Optional[int] = None
     seed: Optional[int] = None
-    reorder: Optional[int] = None
+    reorder: Optional[Union[bool, int]] = None
     priority: int = 0
     idempotency_key: Optional[str] = None
 

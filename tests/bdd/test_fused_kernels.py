@@ -6,6 +6,10 @@ the strongest possible check.  Coverage:
 
 * ``apply_maj3`` vs ``(f & g) | (f & h) | (g & h)`` on randomised DNFs,
 * ``apply_xor3`` vs ``f ^ g ^ h``,
+* the full adder (``apply_full_add`` / ``full_add_many``) vs both of them
+  and both compositions, including terminal and repeated operands, and its
+  computed-table traffic: one ``maj3`` lookup per visited triple, no
+  ``xor3`` traffic,
 * ``apply_swap_vars`` vs the cofactor / connective SWAP formula, including
   adjacent, distant, absent-variable and involution cases,
 * every batch method of the manager (``and_many``, ..., ``swap_vars_many``)
@@ -123,6 +127,90 @@ class TestFusedTernaryKernels:
             assert carry.evaluate(assignment) == (bits >= 2)
 
 
+def reference_lookups(manager: BddManager, triples):
+    """``(hits, misses)`` of a cache-cold full-adder batch over ``triples``:
+    one lookup per non-degenerate sorted triple its recursion visits, a
+    miss the first time and a hit after, with the memo shared across the
+    batch."""
+    seen = set()
+    hits = 0
+
+    def visit(a: int, b: int, c: int) -> None:
+        nonlocal hits
+        a, b, c = sorted((a, b, c))
+        if a == b or b == c or a < 2:
+            return
+        if (a, b, c) in seen:
+            hits += 1
+            return
+        seen.add((a, b, c))
+        top = min(manager.level_of(manager.node_var(n)) for n in (a, b, c))
+        cofactors = [(manager.node_low(n), manager.node_high(n))
+                     if manager.level_of(manager.node_var(n)) == top else (n, n)
+                     for n in (a, b, c)]
+        visit(*(low for low, _ in cofactors))
+        visit(*(high for _, high in cofactors))
+
+    for triple in triples:
+        visit(*triple)
+    return hits, len(seen)
+
+
+class TestFullAdder:
+    """``apply_full_add`` / ``full_add_many``: Table II's sum and carry from
+    one traversal, node for node equal to the split kernels and to the naive
+    compositions."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           picks=st.lists(st.tuples(*[st.integers(min_value=0, max_value=5)] * 3),
+                          min_size=1, max_size=6))
+    def test_sum_and_carry_match_compositions(self, seed, picks):
+        rng = random.Random(seed)
+        manager = BddManager(8)
+        # Indices 0 and 1 are the terminals; picks repeat operands freely.
+        pool = [manager.false, manager.true] + [
+            random_function(manager, rng, max_terms=10) for _ in range(4)]
+        triples = [tuple(pool[index] for index in pick) for pick in picks]
+        nodes = [tuple(f.node for f in triple) for triple in triples]
+        manager.clear_cache()
+        batched = manager.full_add_many(nodes)
+        manager.clear_cache()
+        single = [manager.apply_full_add(*triple) for triple in nodes]
+        manager.clear_cache()
+        split = [(manager.apply_xor3(*triple), manager.apply_maj3(*triple))
+                 for triple in nodes]
+        naive = [(naive_xor3(*triple).node, naive_maj3(*triple).node)
+                 for triple in triples]
+        assert batched == single == split == naive
+
+    @pytest.mark.parametrize("seed", [3, 47])
+    def test_one_maj3_lookup_per_visited_triple(self, seed):
+        rng = random.Random(seed)
+        manager = BddManager(10)
+        functions = [random_function(manager, rng) for _ in range(6)]
+        nodes = [f.node for f in functions if f.node > 1]
+        triples = [triple for triple in zip(nodes, nodes[1:], nodes[2:])
+                   if len(set(triple)) == 3]
+        assert triples
+        manager.clear_cache()
+        before = manager.perf_stats()
+        manager.full_add_many(triples)
+        after = manager.perf_stats()
+        hits, misses = reference_lookups(manager, triples)
+        assert misses > len(triples)
+        assert after["cache_maj3_hits"] - before["cache_maj3_hits"] == hits
+        assert after["cache_maj3_misses"] - before["cache_maj3_misses"] == misses
+        assert after["cache_xor3_hits"] == before["cache_xor3_hits"] == 0
+        assert after["cache_xor3_misses"] == before["cache_xor3_misses"] == 0
+        # A repeat is served whole: one hit per triple, nothing rebuilt.
+        manager.full_add_many(triples)
+        again = manager.perf_stats()
+        assert again["cache_maj3_hits"] - after["cache_maj3_hits"] == len(triples)
+        assert again["cache_misses"] == after["cache_misses"]
+        assert again["unique_inserts"] == after["unique_inserts"]
+
+
 class TestFusedSwapVars:
     @pytest.mark.parametrize("seed", [3, 19, 41])
     def test_swap_matches_composition(self, seed):
@@ -183,8 +271,7 @@ class TestBatchMethods:
             (manager.xor_many, (pairs,), manager.apply_xor, pairs),
             (manager.not_many, (nodes,), manager.apply_not, [(n,) for n in nodes]),
             (manager.ite_many, (triples,), manager.apply_ite, triples),
-            (manager.maj3_many, (triples,), manager.apply_maj3, triples),
-            (manager.xor3_many, (triples,), manager.apply_xor3, triples),
+            (manager.full_add_many, (triples,), manager.apply_full_add, triples),
             (manager.restrict_many, (nodes, 4, True), manager.apply_restrict,
              [(n, 4, True) for n in nodes]),
             (manager.flip_many, (nodes, 3), manager.apply_flip, [(n, 3) for n in nodes]),
@@ -197,7 +284,7 @@ class TestBatchMethods:
         rng = random.Random(53)
         nodes = [f.node for f in self._functions(manager, rng)]
         batches = self._batches(manager, nodes)
-        assert len(batches) == 10
+        assert len(batches) == 9
         for many, args, single, operands in batches:
             assert many(*args) == [single(*operand) for operand in operands], many
 
@@ -370,8 +457,8 @@ class TestDeepManagerFusedKernels:
             assert swapped == naive_swap_vars(f, 5, 1400)
             assert swapped.swap_vars(1400, 5) == f
             triples = [(f.node, g.node, h.node), (g.node, h.node, f.node)]
-            assert manager.maj3_many(triples) == [manager.apply_maj3(*t) for t in triples]
-            assert manager.xor3_many(triples) == [manager.apply_xor3(*t) for t in triples]
+            assert manager.full_add_many(triples) == [
+                (manager.apply_xor3(*t), manager.apply_maj3(*t)) for t in triples]
             assert (manager.swap_vars_many([f.node, g.node], 5, 1400)
                     == [manager.apply_swap_vars(n, 5, 1400) for n in (f.node, g.node)])
         finally:

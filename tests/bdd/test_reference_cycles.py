@@ -40,6 +40,7 @@ KERNELS = {
     "apply_exists": lambda m, f, g, h: m.apply_exists(f, [1, 2]),
     "apply_compose": lambda m, f, g, h: m.apply_compose(f, 1, g),
     "apply_flip": lambda m, f, g, h: m.apply_flip(f, 1),
+    "apply_full_add": lambda m, f, g, h: m.apply_full_add(f, g, h),
     "apply_maj3": lambda m, f, g, h: m.apply_maj3(f, g, h),
     "apply_xor3": lambda m, f, g, h: m.apply_xor3(f, g, h),
     "apply_swap_vars": lambda m, f, g, h: m.apply_swap_vars(f, 0, 3),
@@ -48,8 +49,7 @@ KERNELS = {
     "xor_many": lambda m, f, g, h: m.xor_many([(f, g), (g, h)]),
     "not_many": lambda m, f, g, h: m.not_many([f, g]),
     "ite_many": lambda m, f, g, h: m.ite_many([(f, g, h), (h, f, g)]),
-    "maj3_many": lambda m, f, g, h: m.maj3_many([(f, g, h)]),
-    "xor3_many": lambda m, f, g, h: m.xor3_many([(f, g, h)]),
+    "full_add_many": lambda m, f, g, h: m.full_add_many([(f, g, h), (h, f, 0)]),
     "restrict_many": lambda m, f, g, h: m.restrict_many([f, g], 1, False),
     "flip_many": lambda m, f, g, h: m.flip_many([f, g], 1),
     "swap_vars_many": lambda m, f, g, h: m.swap_vars_many([f, g], 0, 3),

@@ -59,6 +59,7 @@ def run_script(seed: int, cache_size_limit: int):
         lambda: manager.apply_restrict(node(), var(), rng.random() < 0.5),
         lambda: manager.apply_exists(node(), rng.sample(range(NUM_VARS), rng.randrange(1, 4))),
         lambda: manager.apply_compose(node(), var(), node()),
+        lambda: manager.apply_full_add(node(), node(), node()),
         lambda: manager.apply_maj3(node(), node(), node()),
         lambda: manager.apply_xor3(node(), node(), node()),
         lambda: manager.apply_swap_vars(node(), var(), var()),
@@ -68,8 +69,7 @@ def run_script(seed: int, cache_size_limit: int):
         lambda: manager.xor_many(pairs()),
         lambda: manager.not_many(nodes()),
         lambda: manager.ite_many(triples()),
-        lambda: manager.maj3_many(triples()),
-        lambda: manager.xor3_many(triples()),
+        lambda: manager.full_add_many(triples()),
         lambda: manager.restrict_many(nodes(), var(), rng.random() < 0.5),
         lambda: manager.flip_many(nodes(), var()),
         lambda: manager.swap_vars_many(nodes(), var(), var()),
@@ -78,7 +78,9 @@ def run_script(seed: int, cache_size_limit: int):
     for _ in range(STEPS):
         result = rng.choice(steps)()
         results.append(result)
-        pool.extend(result if isinstance(result, list) else [result])
+        # Results are a node id, a (sum, carry) pair or a list of either.
+        for item in result if isinstance(result, list) else [result]:
+            pool.extend(item if isinstance(item, tuple) else [item])
     stats = manager.perf_stats()
     counters = {key: value for key, value in stats.items()
                 if key.startswith(COUNTER_PREFIXES) and not key.endswith("rate")}

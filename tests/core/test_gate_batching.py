@@ -17,6 +17,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.bdd.manager as manager_module
 from repro.bdd import Bdd
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import Gate, GateKind
@@ -42,8 +43,13 @@ def _prepared_engine(num_qubits=4, seed=11):
 
 
 class TestBatchedAdder:
-    def test_ripple_add_many_matches_reference(self):
+    @pytest.mark.parametrize("driver", ["recursive", "stack"])
+    def test_ripple_add_many_matches_reference(self, monkeypatch, driver):
         engine = _prepared_engine()
+        if driver == "stack":
+            # Send the fused full-adder batches down the explicit-stack twin.
+            monkeypatch.setattr(manager_module, "_MAX_RECURSIVE_VARS", 0)
+            engine.state.manager.clear_cache()
         state = engine.state
         qt = engine._qvar_node(0)
         qt_handle = Bdd(state.manager, qt)

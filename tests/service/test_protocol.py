@@ -111,6 +111,20 @@ def test_submit_sweep_tasks_roundtrip():
     assert [c.name for _, c in request.tasks] == ["t0", "t1", "t2"]
 
 
+def test_boolean_reorder_roundtrips():
+    """``reorder`` is the one integer field whose annotation names bool
+    (``RunRequest`` takes ``reorder=True``), so a JSON boolean travels."""
+    circuit = QuantumCircuit(1).h(0)
+    for message in (SubmitRun(circuit, reorder=True),
+                    SubmitSweep([("bitslice", circuit)], reorder=True)):
+        line = encode_message(message)
+        assert json.loads(line)["reorder"] is True
+        request, _ = decode_request(line)
+        assert request.reorder is True
+    request, _ = decode_request(encode_message(SubmitRun(circuit, reorder=3)))
+    assert request.reorder == 3
+
+
 def test_version_mismatch_rejected():
     line = encode_message(WatchRequest())
     envelope = json.loads(line)
@@ -146,6 +160,11 @@ def test_request_and_response_registries_are_disjoint_views():
     ("submit_run", {"circuit": circuit_to_wire(QuantumCircuit(1)),
                     "engine": ["bitslice"]}, "engine"),
     ("open_session", {"num_qubits": [2]}, "num_qubits"),
+    ("open_session", {"num_qubits": True}, "num_qubits"),
+    ("submit_run", {"circuit": circuit_to_wire(QuantumCircuit(1)),
+                    "priority": True}, "priority"),
+    ("submit_sweep", {"tasks": [], "seed": False}, "seed"),
+    ("watch", {"interval": True}, "interval"),
     ("watch", {"interval": "fast"}, "interval"),
     ("query_probability", {"circuit": circuit_to_wire(QuantumCircuit(1)),
                            "qubits": 0}, "qubits"),

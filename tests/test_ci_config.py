@@ -210,6 +210,20 @@ class TestPerfbenchTests:
         assert "python -m pytest perfbench -q" in jobs["tests"]
         assert (REPO_ROOT / "perfbench" / "test_perfbench.py").is_file()
 
+    def test_declared_cache_metrics_match_the_manager_op_tags(self):
+        """``BENCHMARK.json`` declares one ``bdd.cache_<op>_hit_rate`` per
+        computed-table slot of the BDD manager, and perfbench emits exactly
+        the declared set; a kernel change that adds or drops an op tag must
+        fail here, in the tier-1 suite, not only in perfbench's own tests."""
+        from repro.bdd.manager import OP_NAMES
+
+        declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        names = {metric["name"] for metric in declared["per_layer"]}
+        cache_rates = {name for name in names
+                       if re.fullmatch(r"bdd\.cache_\w+_hit_rate", name)}
+        assert "bdd.cache_hit_rate" in names
+        assert cache_rates == {f"bdd.cache_{op}_hit_rate" for op in OP_NAMES}
+
 
 class TestChaosSuiteJob:
     def test_chaos_suite_is_a_separate_ci_job(self):
