@@ -62,63 +62,34 @@ The most common entry points are re-exported here::
     BitSliceSimulator.simulate(circuit).measurement_distribution()
 """
 
-from repro.algebra import AlgebraicComplex, AlgebraicVector
-from repro.circuit import Gate, GateKind, QuantumCircuit
-from repro.core import BitSliceSimulator, BitSlicedState
-from repro.baselines import QmddSimulator, StabilizerSimulator, StatevectorSimulator
-from repro.exceptions import (
-    NumericalError,
-    SimulationError,
-    SimulationMemoryExceeded,
-    SimulationTimeout,
-    UnsupportedGateError,
-)
-from repro.engines import (
-    Capabilities,
-    Engine,
-    ResourceLimits,
-    RunResult,
-    UnknownEngineError,
-    available_engines,
-    register_engine,
-    run,
-    run_sweep,
-    select_engine,
-)
+from repro._exports import lazy_exports
 
-# Imported after :mod:`repro.engines`: the cache package's modules depend on
-# ``engines.base`` / ``engines.result``, and the engines front door depends
-# on the cache modules — resolving the engines package first lets both
-# import orders (``import repro.cache`` included) settle without a cycle.
-from repro.cache import ResultCache, SessionPool, circuit_fingerprint
-
-# Imported last: the service builds on the engines front door and the cache
-# layer (its server embeds a ResultCache and a SessionPool).
-from repro.exceptions import JobCancelledError
-from repro.service import (
-    AsyncClient,
-    Client,
-    Server,
-    ServiceError,
-    serve_background,
-)
-
-# Resilience rides on everything above (the journal keys via the cache's
-# fingerprints, the retry policy classifies service error codes).
-from repro.resilience import FaultPlan, FaultRule, RetryPolicy, SweepJournal
-
-# Snapshots serialise live engine state; the module depends only on the
-# BDD substrate and the core simulator, but is grouped with the
-# robustness surface it powers (checkpointed runs, restartable sessions).
-from repro.snapshot import (
-    SNAPSHOT_VERSION,
-    SnapshotCorruptError,
-    dump_manager,
-    dump_simulator,
-    load_manager,
-    load_simulator,
-    snapshot_info,
-)
+# Where each public name lives.  Nothing below is imported with the
+# package: its ``__getattr__`` imports a name's module on first access
+# (PEP 562), so ``import repro`` followed by a bit-sliced run loads the
+# engines, the cache and the BDD core, but not numpy, the baseline
+# simulators, the service, the resilience retry and journal, or snapshots.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.algebra": ("AlgebraicComplex", "AlgebraicVector"),
+    "repro.circuit": ("Gate", "GateKind", "QuantumCircuit"),
+    "repro.core": ("BitSliceSimulator", "BitSlicedState"),
+    "repro.baselines": ("QmddSimulator", "StabilizerSimulator",
+                        "StatevectorSimulator"),
+    "repro.exceptions": ("JobCancelledError", "NumericalError",
+                         "SimulationError", "SimulationMemoryExceeded",
+                         "SimulationTimeout", "UnsupportedGateError"),
+    "repro.engines": ("Capabilities", "Engine", "ResourceLimits", "RunResult",
+                      "UnknownEngineError", "available_engines",
+                      "register_engine", "run", "run_sweep", "select_engine"),
+    "repro.cache": ("ResultCache", "SessionPool", "circuit_fingerprint"),
+    "repro.service": ("AsyncClient", "Client", "Server", "ServiceError",
+                      "serve_background"),
+    "repro.resilience": ("FaultPlan", "FaultRule", "RetryPolicy",
+                         "SweepJournal"),
+    "repro.snapshot": ("SNAPSHOT_VERSION", "SnapshotCorruptError",
+                       "dump_manager", "dump_simulator", "load_manager",
+                       "load_simulator", "snapshot_info"),
+})
 
 __version__ = "0.1.0"
 

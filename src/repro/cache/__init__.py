@@ -26,6 +26,11 @@ See ``docs/caching.md`` for the fingerprint spec, the eviction policies and
 the prefix-resume exactness argument.
 """
 
+# The one place that settles the import order of the two packages: the
+# cache modules import ``repro.engines.base``, whose package imports the
+# front door, which imports the cache modules.  Resolving the engines
+# package first lets ``import repro.cache...`` be a process's first import.
+import repro.engines  # noqa: F401
 from repro.cache.fingerprint import (
     FINGERPRINT_VERSION,
     circuit_fingerprint,

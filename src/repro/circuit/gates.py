@@ -24,11 +24,12 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra import AlgebraicComplex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _ONE = AlgebraicComplex.one()
 _ZERO = AlgebraicComplex.zero()
@@ -82,6 +83,8 @@ class GateSpec:
         built once per kind (``None`` for SWAP-style and measurement gates)."""
         if self.base_matrix_exact is None:
             return None
+        import numpy as np
+
         matrix = np.array(
             [[entry.to_complex() for entry in row] for row in self.base_matrix_exact],
             dtype=complex,
@@ -258,6 +261,8 @@ def full_unitary(gate: Gate, num_qubits: int) -> np.ndarray:
     Qubit 0 is the most significant bit of the basis index (the paper's
     convention).  Only intended for small ``num_qubits`` (tests, examples).
     """
+    import numpy as np
+
     dim = 1 << num_qubits
     unitary = np.zeros((dim, dim), dtype=complex)
 

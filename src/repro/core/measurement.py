@@ -45,11 +45,6 @@ from repro.algebra.omega import sqrt2_ratio_to_float
 from repro.bdd import Bdd
 from repro.core.bitslice import VECTOR_NAMES, BitSlicedState
 
-try:  # pragma: no cover - numpy is a hard dependency, guard is cosmetic
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
-
 
 class ExactProbability:
     """An exact non-negative number of the form ``(x + y*sqrt(2)) / 2**k``.
@@ -424,8 +419,10 @@ class MeasurementEngine:
         probability_zero = exact_zero.to_float(self.state.s ** 2)
         if forced_outcome is None:
             if rng is None:
-                rng = np.random.default_rng() if np is not None else None
-            draw = rng.random() if rng is not None else 0.5
+                import numpy as np
+
+                rng = np.random.default_rng()
+            draw = rng.random()
             outcome = 0 if draw < probability_zero else 1
         else:
             outcome = int(forced_outcome)

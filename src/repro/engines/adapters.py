@@ -8,7 +8,9 @@ fully featured; each adapter here is a thin lifecycle shim that
 
 * constructs the native simulator in :meth:`prepare` *without* any budget
   plumbing (TO/MO enforcement is the
-  :class:`~repro.engines.limits.LimitEnforcer`'s job now),
+  :class:`~repro.engines.limits.LimitEnforcer`'s job now); the baseline
+  adapters also import their simulator (and so numpy) there, so
+  registering them loads nothing a bit-sliced run does not use,
 * normalises the statistics to the canonical schema — the historical
   per-engine peak-memory spellings (``peak_bdd_nodes`` / ``peak_dd_nodes`` /
   ``tableau_bytes``) are rewritten to ``peak_memory_nodes`` here and nowhere
@@ -21,11 +23,8 @@ fully featured; each adapter here is a thin lifecycle shim that
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.baselines.qmdd import QmddSimulator
-from repro.baselines.stabilizer import StabilizerSimulator
-from repro.baselines.statevector import StatevectorSimulator
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import Gate, GateKind
 from repro.exceptions import UnsupportedGateError
@@ -41,6 +40,11 @@ from repro.engines.base import (
 )
 from repro.engines.limits import ResourceLimits
 from repro.engines.registry import register_engine
+
+if TYPE_CHECKING:
+    from repro.baselines.qmdd import QmddSimulator
+    from repro.baselines.stabilizer import StabilizerSimulator
+    from repro.baselines.statevector import StatevectorSimulator
 
 
 def _reject_stream_dynamic(gate: Gate) -> None:
@@ -228,6 +232,8 @@ class QmddEngine(_SimulatorEngine):
 
     def prepare(self, circuit: QuantumCircuit,
                 limits: Optional[ResourceLimits] = None) -> None:
+        from repro.baselines.qmdd import QmddSimulator
+
         super().prepare(circuit, limits)
         self._simulator = QmddSimulator(circuit.num_qubits)
 
@@ -273,6 +279,8 @@ class StatevectorEngine(_SimulatorEngine):
 
     def prepare(self, circuit: QuantumCircuit,
                 limits: Optional[ResourceLimits] = None) -> None:
+        from repro.baselines.statevector import StatevectorSimulator
+
         super().prepare(circuit, limits)
         limits = limits or ResourceLimits()
         self._simulator = StatevectorSimulator(circuit.num_qubits,
@@ -323,6 +331,8 @@ class StabilizerEngine(_SimulatorEngine):
 
     def prepare(self, circuit: QuantumCircuit,
                 limits: Optional[ResourceLimits] = None) -> None:
+        from repro.baselines.stabilizer import StabilizerSimulator
+
         super().prepare(circuit, limits)
         self._simulator = StabilizerSimulator(circuit.num_qubits)
 

@@ -38,6 +38,7 @@ labels.
 from __future__ import annotations
 
 import abc
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Dict, FrozenSet, List, Optional, Sequence
@@ -85,18 +86,24 @@ def dense_memory_nodes(num_qubits: int) -> int:
 def check_outcome_query(num_qubits: int, qubits: Sequence[int],
                         bits: Optional[Sequence[int]] = None) -> None:
     """Reject a malformed probability query with ``ValueError``: every
-    queried qubit must index the ``num_qubits``-qubit register, and
-    ``bits``, when given, must pair one value with each qubit.  Every
-    built-in engine's :meth:`Engine.probability` and the default
-    :meth:`Engine.branch_probability` run it, so no engine wraps a
-    negative index, ignores an out-of-range qubit or truncates a short
-    outcome."""
+    queried qubit must be an integer (not a ``bool``) indexing the
+    ``num_qubits``-qubit register, and ``bits``, when given, must pair one
+    value, 0 or 1, with each qubit.  Every built-in engine's
+    :meth:`Engine.probability` and the default
+    :meth:`Engine.branch_probability` run it, so no engine reads ``True``
+    as qubit 1, wraps a negative index, ignores an out-of-range qubit,
+    truncates a short outcome or answers for an outcome value of 2."""
     if bits is not None and len(bits) != len(qubits):
         raise ValueError("qubits and outcome must have the same length")
     for qubit in qubits:
+        if qubit.__class__ is bool or not isinstance(qubit, numbers.Integral):
+            raise ValueError(f"qubit {qubit!r} is not an integer index")
         if not 0 <= qubit < num_qubits:
             raise ValueError(f"qubit {qubit} out of range for "
                              f"{num_qubits} qubits")
+    for bit in () if bits is None else bits:
+        if bit not in (0, 1):
+            raise ValueError(f"outcome value {bit!r} is not 0 or 1")
 
 
 #: The Clifford subset an Aaronson-Gottesman tableau can apply exactly.

@@ -50,7 +50,6 @@ import numbers
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
@@ -866,8 +865,12 @@ def run_tasks(tasks: Sequence[Tuple[str, QuantumCircuit]],
             pending.append(
                 (index, pool.submit(_execute, request, ckpts[index])))
 
-    with (ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
-          if jobs > 1 and len(tasks) > 1 else nullcontext()) as pool:
+    workers = nullcontext()
+    if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        workers = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
+    with workers as pool:
         for index, (request, key) in enumerate(zip(requests, keys)):
             settle(index, request, key, pool)
         for index, future in pending:

@@ -198,13 +198,36 @@ def _json_types(hint: Any) -> Tuple[type, ...]:
     return tuple(types)
 
 
+def _item_types(hint: Any) -> Optional[Tuple[type, ...]]:
+    """The JSON types each element of a ``List[X]`` field accepts
+    (``None`` for a field of any other annotation)."""
+    return _json_types(get_args(hint)[0]) if get_origin(hint) is list else None
+
+
+def _check_json_type(cls: type, what: str, value: Any,
+                     types: Tuple[type, ...]) -> None:
+    """Raise :class:`ProtocolError` unless ``value`` is one of ``types``.
+    A JSON boolean is a Python int, so it passes only where ``types``
+    names ``bool``."""
+    if not isinstance(value, types) or (
+            value.__class__ is bool and bool not in types):
+        raise ProtocolError(
+            f"bad {cls.kind} payload: {what} must be "
+            f"{' or '.join(t.__name__ for t in types)}, "
+            f"not {type(value).__name__}")
+
+
 @lru_cache(maxsize=None)
-def _wire_fields(cls: type) -> Tuple[Tuple[str, Optional[Codec], Tuple[type, ...]], ...]:
+def _wire_fields(cls: type) -> Tuple[Tuple[str, Optional[Codec],
+                                           Tuple[type, ...],
+                                           Optional[Tuple[type, ...]]], ...]:
     """Each payload field of a message class, in declaration order, with
-    its codec (``None`` for JSON-native fields) and the JSON types a
-    JSON-native field accepts (read off its annotation)."""
+    its codec (``None`` for JSON-native fields), the JSON types a
+    JSON-native field accepts (read off its annotation) and, for a
+    ``List[X]`` field, the types each element accepts (else ``None``)."""
     hints = get_type_hints(cls)
-    return tuple((f.name, f.metadata.get("codec"), _json_types(hints[f.name]))
+    return tuple((f.name, f.metadata.get("codec"), _json_types(hints[f.name]),
+                  _item_types(hints[f.name]))
                  for f in fields(cls))
 
 
@@ -227,7 +250,7 @@ class Message:
         """Encode the message's fields into a JSON-ready payload dict
         (``None``-valued optional fields are omitted from the wire)."""
         data: Dict[str, Any] = {}
-        for name, codec, _ in _wire_fields(type(self)):
+        for name, codec, _, _ in _wire_fields(type(self)):
             value = getattr(self, name)
             if value is not None:
                 data[name] = value if codec is None else codec[0](value)
@@ -239,21 +262,19 @@ class Message:
         (unknown keys are ignored, missing optional fields keep their
         defaults; a missing required field, or a JSON-native field whose
         value is not of its annotated type, raises :class:`ProtocolError`;
-        a boolean passes only where the annotation names ``bool``)."""
+        a boolean passes only where the annotation names ``bool``, in a
+        ``List[X]`` field's elements too)."""
         kwargs = {}
-        for name, codec, types in _wire_fields(cls):
+        for name, codec, types, item_types in _wire_fields(cls):
             if name in data:
                 value = data[name]
                 if codec is not None:
                     value = None if value is None else codec[1](value)
-                elif not isinstance(value, types) or (
-                        value.__class__ is bool and bool not in types):
-                    # A JSON boolean is a Python int: refuse it unless the
-                    # annotation names bool.
-                    raise ProtocolError(
-                        f"bad {cls.kind} payload: {name} must be "
-                        f"{' or '.join(t.__name__ for t in types)}, "
-                        f"not {type(value).__name__}")
+                else:
+                    _check_json_type(cls, name, value, types)
+                    for item in value if item_types else ():
+                        _check_json_type(cls, f"{name} elements", item,
+                                         item_types)
                 kwargs[name] = value
         try:
             return cls(**kwargs)

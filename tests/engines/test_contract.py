@@ -68,6 +68,21 @@ class TestMalformedQuery:
         assert instance.probability([0, 1], [1, 1]) == pytest.approx(
             0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("qubits,bits,message", [
+        ([True], [1], "not an integer"), ([1.0], [1], "not an integer"),
+        ([0], [2], "not 0 or 1"), ([0, 1], [1, -1], "not 0 or 1")],
+        ids=["bool-qubit", "float-qubit", "outcome-2", "outcome-minus-1"])
+    def test_probability_rejects_a_malformed_index_or_value(
+            self, engine, qubits, bits, message):
+        """``True`` is not qubit 1 and 2 is not an outcome: the one query
+        check refuses both with the same ``ValueError`` on every engine,
+        instead of an answer on some and a numpy or index error on
+        others."""
+        instance = create_engine(engine)
+        instance.run(BELL, LIMITS)
+        with pytest.raises(ValueError, match=message):
+            instance.probability(qubits, bits)
+
     @pytest.mark.parametrize("qubits", [[0, 5], [-1, 0]])
     def test_branch_probability_rejects_a_bad_qubit(self, engine, qubits):
         instance = create_engine(engine)

@@ -168,6 +168,12 @@ def test_request_and_response_registries_are_disjoint_views():
     ("watch", {"interval": "fast"}, "interval"),
     ("query_probability", {"circuit": circuit_to_wire(QuantumCircuit(1)),
                            "qubits": 0}, "qubits"),
+    ("query_probability", {"circuit": circuit_to_wire(QuantumCircuit(1)),
+                           "qubits": [True], "values": [1]},
+     "qubits elements"),
+    ("query_probability", {"circuit": circuit_to_wire(QuantumCircuit(1)),
+                           "qubits": [0], "values": [True]},
+     "values elements"),
 ])
 def test_raw_field_of_the_wrong_type_is_rejected_with_its_id(kind, payload,
                                                              field):

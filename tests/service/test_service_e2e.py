@@ -413,3 +413,20 @@ def test_malformed_probability_query_is_a_bad_request(server, engine,
         assert excinfo.value.code == "bad_request"
         assert client.query_probability(BELL, [0, 1], [1, 1],
                                         engine=engine) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("qubits,values", [([True], [1]), ([0], [True]),
+                                           ([0], [2])],
+                         ids=["bool-qubit", "bool-value", "value-2"])
+def test_probability_query_with_a_bool_or_non_bit_is_never_queued(
+        server, qubits, values):
+    """A JSON ``true`` in ``qubits`` or ``values`` is refused by the
+    protocol, and an outcome value of 2 by the query check, so each is
+    answered ``bad_request`` before ``job_accepted``: no job is queued."""
+    with Client(server.address) as client:
+        before = client.stats()["counters"].get("service_jobs_submitted", 0)
+        with pytest.raises(ServiceError) as excinfo:
+            client.query_probability(BELL, qubits, values)
+        assert excinfo.value.code == "bad_request"
+        after = client.stats()["counters"].get("service_jobs_submitted", 0)
+    assert after == before

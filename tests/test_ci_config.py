@@ -308,3 +308,23 @@ class TestHarnessOverTheWire:
         local_step = job_sections(ci_text(), "ci.yml")["tests"]
         assert local_step.index("--json harness-table3.json") < \
             local_step.index("repro-serve --unix")
+
+
+class TestImportTimeSummary:
+    def test_tier1_job_summarises_the_import_time_of_import_repro(self):
+        """After the install, each tier-1 job (one per Python version)
+        profiles ``import repro`` with ``-X importtime`` and writes the 15
+        largest cumulative entries to the run summary, so a module that
+        creeps back into the package import shows there."""
+        job = job_sections(ci_text(), "ci.yml")["tests"]
+        steps = job.split("- name:")
+        matching = [step for step in steps
+                    if 'python -X importtime -c "import repro"' in step]
+        assert len(matching) == 1, "ci.yml's tier-1 job lost the step"
+        step = matching[0]
+        assert re.search(r"sort -t '\|' -k 2 -n -r \| head -15", step)
+        assert '>> "$GITHUB_STEP_SUMMARY"' in step
+        assert "matrix.python-version" in step
+        assert (job.index("pip install -e .[test]")
+                < job.index("-X importtime")
+                < job.index("python -m pytest -x -q"))

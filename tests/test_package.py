@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,16 @@ class TestPublicApi:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    @pytest.mark.parametrize("package", ["repro", "repro.resilience"])
+    def test_lazy_exports_are_listed_and_unknown_names_raise(self, package):
+        """The packages that resolve their names on first access still list
+        every export in ``dir()`` and raise ``AttributeError`` for any other
+        name."""
+        module = importlib.import_module(package)
+        assert set(module.__all__) <= set(dir(module))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
 
     def test_readme_snippet(self):
         circuit = QuantumCircuit(2).h(0).cx(0, 1)
