@@ -21,16 +21,17 @@ The public entry point is :class:`~repro.bdd.manager.BddManager`; user code
 manipulates :class:`~repro.bdd.expr.Bdd` handles returned by it.
 """
 
+from repro._exports import lazy_exports
 from repro.bdd.manager import BddManager
 from repro.bdd.expr import Bdd
-from repro.bdd.ordering import natural_order, interleaved_order, sift
-from repro.bdd.analysis import (
-    count_nodes,
-    dag_export,
-    satisfying_assignments,
-    truth_table,
-    to_dot,
-)
+
+# The order helpers and the analysis exports are imported on first access
+# (PEP 562), so a simulation run does not load them.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.bdd.ordering": ("natural_order", "interleaved_order", "sift"),
+    "repro.bdd.analysis": ("count_nodes", "dag_export", "satisfying_assignments",
+                           "truth_table", "to_dot"),
+})
 
 __all__ = [
     "BddManager",

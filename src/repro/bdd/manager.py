@@ -45,6 +45,13 @@ here, so the constant factors of this file dominate end-to-end runtime):
   cofactor sweeps plus an ITE; it memoises and counts as ``compose``.  A
   conditional negation ``ite(c, not f, f)`` is the plain XOR ``c ^ f``,
   with no NOT sweep over all of ``f`` first.
+* **Controlled permutations in one traversal**:
+  :meth:`BddManager.apply_controlled_flip` and
+  :meth:`BddManager.apply_controlled_swap` compute ``ite(c, act(f), f)``
+  (CX / CCX / CSWAP with ``c`` the control cube) by splitting ``(f, c)``
+  down to the action's variables instead of running the action over all
+  of ``f`` and an ITE over the result; they memoise in the ITE table
+  under tuple keys and count as ``ite``.
 * **Batched application**: the ``*_many`` methods (:meth:`BddManager.and_many`,
   :meth:`BddManager.full_add_many`, ...) run one operation over many operand
   tuples as one transaction — one computed-table binding, one interner, one
@@ -1530,6 +1537,259 @@ class BddManager:
                                  nested=(restrict0_finish, restrict1_finish, ite_finish))
 
     # ------------------------------------------------------------------ #
+    # controlled permutation kernel (CX, CCX, CSWAP)
+    # ------------------------------------------------------------------ #
+    def apply_controlled_flip(self, f: int, c: int, var: int) -> int:
+        """``ite(c, f[x_var := not x_var], f)``: the controlled-X action of
+        Table II (CX, CCX with ``c`` the control cube) in one traversal of
+        ``(f, c)``, instead of a flip sweep over all of ``f`` followed by an
+        ITE sweep.  ``c`` may be any function, the target included."""
+        self._check_var(var)
+        worker = self._worker(self._make_controlled_rec, self._make_controlled_stack,
+                              var, None, self._tables[OP_ITE])
+        return self._apply_once(worker, f, c)
+
+    def apply_controlled_swap(self, f: int, c: int, var_a: int, var_b: int) -> int:
+        """``ite(c, swap_vars(f, var_a, var_b), f)``: the Fredkin (CSWAP)
+        action in one traversal of ``(f, c)``; see
+        :meth:`apply_controlled_flip`."""
+        self._check_var(var_a)
+        self._check_var(var_b)
+        if var_a == var_b:
+            return f
+        if self._var_to_level[var_a] > self._var_to_level[var_b]:
+            var_a, var_b = var_b, var_a
+        worker = self._worker(self._make_controlled_rec, self._make_controlled_stack,
+                              var_a, var_b, self._tables[OP_ITE])
+        return self._apply_once(worker, f, c)
+
+    def _controlled_leaves(self, var_a: int, var_b: Optional[int], make, stack: bool):
+        """The action-specific half of the controlled kernel, shared by its
+        recursive and explicit-stack workers.
+
+        The action flips ``var_a`` when ``var_b`` is ``None``, else swaps
+        ``var_a`` with ``var_b`` (``var_a`` the upper of the two).  Returns
+        ``(act, leaf, finishes)``: ``act(f)`` is the unconditional action
+        (the flip or swap worker, for a ``TRUE`` condition), ``leaf`` the
+        step that recombines cofactors through the nested ITE worker, and
+        ``finishes`` closes the nested workers.  ``stack`` picks their
+        explicit-stack forms.
+
+        * Flip: ``leaf(f, c, clev)`` where ``f``'s top variable is the
+          target and ``c`` lies at or below it: ``mk(t, ite(c|t=0, f1, f0),
+          ite(c|t=1, f0, f1))``.
+        * Swap: ``leaf(p, q, d, side, plev, qlev, dlev)`` where ``p``, ``q``
+          are ``f|a=0`` and ``f|a=1``, ``d`` is ``c|a=side`` and all three
+          lie at or below ``var_b``'s level: ``g|a=side`` from their
+          top-level ``b``-cofactors, ``mk(b, p|b=0, ite(d|b=1, q|b=0,
+          p|b=1))`` for side 0 and ``mk(b, ite(d|b=0, p|b=1, q|b=0),
+          q|b=1)`` for side 1.
+        """
+        tables = self._tables
+        low_arr = self._low
+        high_arr = self._high
+        ite, ite_finish = (self._make_ite_stack if stack else self._make_ite_rec)(tables[OP_ITE])
+        level_a = self._var_to_level[var_a]
+        if var_b is None:
+            make_flip = self._make_flip_stack if stack else self._make_flip_rec
+            act, act_finish = make_flip(var_a, tables[OP_COMPOSE])
+
+            def leaf(f: int, c: int, clev: int) -> int:
+                f0, f1 = low_arr[f], high_arr[f]
+                if clev == level_a:
+                    return make(var_a, ite(low_arr[c], f1, f0), ite(high_arr[c], f0, f1))
+                return make(var_a, ite(c, f1, f0), ite(c, f0, f1))
+
+            return act, leaf, (act_finish, ite_finish)
+
+        make_swap = self._make_swap_vars_stack if stack else self._make_swap_vars_rec
+        act, act_finish = make_swap(var_a, var_b, tables[OP_SWAPVARS])
+        level_b = self._var_to_level[var_b]
+
+        def leaf(p: int, q: int, d: int, side: int, plev: int, qlev: int, dlev: int) -> int:
+            p0, p1 = (low_arr[p], high_arr[p]) if plev == level_b else (p, p)
+            q0, q1 = (low_arr[q], high_arr[q]) if qlev == level_b else (q, q)
+            if side:
+                d0 = low_arr[d] if dlev == level_b else d
+                return make(var_b, ite(d0, p1, q0), q1)
+            d1 = high_arr[d] if dlev == level_b else d
+            return make(var_b, p0, ite(d1, q0, p1))
+
+        return act, leaf, (act_finish, ite_finish)
+
+    def _make_controlled_rec(self, var_a: int, var_b: Optional[int], table: Dict):
+        """Recursive worker factory of the controlled flip / swap kernel
+        (``(rec, finish)`` contract of :meth:`_make_binary_rec`; ``rec(f,
+        c)`` is ``ite(c, act(f), f)``, the action as in
+        :meth:`_controlled_leaves`).
+
+        Above ``var_a``'s level ``rec`` splits on the top variable of ``(f,
+        c)``.  At or below it a flip ends in the leaf; a swap builds ``mk(a,
+        g|a=0, g|a=1)``, each half from ``side(f|a=0, f|a=1, c|a=side,
+        side)``, which splits on the top variable of its three operands
+        down to ``var_b``'s level and ends in the leaf there, so the band
+        between the two levels is walked once per half instead of by four
+        restricts on ``x_b`` and the ITEs that recombine them (the result
+        depends on ``var_a`` only through its operands, so ``side``'s key
+        omits it).  Entries live in the ITE table under tuple keys that
+        no packed-int ITE key can equal: ``(f, c, var_a, var_b)`` (``var_b =
+        -1`` for a flip) and ``(p, q, d, var_b, side)``; the traffic counts
+        as ``ite``.
+        """
+        var_arr = self._var
+        low_arr = self._low
+        high_arr = self._high
+        v2l = self._var_to_level
+        l2v = self._level_to_var
+        bottom = len(l2v)
+        upper = v2l[var_a]
+        lower = upper if var_b is None else v2l[var_b]
+        key_b = -1 if var_b is None else var_b
+        table_get = table.get
+        make, ucounts = self._interner()
+        act, leaf, nested = self._controlled_leaves(var_a, var_b, make, False)
+        hits = 0
+        misses = 0
+
+        def side(p: int, q: int, d: int, s: int) -> int:
+            nonlocal hits, misses
+            if d == 0:
+                return q if s else p
+            key = (p, q, d, var_b, s)
+            node = table_get(key)
+            if node is not None:
+                hits += 1
+                return node
+            misses += 1
+            plev = v2l[var_arr[p]] if p > 1 else bottom
+            qlev = v2l[var_arr[q]] if q > 1 else bottom
+            dlev = v2l[var_arr[d]] if d > 1 else bottom
+            top = plev
+            if qlev < top:
+                top = qlev
+            if dlev < top:
+                top = dlev
+            if top < lower:
+                if plev == top:
+                    p0, p1 = low_arr[p], high_arr[p]
+                else:
+                    p0 = p1 = p
+                if qlev == top:
+                    q0, q1 = low_arr[q], high_arr[q]
+                else:
+                    q0 = q1 = q
+                if dlev == top:
+                    d0, d1 = low_arr[d], high_arr[d]
+                else:
+                    d0 = d1 = d
+                node = make(l2v[top], side(p0, q0, d0, s), side(p1, q1, d1, s))
+            else:
+                node = leaf(p, q, d, s, plev, qlev, dlev)
+            table[key] = node
+            return node
+
+        def rec(f: int, c: int) -> int:
+            nonlocal hits, misses
+            if c == 0 or f < 2:
+                return f
+            flev = v2l[var_arr[f]]
+            if flev > lower:
+                # The action leaves f unchanged.
+                return f
+            if c == 1:
+                return act(f)
+            key = (f, c, var_a, key_b)
+            node = table_get(key)
+            if node is not None:
+                hits += 1
+                return node
+            misses += 1
+            clev = v2l[var_arr[c]]
+            if flev < upper or clev < upper:
+                if flev == clev:
+                    node = make(var_arr[f], rec(low_arr[f], low_arr[c]),
+                                rec(high_arr[f], high_arr[c]))
+                elif flev < clev:
+                    node = make(var_arr[f], rec(low_arr[f], c), rec(high_arr[f], c))
+                else:
+                    node = make(var_arr[c], rec(f, low_arr[c]), rec(f, high_arr[c]))
+            elif var_b is None:
+                node = leaf(f, c, clev)
+            else:
+                f0, f1 = (low_arr[f], high_arr[f]) if flev == upper else (f, f)
+                c0, c1 = (low_arr[c], high_arr[c]) if clev == upper else (c, c)
+                node = make(var_a, side(f0, f1, c0, 0), side(f0, f1, c1, 1))
+            table[key] = node
+            return node
+
+        def finish() -> None:
+            nonlocal rec, side
+            rec = side = None
+            for nested_finish in nested:
+                nested_finish()
+            self._fold(OP_ITE, table, hits, misses, ucounts)
+
+        return rec, finish
+
+    def _make_controlled_stack(self, var_a: int, var_b: Optional[int], table: Dict):
+        """Explicit-stack twin of :meth:`_make_controlled_rec` (deep
+        managers): one visit for both phases, told apart by the operand
+        count, with the leaves of :meth:`_controlled_leaves` as thunks."""
+        var_arr = self._var
+        low_arr = self._low
+        high_arr = self._high
+        v2l = self._var_to_level
+        l2v = self._level_to_var
+        bottom = len(l2v)
+        upper = v2l[var_a]
+        lower = upper if var_b is None else v2l[var_b]
+        key_b = -1 if var_b is None else var_b
+        make, ucounts = self._interner()
+        act, leaf, nested = self._controlled_leaves(var_a, var_b, make, True)
+
+        def visit(args):
+            if len(args) == 4:
+                p, q, d, s = args
+                if d == 0:
+                    return q if s else p
+                key = (p, q, d, var_b, s)
+                plev = v2l[var_arr[p]] if p > 1 else bottom
+                qlev = v2l[var_arr[q]] if q > 1 else bottom
+                dlev = v2l[var_arr[d]] if d > 1 else bottom
+                top = min(plev, qlev, dlev)
+                if top < lower:
+                    p0, p1 = (low_arr[p], high_arr[p]) if plev == top else (p, p)
+                    q0, q1 = (low_arr[q], high_arr[q]) if qlev == top else (q, q)
+                    d0, d1 = (low_arr[d], high_arr[d]) if dlev == top else (d, d)
+                    return key, l2v[top], (p0, q0, d0, s), (p1, q1, d1, s)
+                return key, lambda: leaf(p, q, d, s, plev, qlev, dlev)
+            f, c = args
+            if c == 0 or f < 2:
+                return f
+            flev = v2l[var_arr[f]]
+            if flev > lower:
+                # The action leaves f unchanged.
+                return f
+            if c == 1:
+                return act(f)
+            key = (f, c, var_a, key_b)
+            clev = v2l[var_arr[c]]
+            if flev < upper or clev < upper:
+                if flev == clev:
+                    return (key, var_arr[f], (low_arr[f], low_arr[c]),
+                            (high_arr[f], high_arr[c]))
+                if flev < clev:
+                    return key, var_arr[f], (low_arr[f], c), (high_arr[f], c)
+                return key, var_arr[c], (f, low_arr[c]), (f, high_arr[c])
+            if var_b is None:
+                return key, lambda: leaf(f, c, clev)
+            f0, f1 = (low_arr[f], high_arr[f]) if flev == upper else (f, f)
+            c0, c1 = (low_arr[c], high_arr[c]) if clev == upper else (c, c)
+            return key, var_a, (f0, f1, c0, 0), (f0, f1, c1, 1)
+
+        return self._stack_apply(OP_ITE, table, visit, make, ucounts, nested=nested)
+
+    # ------------------------------------------------------------------ #
     # batched application
     # ------------------------------------------------------------------ #
     # These are the gate rules' slice sweeps: one operation over all 4r
@@ -1593,6 +1853,26 @@ class BddManager:
             var_a, var_b = var_b, var_a
         return self._run_batch(map, nodes, self._make_swap_vars_rec, self._make_swap_vars_stack,
                                var_a, var_b, self._tables[OP_SWAPVARS])
+
+    def controlled_flip_many(self, nodes: Iterable[int], c: int, var: int) -> List[int]:
+        """``ite(c, f[x_var := not x_var], f)`` of every node id, in one
+        batch transaction (the 4r-slice sweep of X, CX and CCX)."""
+        self._check_var(var)
+        return self._run_batch(starmap, ((f, c) for f in nodes), self._make_controlled_rec,
+                               self._make_controlled_stack, var, None, self._tables[OP_ITE])
+
+    def controlled_swap_many(self, nodes: Iterable[int], c: int, var_a: int,
+                             var_b: int) -> List[int]:
+        """``ite(c, swap_vars(f, var_a, var_b), f)`` of every node id, in
+        one batch transaction (the 4r-slice sweep of SWAP and CSWAP)."""
+        self._check_var(var_a)
+        self._check_var(var_b)
+        if var_a == var_b:
+            return list(nodes)
+        if self._var_to_level[var_a] > self._var_to_level[var_b]:
+            var_a, var_b = var_b, var_a
+        return self._run_batch(starmap, ((f, c) for f in nodes), self._make_controlled_rec,
+                               self._make_controlled_stack, var_a, var_b, self._tables[OP_ITE])
 
     # ------------------------------------------------------------------ #
     # queries

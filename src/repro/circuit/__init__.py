@@ -14,11 +14,9 @@ Three file formats are supported:
   format used by the Table VI supremacy experiments.
 """
 
+from repro._exports import lazy_exports
 from repro.circuit.gates import Gate, GateKind, GATE_SPECS, gate_matrix, gate_matrix_exact
 from repro.circuit.circuit import QuantumCircuit
-from repro.circuit.qasm import circuit_to_qasm, circuit_from_qasm
-from repro.circuit.real_format import circuit_to_real, circuit_from_real
-from repro.circuit.grcs import circuit_to_grcs, circuit_from_grcs
 from repro.circuit.transforms import (
     cancel_adjacent_inverses,
     clifford_t_summary,
@@ -26,6 +24,14 @@ from repro.circuit.transforms import (
     decompose_multi_control,
     expand_swaps,
 )
+
+# The file formats are imported on first access (PEP 562): a run that
+# builds its circuit in code never loads a parser.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.circuit.qasm": ("circuit_to_qasm", "circuit_from_qasm"),
+    "repro.circuit.real_format": ("circuit_to_real", "circuit_from_real"),
+    "repro.circuit.grcs": ("circuit_to_grcs", "circuit_from_grcs"),
+})
 
 __all__ = [
     "Gate",

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -142,6 +143,25 @@ PAPER_GATE_KINDS = frozenset({
 })
 
 
+def _indices(values: Sequence[int], what: str) -> Tuple[int, ...]:
+    """``values`` as a tuple of ``int``: an integral value of another type
+    (a numpy integer) is converted, and a ``bool``, a non-integral value
+    (``1.0``) or a negative one raises ``ValueError``."""
+    indices = []
+    for value in values:
+        if value.__class__ is not int:
+            if isinstance(value, bool):
+                raise ValueError(f"{what} {value!r} is not an integer")
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{what} {value!r} is not an integer") from None
+        if value < 0:
+            raise ValueError(f"{what} {value} is negative")
+        indices.append(value)
+    return tuple(indices)
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate application: a kind, target qubit(s) and control qubit(s).
@@ -176,21 +196,29 @@ class Gate:
                 f"control(s), got {len(self.controls)}")
         if self.kind in (GateKind.CX, GateKind.CZ) and len(self.controls) != 1:
             raise ValueError(f"{self.kind.value} expects exactly one control")
+        # Indices are stored as plain ints, so equal gates compare, hash and
+        # fingerprint equal whatever integer type built them.
+        set_field = object.__setattr__
         touched = self.targets + self.controls
+        for qubit in touched:
+            if qubit.__class__ is not int or qubit < 0:
+                set_field(self, "targets", _indices(self.targets, "qubit index"))
+                set_field(self, "controls", _indices(self.controls, "qubit index"))
+                touched = self.targets + self.controls
+                break
         if len(set(touched)) != len(touched):
             raise ValueError("a gate cannot touch the same qubit twice")
-        if any(q < 0 for q in touched):
-            raise ValueError("qubit indices must be non-negative")
         if self.kind is GateKind.MEASURE:
             if len(self.clbits) > 1:
                 raise ValueError("measure writes at most one classical bit")
         elif self.clbits:
             raise ValueError(
                 f"{self.kind.value} does not write a classical bit")
-        if self.clbits and any(c < 0 for c in self.clbits):
-            raise ValueError("classical bit indices must be non-negative")
-        if self.condition is not None and self.condition < 0:
-            raise ValueError("a classical condition value must be non-negative")
+        if self.clbits:
+            set_field(self, "clbits", _indices(self.clbits, "classical bit index"))
+        if self.condition is not None:
+            set_field(self, "condition",
+                      _indices((self.condition,), "classical condition value")[0])
 
     @property
     def spec(self) -> GateSpec:

@@ -16,10 +16,17 @@ The pipeline is:
   harness uses.
 """
 
+from repro._exports import lazy_exports
 from repro.core.bitslice import BitSlicedState
 from repro.core.simulator import BitSliceSimulator
 from repro.core.measurement import MeasurementEngine
-from repro.core.equivalence import EquivalenceReport, circuits_equivalent, states_equal_exact
+
+# The equivalence checks are imported on first access (PEP 562), so a
+# simulation run does not load them.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.equivalence": ("EquivalenceReport", "circuits_equivalent",
+                               "states_equal_exact"),
+})
 
 __all__ = [
     "BitSlicedState",

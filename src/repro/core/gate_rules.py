@@ -42,10 +42,15 @@ Hot-path design (this file issues every substrate operation of a gate):
   binary applies), and all independent adders of a gate — the four vectors
   of H, the two of S — advance through their bit positions in lockstep so
   each position is a single batch.
-* SWAP / CSWAP route through the fused
-  :meth:`~repro.bdd.manager.BddManager.apply_swap_vars` cofactor kernel
-  instead of the three-cofactor / five-connective formula.
-* The X action (X, CX, CCX, Y, Rx(pi/2)) is one batched
+* The permutation gates are one traversal of ``(F, C)`` per slice, with
+  ``C`` the control cube (TRUE without controls): X, CX and CCX run
+  :meth:`~repro.bdd.manager.BddManager.controlled_flip_many`, Table II's
+  ``not C F + C F[q_t := not q_t]``, and SWAP and CSWAP run
+  :meth:`~repro.bdd.manager.BddManager.controlled_swap_many`, ``not C F +
+  C F[q_a <-> q_b]``, instead of an action sweep over all of ``F`` followed
+  by an ITE sweep.  Where ``C`` is TRUE the kernel runs the one-pass flip
+  or the cofactor-based swap (no three-cofactor / five-connective formula).
+* Y and Rx(pi/2) take the X action alone: one batched
   :meth:`~repro.bdd.manager.BddManager.apply_flip` sweep,
   ``F[q_t := not q_t]``, instead of two cofactor sweeps and an ITE sweep.
 * Conditional negation (Z, CZ, Y, S, S†, T and T†) is
@@ -383,45 +388,32 @@ class GateRuleEngine:
     # ------------------------------------------------------------------ #
     # permutation-only gates (no adder, no overflow)
     # ------------------------------------------------------------------ #
-    def _apply_x(self, gate: Gate) -> GateUpdate:
-        target = gate.targets[0]
-        new_flat = self._swap_on_many(self._all_node_bits(), target)
+    def _control_node(self, gate: Gate) -> int:
+        """Node id of a permutation gate's condition: TRUE for X and SWAP,
+        CX's control literal, and the memoised cube for CCX and CSWAP.  The
+        memo anchors its cube in a handle, which a sift counts as a root, so
+        CX keeps reading its literal directly, as it always has, and a
+        reorder sees the same roots."""
+        if not gate.controls:
+            return TRUE
+        if gate.kind is GateKind.CX:
+            return self._qvar_node(gate.controls[0])
+        return self._control_conjunction(gate.controls).node
+
+    def _apply_controlled_flip(self, gate: Gate) -> GateUpdate:
+        # X, CX, CCX: F' = ite(C, F[q_t := not q_t], F) in one traversal of
+        # (F, C).
+        new_flat = self.manager.controlled_flip_many(
+            self._all_node_bits(), self._control_node(gate),
+            self.state.qubit_var(gate.targets[0]))
         return self._update(self._unflatten(new_flat), 0, False)
 
-    def _apply_cx(self, gate: Gate) -> GateUpdate:
-        control, target = gate.controls[0], gate.targets[0]
-        qc = self._qvar_node(control)
-        flat = self._all_node_bits()
-        swapped = self._swap_on_many(flat, target)
-        new_flat = self.manager.ite_many(
-            [(qc, sw, old) for sw, old in zip(swapped, flat)])
-        return self._update(self._unflatten(new_flat), 0, False)
-
-    def _apply_ccx(self, gate: Gate) -> GateUpdate:
-        target = gate.targets[0]
-        condition = self._control_conjunction(gate.controls).node
-        flat = self._all_node_bits()
-        swapped = self._swap_on_many(flat, target)
-        new_flat = self.manager.ite_many(
-            [(condition, sw, old) for sw, old in zip(swapped, flat)])
-        return self._update(self._unflatten(new_flat), 0, False)
-
-    def _apply_swap_gate(self, gate: Gate) -> GateUpdate:
+    def _apply_controlled_swap(self, gate: Gate) -> GateUpdate:
+        # SWAP, CSWAP: F' = ite(C, F[q_a <-> q_b], F), likewise.
         qubit_a, qubit_b = gate.targets
-        var_a = self.state.qubit_var(qubit_a)
-        var_b = self.state.qubit_var(qubit_b)
-        new_flat = self.manager.swap_vars_many(self._all_node_bits(), var_a, var_b)
-        return self._update(self._unflatten(new_flat), 0, False)
-
-    def _apply_cswap(self, gate: Gate) -> GateUpdate:
-        qubit_a, qubit_b = gate.targets
-        var_a = self.state.qubit_var(qubit_a)
-        var_b = self.state.qubit_var(qubit_b)
-        condition = self._control_conjunction(gate.controls).node
-        flat = self._all_node_bits()
-        swapped = self.manager.swap_vars_many(flat, var_a, var_b)
-        new_flat = self.manager.ite_many(
-            [(condition, sw, old) for sw, old in zip(swapped, flat)])
+        new_flat = self.manager.controlled_swap_many(
+            self._all_node_bits(), self._control_node(gate),
+            self.state.qubit_var(qubit_a), self.state.qubit_var(qubit_b))
         return self._update(self._unflatten(new_flat), 0, False)
 
     # ------------------------------------------------------------------ #
@@ -553,7 +545,7 @@ class GateRuleEngine:
     # instance would make every engine (and its state and manager) a
     # reference cycle left for the cyclic collector.
     _HANDLERS: Dict[GateKind, Callable[["GateRuleEngine", Gate], GateUpdate]] = {
-        GateKind.X: _apply_x,
+        GateKind.X: _apply_controlled_flip,
         GateKind.Y: _apply_y,
         GateKind.Z: _apply_z,
         GateKind.H: _apply_h,
@@ -563,9 +555,9 @@ class GateRuleEngine:
         GateKind.TDG: _apply_tdg,
         GateKind.RX_PI_2: _apply_rx,
         GateKind.RY_PI_2: _apply_ry,
-        GateKind.CX: _apply_cx,
+        GateKind.CX: _apply_controlled_flip,
         GateKind.CZ: _apply_cz,
-        GateKind.CCX: _apply_ccx,
-        GateKind.CSWAP: _apply_cswap,
-        GateKind.SWAP: _apply_swap_gate,
+        GateKind.CCX: _apply_controlled_flip,
+        GateKind.CSWAP: _apply_controlled_swap,
+        GateKind.SWAP: _apply_controlled_swap,
     }

@@ -117,12 +117,21 @@ def circuit_to_wire(circuit: QuantumCircuit) -> Dict[str, Any]:
             "num_clbits": circuit.num_clbits}
 
 
+def _wire_int(value: Any) -> int:
+    """An integer of a circuit payload outside its gates (which
+    :class:`Gate` checks): ``int()`` would read ``2.5`` as 2 and ``true`` as
+    1, so anything but an integer raises ``ValueError``."""
+    if value.__class__ is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def circuit_from_wire(data: Dict[str, Any]) -> QuantumCircuit:
     """Rebuild a :class:`QuantumCircuit` from :func:`circuit_to_wire` output
     (gate validation runs again on this side, so a hand-crafted payload
     cannot smuggle an ill-formed gate past the IR's invariants)."""
     try:
-        circuit = QuantumCircuit(int(data["num_qubits"]),
+        circuit = QuantumCircuit(_wire_int(data["num_qubits"]),
                                  name=str(data.get("name", "")))
         for entry in data.get("gates", ()):
             circuit.append(Gate(GateKind(entry["kind"]),
@@ -131,9 +140,9 @@ def circuit_from_wire(data: Dict[str, Any]) -> QuantumCircuit:
                                 tuple(entry.get("clbits", ())),
                                 entry.get("condition")))
         for qubit, clbit in data.get("measure", ()):
-            circuit.measure(int(qubit), int(clbit))
+            circuit.measure(_wire_int(qubit), _wire_int(clbit))
         circuit.num_clbits = max(circuit.num_clbits,
-                                 int(data.get("num_clbits", 0)))
+                                 _wire_int(data.get("num_clbits", 0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"bad circuit payload: {exc}") from exc
     return circuit

@@ -19,6 +19,11 @@ the strongest possible check.  Coverage:
   (including the H and Ry(pi/2) second addends), on hypothesis-drawn BDDs
   in the default order, after ``sift`` / ``set_order`` and after a garbage
   collection that recycles node ids,
+* the controlled kernels (``controlled_flip_many`` / ``apply_controlled_flip``
+  and ``controlled_swap_many`` / ``apply_controlled_swap``) vs the flip or
+  swap followed by an ITE, with conditions above, between and below the
+  targets, multi-control cubes and arbitrary functions, on a recursive and
+  on an explicit-stack manager, and their table traffic (``ite``),
 * all of the above on a manager past the recursion-safe threshold under an
   artificially tiny recursion limit (the explicit-stack twins).
 """
@@ -32,7 +37,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import Bdd, BddManager
-from repro.bdd.manager import OP_NAMES
+from repro.bdd.manager import FALSE, OP_NAMES, TRUE
 
 
 def random_function(manager: BddManager, rng: random.Random,
@@ -265,6 +270,7 @@ class TestBatchMethods:
         """Every batch method with its single-shot twin, on ``nodes``."""
         pairs = list(zip(nodes, nodes[1:]))
         triples = list(zip(nodes, nodes[1:], nodes[2:]))
+        condition = manager.apply_and(manager.var_node(5), manager.var_node(0))
         return [
             (manager.and_many, (pairs,), manager.apply_and, pairs),
             (manager.or_many, (pairs,), manager.apply_or, pairs),
@@ -277,6 +283,10 @@ class TestBatchMethods:
             (manager.flip_many, (nodes, 3), manager.apply_flip, [(n, 3) for n in nodes]),
             (manager.swap_vars_many, (nodes, 1, 7), manager.apply_swap_vars,
              [(n, 1, 7) for n in nodes]),
+            (manager.controlled_flip_many, (nodes, condition, 3),
+             manager.apply_controlled_flip, [(n, condition, 3) for n in nodes]),
+            (manager.controlled_swap_many, (nodes, condition, 1, 7),
+             manager.apply_controlled_swap, [(n, condition, 1, 7) for n in nodes]),
         ]
 
     def test_batches_match_single_shot_operations(self):
@@ -284,7 +294,7 @@ class TestBatchMethods:
         rng = random.Random(53)
         nodes = [f.node for f in self._functions(manager, rng)]
         batches = self._batches(manager, nodes)
-        assert len(batches) == 9
+        assert len(batches) == 11
         for many, args, single, operands in batches:
             assert many(*args) == [single(*operand) for operand in operands], many
 
@@ -294,6 +304,7 @@ class TestBatchMethods:
         for many, args, _, _ in self._batches(manager, []):
             assert many(*args) == [], many
         assert manager.swap_vars_many([], 2, 2) == []
+        assert manager.controlled_swap_many([], TRUE, 2, 2) == []
         stats = manager.perf_stats()
         assert stats["batch_runs"] == before["batch_runs"]
         assert stats["batch_items"] == before["batch_items"]
@@ -311,6 +322,7 @@ class TestBatchMethods:
         # Swapping a variable with itself returns the nodes without a batch.
         before = manager.perf_stats()
         assert manager.swap_vars_many(nodes, 2, 2) == nodes
+        assert manager.controlled_swap_many(nodes, TRUE, 2, 2) == nodes
         assert manager.perf_stats()["batch_runs"] == before["batch_runs"]
 
 
@@ -431,6 +443,144 @@ class TestLiteralKernels:
         assert after["cache_compose_hits"] > middle["cache_compose_hits"]
 
 
+def random_function_over(manager: BddManager, rng: random.Random, variables,
+                         max_terms: int = 10) -> Bdd:
+    """A random DNF over ``variables`` only (a few of a wide manager's)."""
+    function = manager.false
+    for _ in range(rng.randrange(1, max_terms)):
+        cube = manager.true
+        for var in rng.sample(variables, min(3, len(variables))):
+            cube = cube & manager.literal(var, rng.random() < 0.5)
+        function = function | cube
+    return function
+
+
+#: Where a controlled kernel's condition sits relative to its targets.
+CONDITION_PLACES = ("true", "false", "above", "between", "below", "cube",
+                    "arbitrary")
+
+
+def placed_condition(manager: BddManager, rng: random.Random, variables,
+                     targets, place: str) -> Bdd:
+    """A condition over ``variables``: a constant, one control literal
+    above, between or below the targets' levels (any non-target when that
+    region is empty, as "between" is for a flip), a cube with one control
+    from each region that has a variable, or an arbitrary function (which
+    may test the targets themselves)."""
+    if place == "true":
+        return manager.true
+    if place == "false":
+        return manager.false
+    if place == "arbitrary":
+        return random_function_over(manager, rng, variables)
+    levels = sorted(manager.level_of(var) for var in targets)
+    first, last = levels[0], levels[-1]
+    regions = {"above": [], "between": [], "below": []}
+    for var in variables:
+        level = manager.level_of(var)
+        if level < first:
+            regions["above"].append(var)
+        elif level > last:
+            regions["below"].append(var)
+        elif var not in targets:
+            regions["between"].append(var)
+    if place == "cube":
+        controls = [rng.choice(region) for region in regions.values() if region]
+    else:
+        controls = [rng.choice(regions[place] or [var for region in regions.values()
+                                                 for var in region])]
+    condition = manager.true
+    for var in controls:
+        condition = condition & manager.var(var)
+    return condition
+
+
+def check_controlled_kernels(manager: BddManager, rng: random.Random, variables,
+                             functions, place: str) -> None:
+    """Both controlled kernels, batched and single shot, return the node
+    ids of the action followed by an ITE, each run cache-cold."""
+    nodes = [f.node for f in functions]
+    target = rng.choice(variables)
+    var_a, var_b = rng.sample(variables, 2)
+    kernels = [
+        ((target,),
+         lambda c: manager.controlled_flip_many(nodes, c, target),
+         lambda f, c: manager.apply_controlled_flip(f, c, target),
+         lambda f: manager.apply_flip(f, target)),
+        ((var_a, var_b),
+         lambda c: manager.controlled_swap_many(nodes, c, var_a, var_b),
+         lambda f, c: manager.apply_controlled_swap(f, c, var_b, var_a),
+         lambda f: manager.apply_swap_vars(f, var_a, var_b)),
+    ]
+    for targets, many, single, act in kernels:
+        condition = placed_condition(manager, rng, variables, targets, place)
+        c = condition.node
+        manager.clear_cache()
+        batched = many(c)
+        manager.clear_cache()
+        single_shot = [single(f, c) for f in nodes]
+        reference = [manager.apply_ite(c, act(f), f) for f in nodes]
+        assert batched == single_shot == reference, (targets, place)
+
+
+class TestControlledKernels:
+    """``ite(c, act(f), f)`` in one traversal of ``(f, c)``, for the flip
+    (CX, CCX) and the swap (CSWAP), equals the action followed by an ITE."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           place=st.sampled_from(CONDITION_PLACES),
+           shuffled=st.booleans())
+    @pytest.mark.parametrize("num_vars", [6, 700], ids=["recursive", "stack"])
+    def test_kernels_match_action_then_ite(self, num_vars, seed, place, shuffled):
+        rng = random.Random(seed)
+        manager = BddManager(num_vars)
+        assert manager._recursion_safe() == (num_vars == 6)
+        variables = (list(range(num_vars)) if num_vars == 6
+                     else sorted(rng.sample(range(num_vars), 8)))
+        if shuffled:
+            # Deal the variables over their own levels in a random order.
+            levels = [manager.level_of(var) for var in variables]
+            order = manager.current_order()
+            for level, var in zip(levels, rng.sample(variables, len(variables))):
+                order[level] = var
+            manager.set_order(order)
+        functions = [random_function_over(manager, rng, variables)
+                     for _ in range(5)] + [manager.false, manager.true]
+        check_controlled_kernels(manager, rng, variables, functions, place)
+
+    def test_condition_below_the_target_is_ite_traffic_only(self):
+        manager = BddManager(8)
+        rng = random.Random(79)
+        nodes = [random_function(manager, rng).node for _ in range(4)]
+        below = manager.var_node(7)
+        before = manager.perf_stats()
+        manager.controlled_flip_many(nodes, below, 2)
+        after = manager.perf_stats()
+        assert OP_NAMES == ("and", "or", "xor", "not", "ite", "restrict",
+                            "exists", "compose", "maj3", "xor3", "swapvars")
+        assert after["cache_ite_misses"] > before["cache_ite_misses"]
+        # No cofactor of a literal below the target is TRUE: no flip runs.
+        assert after["cache_compose_misses"] == before["cache_compose_misses"]
+        assert after["cache_compose_hits"] == before["cache_compose_hits"]
+
+    def test_constant_conditions_and_absent_targets(self):
+        manager = BddManager(6)
+        f = (manager.var(1) & ~manager.var(2)) | manager.var(4)
+        assert manager.apply_controlled_flip(f.node, FALSE, 2) == f.node
+        assert manager.apply_controlled_flip(f.node, TRUE, 2) == manager.apply_flip(f.node, 2)
+        assert manager.apply_controlled_swap(f.node, TRUE, 4, 1) == manager.apply_swap_vars(
+            f.node, 1, 4)
+        # Targets below every variable of f leave it unchanged.
+        assert manager.apply_controlled_flip(f.node, manager.var_node(0), 5) == f.node
+        assert manager.apply_controlled_swap(f.node, manager.var_node(0), 5, 5) == f.node
+        assert manager.apply_controlled_flip(TRUE, manager.var_node(0), 1) == TRUE
+        with pytest.raises(ValueError):
+            manager.apply_controlled_flip(f.node, TRUE, 6)
+        with pytest.raises(ValueError):
+            manager.controlled_swap_many([f.node], TRUE, 0, 6)
+
+
 class TestDeepManagerFusedKernels:
     """Managers past the recursion-safe threshold must run the fused kernels
     on the explicit stack, even under a tiny recursion limit."""
@@ -461,6 +611,26 @@ class TestDeepManagerFusedKernels:
                 (manager.apply_xor3(*t), manager.apply_maj3(*t)) for t in triples]
             assert (manager.swap_vars_many([f.node, g.node], 5, 1400)
                     == [manager.apply_swap_vars(n, 5, 1400) for n in (f.node, g.node)])
+        finally:
+            sys.setrecursionlimit(old_limit)
+
+    def test_deep_controlled_kernels_under_low_recursion_limit(self):
+        manager = BddManager(self.NUM_VARS)
+        old_limit = sys.getrecursionlimit()
+        try:
+            f = self._chain(manager, 3)
+            g = self._chain(manager, 2) | manager.var(700)
+            nodes = [f.node, g.node]
+            conditions = [manager.var(10), manager.var(900) & manager.var(1450),
+                          manager.var(3) & manager.var(1499), f]
+            sys.setrecursionlimit(220)
+            for condition in conditions:
+                c = condition.node
+                assert manager.controlled_flip_many(nodes, c, 700) == [
+                    manager.apply_ite(c, manager.apply_flip(n, 700), n) for n in nodes]
+                assert manager.controlled_swap_many(nodes, c, 1400, 5) == [
+                    manager.apply_ite(c, manager.apply_swap_vars(n, 5, 1400), n)
+                    for n in nodes]
         finally:
             sys.setrecursionlimit(old_limit)
 

@@ -44,6 +44,8 @@ KERNELS = {
     "apply_maj3": lambda m, f, g, h: m.apply_maj3(f, g, h),
     "apply_xor3": lambda m, f, g, h: m.apply_xor3(f, g, h),
     "apply_swap_vars": lambda m, f, g, h: m.apply_swap_vars(f, 0, 3),
+    "apply_controlled_flip": lambda m, f, g, h: m.apply_controlled_flip(f, g, 1),
+    "apply_controlled_swap": lambda m, f, g, h: m.apply_controlled_swap(f, h, 0, 3),
     "and_many": lambda m, f, g, h: m.and_many([(f, g), (g, h)]),
     "or_many": lambda m, f, g, h: m.or_many([(f, g), (g, h)]),
     "xor_many": lambda m, f, g, h: m.xor_many([(f, g), (g, h)]),
@@ -53,6 +55,8 @@ KERNELS = {
     "restrict_many": lambda m, f, g, h: m.restrict_many([f, g], 1, False),
     "flip_many": lambda m, f, g, h: m.flip_many([f, g], 1),
     "swap_vars_many": lambda m, f, g, h: m.swap_vars_many([f, g], 0, 3),
+    "controlled_flip_many": lambda m, f, g, h: m.controlled_flip_many([f, h], g, 1),
+    "controlled_swap_many": lambda m, f, g, h: m.controlled_swap_many([f, g], h, 3, 0),
 }
 
 

@@ -4,8 +4,8 @@ Managers deeper than ``_MAX_RECURSIVE_VARS`` run every operation through
 :meth:`~repro.bdd.manager.BddManager._stack_apply` instead of the recursive
 ``_make_*_rec`` closures.  Forcing that threshold to 0 sends a small manager
 down the stack path, so one seeded script of every operation and every
-batch method (``and_many``, ..., ``swap_vars_many``) can be replayed on both
-paths.  They must agree on every returned node id and on every computed-
+batch method (``and_many``, ..., ``controlled_swap_many``) can be replayed
+on both paths.  They must agree on every returned node id and on every computed-
 and unique-table counter: same subproblems, same memo hits, same nodes
 interned in the same order, and (under a small ``cache_size_limit``) the
 same table evictions at the same operation boundaries.
@@ -64,6 +64,8 @@ def run_script(seed: int, cache_size_limit: int):
         lambda: manager.apply_xor3(node(), node(), node()),
         lambda: manager.apply_swap_vars(node(), var(), var()),
         lambda: manager.apply_flip(node(), var()),
+        lambda: manager.apply_controlled_flip(node(), node(), var()),
+        lambda: manager.apply_controlled_swap(node(), node(), var(), var()),
         lambda: manager.and_many(pairs()),
         lambda: manager.or_many(pairs()),
         lambda: manager.xor_many(pairs()),
@@ -73,6 +75,8 @@ def run_script(seed: int, cache_size_limit: int):
         lambda: manager.restrict_many(nodes(), var(), rng.random() < 0.5),
         lambda: manager.flip_many(nodes(), var()),
         lambda: manager.swap_vars_many(nodes(), var(), var()),
+        lambda: manager.controlled_flip_many(nodes(), node(), var()),
+        lambda: manager.controlled_swap_many(nodes(), node(), var(), var()),
     ]
     results = []
     for _ in range(STEPS):

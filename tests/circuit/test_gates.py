@@ -115,6 +115,36 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             Gate(GateKind.X, (-1,))
 
+    @pytest.mark.parametrize("bad", [1.0, True, False, np.float64(1.0), np.True_, "1", None],
+                             ids=repr)
+    @pytest.mark.parametrize("field", ["target", "control", "clbit", "condition"])
+    def test_bool_or_non_integral_index_rejected(self, field, bad):
+        gate = {"target": lambda: Gate(GateKind.H, (bad,)),
+                "control": lambda: Gate(GateKind.CX, (2,), (bad,)),
+                "clbit": lambda: Gate(GateKind.MEASURE, (0,), clbits=(bad,)),
+                "condition": lambda: Gate(GateKind.X, (0,), condition=bad)}[field]
+        if field == "condition" and bad is None:
+            assert gate().condition is None  # None means unconditional
+            return
+        with pytest.raises(ValueError, match="not an integer"):
+            gate()
+
+    def test_negative_clbit_and_condition_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            Gate(GateKind.MEASURE, (0,), clbits=(-1,))
+        with pytest.raises(ValueError, match="negative"):
+            Gate(GateKind.X, (0,), condition=-2)
+
+    def test_integral_indices_are_stored_as_int(self):
+        gate = Gate(GateKind.CCX, (np.int64(3),), (np.int32(0), np.uint8(1)))
+        measure = Gate(GateKind.MEASURE, (np.int16(2),), clbits=(np.int64(1),))
+        conditioned = Gate(GateKind.X, (0,), condition=np.int64(5))
+        for value in gate.targets + gate.controls + measure.targets + measure.clbits:
+            assert value.__class__ is int
+        assert conditioned.condition.__class__ is int
+        assert gate == Gate(GateKind.CCX, (3,), (0, 1))
+        assert hash(gate) == hash(Gate(GateKind.CCX, (3,), (0, 1)))
+
     def test_qubits_property(self):
         gate = Gate(GateKind.CCX, (3,), (0, 1))
         assert gate.qubits == (0, 1, 3)

@@ -5,8 +5,10 @@ The full gate semantics are already pinned against the dense oracle in
 the lockstep batched adder vs the reference composition adder, the
 closed-form conditional negation vs Table II's complement-plus-carry adder,
 the one-pass literal kernels (variable flip, condition XOR) vs the
-restrict/restrict/ITE and NOT + ITE forms they replace, the memoised control
-cubes, and the one-pass widen / shrink of the state.
+restrict/restrict/ITE and NOT + ITE forms they replace, the controlled
+flip / swap kernel behind X, CX, CCX, SWAP and CSWAP vs Table II's
+``not C F + C act(F)``, the memoised control cubes, and the one-pass widen /
+shrink of the state.
 """
 
 from __future__ import annotations
@@ -365,6 +367,108 @@ class TestLiteralKernelGateRules:
         assert not engine.manager._recursion_safe()
 
 
+#: The permutation gates run by the controlled flip / swap kernel.
+CONTROLLED_GATES = (GateKind.X, GateKind.CX, GateKind.CCX, GateKind.SWAP,
+                    GateKind.CSWAP)
+
+
+def _table2_controlled_update(engine, gate):
+    """Table II's controlled rows as written, on handles:
+    ``F' = not C and F  or  C and act(F)`` with ``C`` the conjunction of the
+    control literals (TRUE without controls) and ``act`` the X action
+    ``q_t F|q_t=0 + not q_t F|q_t=1`` (:meth:`_swap_on`) or the SWAP
+    formula (:meth:`_swap_two_vars`)."""
+    cube = engine.manager.true
+    for control in gate.controls:
+        cube = cube & engine._qvar(control)
+    if gate.kind in (GateKind.SWAP, GateKind.CSWAP):
+        def act(bit):
+            return engine._swap_two_vars(bit, *gate.targets)
+    else:
+        def act(bit):
+            return engine._swap_on(bit, gate.targets[0])
+    return {name: [(~cube & bit) | (cube & act(bit)) for bit in engine._bits(name)]
+            for name in VECTOR_NAMES}
+
+
+def _controlled_gates(num_qubits, rng, count):
+    """Random X / CX / CCX / SWAP / CSWAP gates, up to three controls,
+    each control anywhere in the order relative to the targets."""
+    gates = []
+    for _ in range(count):
+        kind = rng.choice(CONTROLLED_GATES)
+        num_targets = 2 if kind in (GateKind.SWAP, GateKind.CSWAP) else 1
+        num_controls = {GateKind.X: 0, GateKind.SWAP: 0, GateKind.CX: 1,
+                        GateKind.CCX: rng.randint(2, 3),
+                        GateKind.CSWAP: rng.randint(1, 2)}[kind]
+        qubits = rng.sample(range(num_qubits), num_targets + num_controls)
+        gates.append(Gate(kind, tuple(qubits[:num_targets]),
+                          tuple(qubits[num_targets:])))
+    return gates
+
+
+def _assert_controlled_gate_matches_table2(engine, gate):
+    update = engine._handler_for(gate.kind)(gate)
+    reference = _table2_controlled_update(engine, gate)
+    assert not update.overflowed and update.delta_k == 0
+    for name in VECTOR_NAMES:
+        assert update.slices[name] == reference[name], (gate, name)
+    engine.apply(gate)
+
+
+class TestControlledGateRules:
+    """X, CX, CCX (the flip kernel) and SWAP, CSWAP (the swap kernel)
+    against Table II's ``not C F + C act(F)``, node for node."""
+
+    NUM_QUBITS = 6
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           regime=st.sampled_from(("default", "sift", "set_order")))
+    def test_gates_match_table2(self, seed, regime):
+        rng = random.Random(seed)
+        circuit = build_circuit_from_ops(
+            self.NUM_QUBITS, random_ops(self.NUM_QUBITS, 12, seed))
+        simulator = BitSliceSimulator(self.NUM_QUBITS)
+        simulator.run(circuit)
+        engine = GateRuleEngine(simulator.state)
+        if regime == "sift":
+            engine.manager.sift()
+        elif regime == "set_order":
+            order = list(range(self.NUM_QUBITS))
+            rng.shuffle(order)
+            engine.manager.set_order(order)
+        for gate in _controlled_gates(self.NUM_QUBITS, rng, 8):
+            _assert_controlled_gate_matches_table2(engine, gate)
+
+    def test_deep_state_under_low_recursion_limit(self):
+        num_qubits = 640  # past the recursion-safe manager size
+        simulator = BitSliceSimulator(num_qubits)
+        prefix = QuantumCircuit(num_qubits)
+        for qubit in range(0, num_qubits, 2):
+            prefix.h(qubit)
+        for qubit in range(0, num_qubits - 2, 2):
+            prefix.cx(qubit, qubit + 1)
+        prefix.t(0).h(1).t(num_qubits - 1)
+        simulator.run(prefix)
+        engine = GateRuleEngine(simulator.state)
+        last = num_qubits - 1
+        gates = [Gate(GateKind.CSWAP, (1, last - 1), (320,)),
+                 Gate(GateKind.CSWAP, (3, 320), (0, last)),
+                 Gate(GateKind.CCX, (320,), (0, 3, last)),
+                 Gate(GateKind.CX, (1,), (last - 1,)),
+                 Gate(GateKind.SWAP, (0, last)),
+                 Gate(GateKind.X, (320,))]
+        old_limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(220)
+            for gate in gates:
+                _assert_controlled_gate_matches_table2(engine, gate)
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert not engine.manager._recursion_safe()
+
+
 class TestControlCubeMemo:
     def test_cube_is_reused_per_sorted_controls(self):
         engine = _prepared_engine()
@@ -380,6 +484,17 @@ class TestControlCubeMemo:
         cube = engine._control_cubes[(0, 1)]
         engine.apply(gate)
         assert engine._control_cubes[(0, 1)] is cube
+
+    def test_x_cx_and_swap_anchor_no_cube(self):
+        # A memoised cube is a handle, which a sift counts as a root: only
+        # CCX and CSWAP may leave one behind.
+        engine = _prepared_engine()
+        for gate in (Gate(GateKind.X, (0,)), Gate(GateKind.CX, (1,), (0,)),
+                     Gate(GateKind.SWAP, (0, 2))):
+            engine.apply(gate)
+        assert engine._control_cubes == {}
+        engine.apply(Gate(GateKind.CSWAP, (0, 2), (1,)))
+        assert list(engine._control_cubes) == [(1,)]
 
     def test_memo_dropped_on_generation_change(self):
         engine = _prepared_engine()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 import repro
@@ -54,6 +55,40 @@ def test_circuit_roundtrip_revalidates_gates():
     payload["gates"][0]["targets"] = [5]  # out of range for 2 qubits
     with pytest.raises(ProtocolError):
         circuit_from_wire(payload)
+
+
+@pytest.mark.parametrize("entry", [
+    {"kind": "h", "targets": [1.0]},
+    {"kind": "h", "targets": [True]},
+    {"kind": "cx", "targets": [1], "controls": [0.5]},
+    {"kind": "measure", "targets": [0], "clbits": [True]},
+    {"kind": "x", "targets": [0], "condition": 1.0},
+], ids=["float-target", "bool-target", "float-control", "bool-clbit",
+        "float-condition"])
+def test_circuit_with_a_bool_or_non_integral_index_is_a_bad_request(entry):
+    payload = {"num_qubits": 2, "name": "", "gates": [entry], "measure": [],
+               "num_clbits": 1}
+    with pytest.raises(ProtocolError, match="not an integer") as excinfo:
+        circuit_from_wire(payload)
+    assert excinfo.value.code == "bad_request"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("num_qubits", 2.9), ("num_qubits", True), ("num_clbits", 1.5),
+    ("measure", [[1.5, 0]]), ("measure", [[1, True]]),
+])
+def test_circuit_with_a_bool_or_float_width_or_marker_is_a_bad_request(field, value):
+    payload = circuit_to_wire(QuantumCircuit(2).h(0).measure(1))
+    payload[field] = value
+    with pytest.raises(ProtocolError, match="not an integer") as excinfo:
+        circuit_from_wire(payload)
+    assert excinfo.value.code == "bad_request"
+
+
+def test_circuit_with_integral_index_types_fingerprints_like_ints():
+    circuit = QuantumCircuit(3).h(np.int64(1)).cx(np.int32(1), 2)
+    assert circuit_fingerprint(circuit) == circuit_fingerprint(
+        QuantumCircuit(3).h(1).cx(1, 2))
 
 
 def test_limits_roundtrip():

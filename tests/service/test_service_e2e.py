@@ -430,3 +430,30 @@ def test_probability_query_with_a_bool_or_non_bit_is_never_queued(
         assert excinfo.value.code == "bad_request"
         after = client.stats()["counters"].get("service_jobs_submitted", 0)
     assert after == before
+
+
+@pytest.mark.parametrize("entry", [{"kind": "h", "targets": [1.0]},
+                                   {"kind": "h", "targets": [True]},
+                                   {"kind": "cx", "targets": [1], "controls": [0.0]}],
+                         ids=["float-target", "bool-target", "float-control"])
+def test_circuit_with_a_bool_or_float_qubit_is_never_queued(server, entry):
+    """A gate index that is a JSON float or boolean is refused when the
+    circuit decodes, so the run is answered ``bad_request`` instead of
+    ``job_accepted`` followed by an internal error (a float) or a run keyed
+    apart from the same circuit written with ints (a boolean)."""
+    with Client(server.address) as client:
+        before = client.stats()["counters"].get("service_jobs_submitted", 0)
+        host, port = server.address
+        with socket.create_connection((host, port), timeout=30) as raw:
+            raw.sendall(json.dumps(
+                {"kind": "submit_run", "v": PROTOCOL_VERSION, "id": "c1",
+                 "engine": "bitslice",
+                 "circuit": {"num_qubits": 2, "name": "", "gates": [entry],
+                             "measure": [], "num_clbits": 0}}).encode() + b"\n")
+            reply = json.loads(raw.makefile("rb").readline())
+        assert reply["kind"] == "error"
+        assert reply["code"] == "bad_request"
+        assert reply["in_reply_to"] == "c1"
+        assert "not an integer" in reply["message"]
+        after = client.stats()["counters"].get("service_jobs_submitted", 0)
+    assert after == before

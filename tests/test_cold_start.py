@@ -3,9 +3,11 @@
 Each check runs in a new ``sys.executable`` with ``PYTHONPATH=src``,
 because this process (pytest and the other tests) already holds numpy and
 most of ``repro``.  ``repro`` and ``repro.resilience`` resolve their public
-names on first access, the baseline adapters import their simulators in
+names on first access, and ``repro.circuit``, ``repro.core`` and
+``repro.bdd`` their file formats, equivalence checks, order helpers and
+analysis exports; the baseline adapters import their simulators in
 ``prepare``, and numpy is imported where a matrix or a default generator
-is built, so a bit-sliced run loads none of the modules below.
+is built.  So a bit-sliced run loads none of the modules below.
 """
 
 from __future__ import annotations
@@ -21,10 +23,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Modules a bit-sliced run of a small circuit must leave unloaded.
 NOT_LOADED_BY_A_BITSLICE_RUN = (
     "numpy", "asyncio", "multiprocessing", "repro.service", "repro.baselines",
-    "repro.snapshot", "repro.resilience.retry")
+    "repro.snapshot", "repro.resilience.retry", "repro.circuit.qasm",
+    "repro.circuit.real_format", "repro.circuit.grcs", "repro.core.equivalence",
+    "repro.bdd.analysis", "repro.bdd.ordering")
 
 #: Packages whose every ``__all__`` name must import as a first import.
-PACKAGES = ("repro", "repro.engines", "repro.cache", "repro.resilience")
+PACKAGES = ("repro", "repro.engines", "repro.cache", "repro.resilience",
+            "repro.circuit", "repro.core", "repro.bdd")
 
 
 def run_fresh(code: str):
