@@ -22,7 +22,7 @@ import random
 import time
 
 from repro.bdd import BddManager
-from repro.bdd.manager import FALSE
+from repro.bdd.manager import BUTTERFLY_SUB_HIGH, FALSE
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.gate_rules import GateRuleEngine
 from repro.core.simulator import BitSliceSimulator
@@ -83,6 +83,26 @@ def _fused_adder_chain(manager: BddManager, adders):
         for index, sum_bit in enumerate(sum_bits):
             per_adder[index].append(sum_bit)
     return [bit for bits in per_adder for bit in bits], list(carries)
+
+
+def _ripple_adders(manager: BddManager, adders):
+    """Lockstep adders with Table II's overflow check: one full-adder batch
+    per bit position, then one XOR batch of each carry out with its carry
+    into the sign bit.  Returns ``(sum_bit_lists, overflowed)``."""
+    carries = [carry for _, _, carry in adders]
+    carry_into_sign = carries
+    sums = [[] for _ in adders]
+    width = len(adders[0][0])
+    for position in range(width):
+        if position == width - 1:
+            carry_into_sign = list(carries)
+        triples = [(a_bits[position], b_bits[position], carries[index])
+                   for index, (a_bits, b_bits, _) in enumerate(adders)]
+        sum_bits, carries = zip(*manager.full_add_many(triples))
+        for index, sum_bit in enumerate(sum_bits):
+            sums[index].append(sum_bit)
+    overflow = manager.xor_many(list(zip(carries, carry_into_sign)))
+    return sums, any(node != FALSE for node in overflow)
 
 
 def _composition_adder_chain(manager: BddManager, adders):
@@ -261,6 +281,69 @@ def test_fused_controlled_flip_kernel(benchmark):
     benchmark.extra_info["fused_vs_composition_speedup"] = round(speedup, 3)
 
 
+def test_fused_butterfly_kernel(benchmark):
+    """Cache-cold H gate on a mid-order qubit: one butterfly adder batch per
+    bit position over the four vectors, against the restrict, restrict and
+    condition-XOR sweeps followed by the lockstep full-adder batches and
+    the overflow XOR it replaces.  The kernel's cold computed-table misses
+    and unique-table probes are recorded and must be below the sweeps'; the
+    speedup is recorded but not asserted, as a millisecond-scale ratio
+    swings past any useful floor on a shared host."""
+    simulator = _prepared_simulator()
+    state = simulator.state
+    manager = state.manager
+    var = state.qubit_var(NUM_QUBITS // 2)
+    qt = manager.var_node(var)
+    vectors = [[bit.node for bit in state.slices[name]] for name in ("a", "b", "c", "d")]
+
+    def cold_fused():
+        manager.clear_cache()
+        carries = [qt] * len(vectors)
+        sums = [[] for _ in vectors]
+        for position in range(state.r):
+            carry_into_sign = carries
+            steps = manager.butterfly_add_many(
+                [(bits[position], bits[position], carry, BUTTERFLY_SUB_HIGH)
+                 for bits, carry in zip(vectors, carries)], var)
+            carries = [carry for _, carry in steps]
+            for bits, (sum_bit, _) in zip(sums, steps):
+                bits.append(sum_bit)
+        return sums, carries != carry_into_sign
+
+    def cold_composition():
+        manager.clear_cache()
+        flat = [bit for bits in vectors for bit in bits]
+        low = manager.restrict_many(flat, var, False)
+        high = manager.restrict_many(flat, var, True)
+        second = manager.xor_many([(qt, hi) for hi in high])
+        r = state.r
+        return _ripple_adders(manager, [(low[index * r:(index + 1) * r],
+                                         second[index * r:(index + 1) * r], qt)
+                                        for index in range(len(vectors))])
+
+    assert cold_fused() == cold_composition()
+
+    def cold_counters(function):
+        """Cache misses and unique-table probes of one cache-cold call."""
+        before = manager.raw_perf_counters()
+        function()
+        after = manager.raw_perf_counters()
+        return after[1] - before[1], after[2] - before[2]
+
+    misses, probes = cold_counters(cold_fused)
+    composition_misses, composition_probes = cold_counters(cold_composition)
+    assert misses < composition_misses and probes < composition_probes
+    sums, _ = benchmark(cold_fused)
+    benchmark.extra_info["result_nodes"] = manager.count_nodes(
+        [bit for bits in sums for bit in bits])
+    benchmark.extra_info["cache_misses"] = misses
+    benchmark.extra_info["unique_probes"] = probes
+    benchmark.extra_info["composition_cache_misses"] = composition_misses
+    benchmark.extra_info["composition_unique_probes"] = composition_probes
+    speedup = _best_of(cold_composition) / _best_of(cold_fused)
+    benchmark.extra_info["fused_vs_composition_speedup"] = round(speedup, 3)
+
+
 def test_closed_form_negation(benchmark):
     """Cache-cold closed-form negation of all four vectors where a mid-order
     qubit is set (the Z rule), against Table II's complement-plus-carry
@@ -283,8 +366,7 @@ def test_closed_form_negation(benchmark):
         manager.clear_cache()
         complemented = [manager.xor_many([(condition, bit) for bit in bits])
                         for bits in vectors]
-        return engine._ripple_add_many(
-            [(bits, zeros, condition) for bits in complemented])
+        return _ripple_adders(manager, [(bits, zeros, condition) for bits in complemented])
 
     assert cold_closed_form() == cold_adder_form()
 

@@ -52,6 +52,12 @@ here, so the constant factors of this file dominate end-to-end runtime):
   down to the action's variables instead of running the action over all
   of ``f`` and an ITE over the result; they memoise in the ITE table
   under tuple keys and count as ``ite``.
+* **Butterfly adder in one traversal**: :meth:`BddManager.butterfly_add_many`
+  is one bit position of the H, Rx(pi/2) and Ry(pi/2) adders: it walks a
+  slice, its partner slice and the carry down to the target variable and
+  runs the fused full adder once per side of it there, instead of
+  cofactor, XOR / NOT or flip sweeps followed by a full-adder sweep; it
+  memoises in the ``maj3`` table under tuple keys and counts as ``maj3``.
 * **Batched application**: the ``*_many`` methods (:meth:`BddManager.and_many`,
   :meth:`BddManager.full_add_many`, ...) run one operation over many operand
   tuples as one transaction — one computed-table binding, one interner, one
@@ -107,6 +113,15 @@ _NUM_OPS = 11
 #: Human-readable op names, index-aligned with the op tags (used for stats).
 OP_NAMES = ("and", "or", "xor", "not", "ite", "restrict", "exists", "compose",
             "maj3", "xor3", "swapvars")
+
+#: Mode bits of one butterfly adder step (:meth:`BddManager.butterfly_add_many`):
+#: subtract on the ``q = 0`` / ``q = 1`` side (add the complement of the
+#: second operand), and cross the operands' sides (``f|q=s`` with
+#: ``g|q=1-s``, Rx(pi/2)) instead of pairing ``f|q=0`` with ``g|q=1`` on both
+#: (H, Ry(pi/2)).
+BUTTERFLY_SUB_LOW = 1
+BUTTERFLY_SUB_HIGH = 2
+BUTTERFLY_CROSS = 4
 
 #: Node ids and variable indices are packed into single-integer cache keys.
 #: 30 bits bounds both at ~10**9, far beyond what one process can hold.
@@ -1790,6 +1805,155 @@ class BddManager:
         return self._stack_apply(OP_ITE, table, visit, make, ucounts, nested=nested)
 
     # ------------------------------------------------------------------ #
+    # butterfly adder kernel (H, Rx(pi/2), Ry(pi/2))
+    # ------------------------------------------------------------------ #
+    def _butterfly_leaf(self, var: int, make, stack: bool):
+        """The target-level half of the butterfly kernel, shared by its
+        recursive and explicit-stack workers.
+
+        Returns ``(leaf, finishes)``: ``leaf(f, g, c, mode, flev, glev,
+        clev)``, for operands at or below ``var``'s level, cofactors them on
+        ``var``, runs one full-adder step per side of ``var`` (a subtracted
+        side as ``FA(a, not b, c)`` through the nested NOT worker) and
+        returns the packed ``(mk(var, sum0, sum1), mk(var, carry0,
+        carry1))``; ``finishes`` closes the nested full-adder and NOT
+        workers.  ``stack`` picks their explicit-stack forms.
+        """
+        tables = self._tables
+        low_arr = self._low
+        high_arr = self._high
+        level = self._var_to_level[var]
+        full_add, add_finish = (self._make_full_add_stack if stack
+                                else self._make_full_add_rec)(tables[OP_MAJ3])
+        negate, not_finish = (self._make_not_stack if stack else self._make_not_rec)(tables[OP_NOT])
+
+        def leaf(f: int, g: int, c: int, mode: int, flev: int, glev: int, clev: int) -> int:
+            f0, f1 = (low_arr[f], high_arr[f]) if flev == level else (f, f)
+            g0, g1 = (low_arr[g], high_arr[g]) if glev == level else (g, g)
+            c0, c1 = (low_arr[c], high_arr[c]) if clev == level else (c, c)
+            if mode & BUTTERFLY_CROSS:
+                b0, b1 = g1, g0
+            else:
+                f1 = f0
+                b0 = b1 = g1
+            if mode & BUTTERFLY_SUB_LOW:
+                b0 = negate(b0)
+            if mode & BUTTERFLY_SUB_HIGH:
+                b1 = negate(b1)
+            low = full_add(f0, b0, c0)
+            high = full_add(f1, b1, c1)
+            return ((make(var, low >> _KEY_BITS, high >> _KEY_BITS) << _KEY_BITS)
+                    | make(var, low & _KEY_MASK, high & _KEY_MASK))
+
+        return leaf, (add_finish, not_finish)
+
+    def _make_butterfly_rec(self, var: int, table: Dict):
+        """Recursive worker factory of the butterfly adder step
+        (``(rec, finish)`` contract of :meth:`_make_binary_rec`; ``rec(f,
+        g, c, mode)`` returns the packed ``(sum << _KEY_BITS) | carry`` of
+        :meth:`butterfly_add_many`).
+
+        Above ``var``'s level ``rec`` splits ``(f, g, c)`` on their top
+        variable and builds both outputs from the halves; at or below it
+        the operands end in :meth:`_butterfly_leaf`.  Entries live in the
+        ``maj3`` table under ``(f, g, c, var, mode)`` tuple keys, which no
+        packed full-adder key can equal, and count as ``maj3`` traffic.
+        """
+        var_arr = self._var
+        low_arr = self._low
+        high_arr = self._high
+        v2l = self._var_to_level
+        l2v = self._level_to_var
+        bottom = len(l2v)
+        level = v2l[var]
+        table_get = table.get
+        make, ucounts = self._interner()
+        leaf, nested = self._butterfly_leaf(var, make, False)
+        hits = 0
+        misses = 0
+
+        def rec(f: int, g: int, c: int, mode: int) -> int:
+            nonlocal hits, misses
+            key = (f, g, c, var, mode)
+            packed = table_get(key)
+            if packed is not None:
+                hits += 1
+                return packed
+            misses += 1
+            flev = v2l[var_arr[f]] if f > 1 else bottom
+            glev = v2l[var_arr[g]] if g > 1 else bottom
+            clev = v2l[var_arr[c]] if c > 1 else bottom
+            top = flev
+            if glev < top:
+                top = glev
+            if clev < top:
+                top = clev
+            if top < level:
+                if flev == top:
+                    f0, f1 = low_arr[f], high_arr[f]
+                else:
+                    f0 = f1 = f
+                if glev == top:
+                    g0, g1 = low_arr[g], high_arr[g]
+                else:
+                    g0 = g1 = g
+                if clev == top:
+                    c0, c1 = low_arr[c], high_arr[c]
+                else:
+                    c0 = c1 = c
+                low = rec(f0, g0, c0, mode)
+                high = rec(f1, g1, c1, mode)
+                top_var = l2v[top]
+                packed = ((make(top_var, low >> _KEY_BITS, high >> _KEY_BITS) << _KEY_BITS)
+                          | make(top_var, low & _KEY_MASK, high & _KEY_MASK))
+            else:
+                packed = leaf(f, g, c, mode, flev, glev, clev)
+            table[key] = packed
+            return packed
+
+        def finish() -> None:
+            nonlocal rec
+            rec = None
+            for nested_finish in nested:
+                nested_finish()
+            self._fold(OP_MAJ3, table, hits, misses, ucounts)
+
+        return rec, finish
+
+    def _make_butterfly_stack(self, var: int, table: Dict):
+        """Explicit-stack twin of :meth:`_make_butterfly_rec` (deep
+        managers), with :meth:`_butterfly_leaf` as a thunk."""
+        var_arr = self._var
+        low_arr = self._low
+        high_arr = self._high
+        v2l = self._var_to_level
+        l2v = self._level_to_var
+        bottom = len(l2v)
+        level = v2l[var]
+        make, ucounts = self._interner()
+        leaf, nested = self._butterfly_leaf(var, make, True)
+
+        def visit(args):
+            f, g, c, mode = args
+            key = (f, g, c, var, mode)
+            flev = v2l[var_arr[f]] if f > 1 else bottom
+            glev = v2l[var_arr[g]] if g > 1 else bottom
+            clev = v2l[var_arr[c]] if c > 1 else bottom
+            top = min(flev, glev, clev)
+            if top < level:
+                f0, f1 = (low_arr[f], high_arr[f]) if flev == top else (f, f)
+                g0, g1 = (low_arr[g], high_arr[g]) if glev == top else (g, g)
+                c0, c1 = (low_arr[c], high_arr[c]) if clev == top else (c, c)
+                return key, l2v[top], (f0, g0, c0, mode), (f1, g1, c1, mode)
+            return key, lambda: leaf(f, g, c, mode, flev, glev, clev)
+
+        def combine(top_var: int, low: int, high: int) -> int:
+            return ((make(top_var, low >> _KEY_BITS, high >> _KEY_BITS) << _KEY_BITS)
+                    | make(top_var, low & _KEY_MASK, high & _KEY_MASK))
+
+        return self._stack_apply(OP_MAJ3, table, visit, make, ucounts, combine, nested=nested)
+
+    # ------------------------------------------------------------------ #
     # batched application
     # ------------------------------------------------------------------ #
     # These are the gate rules' slice sweeps: one operation over all 4r
@@ -1874,6 +2038,30 @@ class BddManager:
         return self._run_batch(starmap, ((f, c) for f in nodes), self._make_controlled_rec,
                                self._make_controlled_stack, var_a, var_b, self._tables[OP_ITE])
 
+    def butterfly_add_many(self, items: Iterable[Tuple[int, int, int, int]],
+                           var: int) -> List[Tuple[int, int]]:
+        """One butterfly adder step per ``(f, g, c, mode)`` item on target
+        ``x_var``, in one batch transaction: the ``(sum, carry)`` whose
+        cofactor on each side ``s`` of ``x_var`` is the full-adder step of
+        Table II on ``(f|s', g|s'' or its complement, c|s)``.
+
+        ``mode`` is an OR of the ``BUTTERFLY_*`` bits: without
+        ``BUTTERFLY_CROSS`` both sides take ``(f|0, g|1)`` (H, Ry(pi/2)),
+        with it side ``s`` takes ``(f|s, g|1-s)`` (Rx(pi/2));
+        ``BUTTERFLY_SUB_LOW`` / ``BUTTERFLY_SUB_HIGH`` complement ``g``'s
+        cofactor on that side (a subtraction, with the carry seed ``c``
+        supplying the +1).  One bit position of the superposing gates'
+        ripple adders: one walk of ``(f, g, c)`` splits on their top
+        variable above ``x_var`` and runs the fused full-adder worker once
+        per side at ``x_var``, instead of cofactor, XOR / NOT and flip
+        sweeps followed by a full-adder sweep.  The traffic counts as
+        ``maj3``.
+        """
+        self._check_var(var)
+        packed = self._run_batch(starmap, items, self._make_butterfly_rec,
+                                 self._make_butterfly_stack, var, self._tables[OP_MAJ3])
+        return [(pair >> _KEY_BITS, pair & _KEY_MASK) for pair in packed]
+
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -1919,7 +2107,8 @@ class BddManager:
         and the final statistics of a 4r-slice state share one walk, and a
         long-lived manager never accumulates entries.  Visited marks use a
         bytearray indexed by node id, which is much cheaper than hashing
-        every id into a set.
+        every id into a set; a node is marked when it is pushed, so it is
+        pushed once, and the count is ``bytearray.count(1)`` at the end.
         """
         stack = list(roots)
         single_root = stack[0] if len(stack) == 1 else None
@@ -1935,16 +2124,30 @@ class BddManager:
         low_arr = self._low
         high_arr = self._high
         visited = bytearray(len(self._var))
-        count = 0
-        while stack:
-            node = stack.pop()
-            if visited[node]:
-                continue
-            visited[node] = 1
-            count += 1
-            if node > 1:
-                stack.append(low_arr[node])
-                stack.append(high_arr[node])
+        # A node is marked when it is pushed, so each is pushed once.  The
+        # terminals start marked: a non-constant function reaches both.
+        visited[FALSE] = visited[TRUE] = 1
+        pending = []
+        push = pending.append
+        for node in stack:
+            if not visited[node]:
+                visited[node] = 1
+                push(node)
+        if pending:
+            pop = pending.pop
+            while pending:
+                node = pop()
+                child = low_arr[node]
+                if not visited[child]:
+                    visited[child] = 1
+                    push(child)
+                child = high_arr[node]
+                if not visited[child]:
+                    visited[child] = 1
+                    push(child)
+            count = visited.count(1)
+        else:
+            count = len(set(stack))
         if single_root is not None:
             self._size_cache[single_root] = count
         else:

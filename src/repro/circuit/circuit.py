@@ -18,6 +18,7 @@ from repro.circuit.gates import (
     PAPER_GATE_KINDS,
     Gate,
     GateKind,
+    _as_integer,
     is_clifford_gate,
 )
 
@@ -35,6 +36,7 @@ class QuantumCircuit:
     """
 
     def __init__(self, num_qubits: int, name: str = ""):
+        num_qubits = _as_integer(num_qubits, "qubit count")
         if num_qubits <= 0:
             raise ValueError("a circuit needs at least one qubit")
         self.num_qubits = num_qubits
@@ -165,8 +167,9 @@ class QuantumCircuit:
         second mapping (both clbits receive the qubit's outcome, as in
         OpenQASM).
         """
+        qubit = _as_integer(qubit, "qubit index")
         self._check_qubits([qubit])
-        clbit = qubit if clbit is None else clbit
+        clbit = qubit if clbit is None else _as_integer(clbit, "classical bit index")
         if (qubit, clbit) not in zip(self.measured_qubits, self.measured_clbits):
             self._touch_clbit(clbit)
             self.measured_qubits.append(qubit)

@@ -143,19 +143,27 @@ PAPER_GATE_KINDS = frozenset({
 })
 
 
+def _as_integer(value, what: str) -> int:
+    """``value`` as an ``int``: an integral value of another type (a numpy
+    integer) is converted, and a ``bool`` or a non-integral value (``1.0``)
+    raises ``ValueError``.  The one integral check of gate indices, circuit
+    widths and measurement indices."""
+    if value.__class__ is not int:
+        if isinstance(value, bool):
+            raise ValueError(f"{what} {value!r} is not an integer")
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{what} {value!r} is not an integer") from None
+    return value
+
+
 def _indices(values: Sequence[int], what: str) -> Tuple[int, ...]:
-    """``values`` as a tuple of ``int``: an integral value of another type
-    (a numpy integer) is converted, and a ``bool``, a non-integral value
-    (``1.0``) or a negative one raises ``ValueError``."""
+    """``values`` as a tuple of ``int`` (see :func:`_as_integer`); a
+    negative one raises ``ValueError``."""
     indices = []
     for value in values:
-        if value.__class__ is not int:
-            if isinstance(value, bool):
-                raise ValueError(f"{what} {value!r} is not an integer")
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise ValueError(f"{what} {value!r} is not an integer") from None
+        value = _as_integer(value, what)
         if value < 0:
             raise ValueError(f"{what} {value} is negative")
         indices.append(value)

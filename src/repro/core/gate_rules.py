@@ -36,12 +36,15 @@ Hot-path design (this file issues every substrate operation of a gate):
   :meth:`~repro.bdd.manager.BddManager.ite_many`, ...): one computed-table
   binding and one interner transaction per 4r-slice batch instead of per
   slice.
-* The ripple-carry adders use the **fused full-adder kernel**
-  :meth:`~repro.bdd.manager.BddManager.full_add_many` (sum and carry of
-  Table II from one traversal, one fused operation per bit instead of six
-  binary applies), and all independent adders of a gate — the four vectors
-  of H, the two of S — advance through their bit positions in lockstep so
-  each position is a single batch.
+* H, Rx(pi/2) and Ry(pi/2) add the target's cofactors with the **butterfly
+  adder kernel** :meth:`~repro.bdd.manager.BddManager.butterfly_add_many`:
+  per bit position one walk of each slice, its partner slice and the carry
+  reads the cofactors on the target inside the kernel and runs Table II's
+  fused full adder (sum and carry from one traversal) once per side of it,
+  instead of cofactor, XOR, NOT or flip sweeps followed by a full-adder
+  sweep.  The four vectors' adders advance through their bit positions in
+  lockstep, so each position is a single batch, and overflow is the carry
+  out against the carry into the sign bit, compared by node id.
 * The permutation gates are one traversal of ``(F, C)`` per slice, with
   ``C`` the control cube (TRUE without controls): X, CX and CCX run
   :meth:`~repro.bdd.manager.BddManager.controlled_flip_many`, Table II's
@@ -50,7 +53,7 @@ Hot-path design (this file issues every substrate operation of a gate):
   C F[q_a <-> q_b]``, instead of an action sweep over all of ``F`` followed
   by an ITE sweep.  Where ``C`` is TRUE the kernel runs the one-pass flip
   or the cofactor-based swap (no three-cofactor / five-connective formula).
-* Y and Rx(pi/2) take the X action alone: one batched
+* Y takes the X action alone: one batched
   :meth:`~repro.bdd.manager.BddManager.apply_flip` sweep,
   ``F[q_t := not q_t]``, instead of two cofactor sweeps and an ITE sweep.
 * Conditional negation (Z, CZ, Y, S, S†, T and T†) is
@@ -59,9 +62,7 @@ Hot-path design (this file issues every substrate operation of a gate):
   F_i``, one AND ``c and P_i`` and one XOR with ``F_i``, batched across
   vectors, with no complement sweep and no ternary adder kernel.  The
   phase gates' ITE selects the un-negated source first.  Only H, Rx(pi/2)
-  and Ry(pi/2) run the adder; the complemented second addend of H and
-  Ry(pi/2) is one XOR sweep with the condition — ``ite(c, not F, F) = c ^
-  F`` — instead of a NOT sweep followed by an ITE sweep.
+  and Ry(pi/2) run the adder.
 * Multi-control cubes are memoised per sorted controls tuple, so repeated
   Toffoli / Fredkin gates on the same controls stop rebuilding the cube.
 * **Reorder tolerance**: handlers address qubits exclusively by variable
@@ -94,7 +95,13 @@ from types import MethodType
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.bdd import Bdd, BddManager
-from repro.bdd.manager import FALSE, TRUE
+from repro.bdd.manager import (
+    BUTTERFLY_CROSS,
+    BUTTERFLY_SUB_HIGH,
+    BUTTERFLY_SUB_LOW,
+    FALSE,
+    TRUE,
+)
 from repro.circuit.gates import Gate, GateKind
 from repro.core.bitslice import VECTOR_NAMES, BitSlicedState
 from repro.exceptions import UnsupportedGateError
@@ -239,42 +246,6 @@ class GateRuleEngine:
             self._control_cubes[key] = cube
         return cube
 
-    def _ripple_add_many(self, adders: Sequence[Tuple[Sequence[int], Sequence[int], int]],
-                         ) -> Tuple[List[List[int]], bool]:
-        """Run several equal-width symbolic two's-complement adders in
-        lockstep.
-
-        ``adders`` is a list of ``(addend_a, addend_b, carry_in)`` with
-        node-id bit lists.  Each bit position is one full-adder batch
-        (:meth:`~repro.bdd.manager.BddManager.full_add_many`, sum and carry
-        from one traversal) across all adders, so an H gate's four vector
-        additions cost one batched kernel sweep per position instead of ~6
-        binary applies per vector per position.
-
-        Returns ``(sum_bit_lists, overflowed)`` where ``overflowed`` is True
-        when, for at least one adder and one basis state, the signed result
-        does not fit the current width (satisfiability of carry-out xor
-        carry-into-sign, the standard two's-complement overflow condition).
-        """
-        width = len(adders[0][0])
-        for addend_a, addend_b, _ in adders:
-            if len(addend_a) != width or len(addend_b) != width:
-                raise ValueError("adder operands must have the same width")
-        manager = self.manager
-        carries = [carry_in for _, _, carry_in in adders]
-        carry_into_sign = list(carries)
-        sums: List[List[int]] = [[] for _ in adders]
-        for position in range(width):
-            if position == width - 1:
-                carry_into_sign = list(carries)
-            triples = [(addend_a[position], addend_b[position], carries[index])
-                       for index, (addend_a, addend_b, _) in enumerate(adders)]
-            sum_bits, carries = zip(*manager.full_add_many(triples))
-            for index, sum_bit in enumerate(sum_bits):
-                sums[index].append(sum_bit)
-        overflow = manager.xor_many(list(zip(carries, carry_into_sign)))
-        return sums, any(node != FALSE for node in overflow)
-
     def _negate_where_many(self, vectors: Sequence[Sequence[int]],
                            conditions: Sequence[int],
                            ) -> Tuple[List[List[int]], bool]:
@@ -363,8 +334,8 @@ class GateRuleEngine:
                     carry_in: Bdd) -> Tuple[List[Bdd], bool]:
         """Reference (pre-fusion) symbolic adder: one sum and one carry per
         position via chained 2-operand applies.  The hot path is
-        :meth:`_ripple_add_many`; property tests assert the two agree
-        node-for-node."""
+        :meth:`_butterfly_ripple`; property tests assert that it agrees
+        node-for-node with this adder on the cofactor / flip operands."""
         if len(addend_a) != len(addend_b):
             raise ValueError("adder operands must have the same width")
         carry = carry_in
@@ -486,60 +457,48 @@ class GateRuleEngine:
     # ------------------------------------------------------------------ #
     def _apply_h(self, gate: Gate) -> GateUpdate:
         # new(q_t=0) = old(0) + old(1); new(q_t=1) = old(0) - old(1); k += 1.
-        target = gate.targets[0]
-        var = self.state.qubit_var(target)
-        qt = self._qvar_node(target)
-        manager = self.manager
-        flat = self._all_node_bits()
-        low = manager.restrict_many(flat, var, False)
-        high = manager.restrict_many(flat, var, True)
-        # ite(q_t, not F, F|q_t=1) is q_t ^ F|q_t=1.
-        second = manager.xor_many([(qt, hi) for hi in high])
-        r = self.state.r
-        adders = [(low[index * r:(index + 1) * r],
-                   second[index * r:(index + 1) * r], qt)
-                  for index in range(len(VECTOR_NAMES))]
-        sums, overflowed = self._ripple_add_many(adders)
-        return self._update(dict(zip(VECTOR_NAMES, sums)), 1, overflowed)
+        qt = self._qvar_node(gate.targets[0])
+        return self._butterfly_ripple(gate, "abcd", (BUTTERFLY_SUB_HIGH,) * 4, (qt,) * 4)
 
     def _apply_ry(self, gate: Gate) -> GateUpdate:
         # new(q_t=0) = old(0) - old(1); new(q_t=1) = old(0) + old(1); k += 1.
-        target = gate.targets[0]
-        var = self.state.qubit_var(target)
-        qt = self._qvar_node(target)
-        not_qt = self.manager.apply_not(qt)
-        manager = self.manager
-        flat = self._all_node_bits()
-        low = manager.restrict_many(flat, var, False)
-        high = manager.restrict_many(flat, var, True)
-        # ite(q_t, F, not F|q_t=1) is (not q_t) ^ F|q_t=1.
-        second = manager.xor_many([(not_qt, hi) for hi in high])
-        r = self.state.r
-        adders = [(low[index * r:(index + 1) * r],
-                   second[index * r:(index + 1) * r], not_qt)
-                  for index in range(len(VECTOR_NAMES))]
-        sums, overflowed = self._ripple_add_many(adders)
-        return self._update(dict(zip(VECTOR_NAMES, sums)), 1, overflowed)
+        not_qt = self.manager.apply_not(self._qvar_node(gate.targets[0]))
+        return self._butterfly_ripple(gate, "abcd", (BUTTERFLY_SUB_LOW,) * 4, (not_qt,) * 4)
 
     def _apply_rx(self, gate: Gate) -> GateUpdate:
         # new = old - i * old_swapped (per branch); k += 1.
         # Contributions: a' = a - c_swapped, b' = b - d_swapped,
         #                c' = c + a_swapped, d' = d + b_swapped.
-        target = gate.targets[0]
-        manager = self.manager
-        fa, fb, fc, fd = (self._node_bits(name) for name in VECTOR_NAMES)
-        r = self.state.r
-        # "other" operand per destination vector, in VECTOR_NAMES order.
-        others = fc + fd + fa + fb
-        swapped = self._swap_on_many(others, target)
-        negated = manager.not_many(swapped[:2 * r])
-        second = negated + swapped[2 * r:]
-        adders = [(fa, second[:r], TRUE),
-                  (fb, second[r:2 * r], TRUE),
-                  (fc, second[2 * r:3 * r], FALSE),
-                  (fd, second[3 * r:], FALSE)]
-        sums, overflowed = self._ripple_add_many(adders)
-        return self._update(dict(zip(VECTOR_NAMES, sums)), 1, overflowed)
+        subtract = BUTTERFLY_CROSS | BUTTERFLY_SUB_LOW | BUTTERFLY_SUB_HIGH
+        return self._butterfly_ripple(gate, "cdab", (subtract, subtract) + (BUTTERFLY_CROSS,) * 2,
+                                      (TRUE, TRUE, FALSE, FALSE))
+
+    def _butterfly_ripple(self, gate: Gate, others: str, modes: Sequence[int],
+                          carries: Sequence[int]) -> GateUpdate:
+        """The four symbolic two's-complement adders of a superposing gate,
+        in lockstep: vector ``VECTOR_NAMES[i]`` adds the vector named
+        ``others[i]`` with butterfly mode ``modes[i]`` and carry seed
+        ``carries[i]``.  Each bit position is one
+        :meth:`~repro.bdd.manager.BddManager.butterfly_add_many` batch
+        across the four vectors, which takes the target's cofactors inside
+        the kernel.  An adder overflowed where its carry out differs from
+        its carry into the sign bit; reduced ordered BDDs are canonical, so
+        that is a node-id comparison."""
+        var = self.state.qubit_var(gate.targets[0])
+        own = [self._node_bits(name) for name in VECTOR_NAMES]
+        other = [self._node_bits(name) for name in others]
+        butterfly_add_many = self.manager.butterfly_add_many
+        carries = list(carries)
+        sums: List[List[int]] = [[] for _ in own]
+        for position in range(self.state.r):
+            carry_into_sign = carries
+            steps = butterfly_add_many(
+                [(bits[position], other_bits[position], carry, mode)
+                 for bits, other_bits, carry, mode in zip(own, other, carries, modes)], var)
+            carries = [carry for _, carry in steps]
+            for bits, (sum_bit, _) in zip(sums, steps):
+                bits.append(sum_bit)
+        return self._update(dict(zip(VECTOR_NAMES, sums)), 1, carries != carry_into_sign)
 
     # Plain functions, bound per call: a dict of bound methods on the
     # instance would make every engine (and its state and manager) a

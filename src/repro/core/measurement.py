@@ -109,9 +109,10 @@ class SliceMass:
         self.num_qubits = state.num_qubits
         self.r = state.r
         self._weights = [1 << j for j in range(self.r - 1)] + [-(1 << (self.r - 1))]
-        # tuple -> (x, y, level): (x, y) summed over the levels at and
-        # below ``level``, the tuple's topmost level.
-        self._memo: Dict[Tuple[int, ...], Tuple[int, int, int]] = {}
+        # tuple -> (x, y, level, low, high): (x, y) summed over the levels
+        # at and below ``level``, the tuple's topmost level, and the
+        # tuple's cofactors there (an all-terminal tuple is its own).
+        self._memo: Dict[Tuple[int, ...], tuple] = {}
         self._valid_for = (self.manager.cache_generation, self.manager.num_vars)
 
     def _leaf(self, bits: Tuple[int, ...]) -> Tuple[int, int]:
@@ -121,14 +122,30 @@ class SliceMass:
                       for start in range(0, 4 * r, r))
         return a * a + b * b + c * c + d * d, a * b + b * c + c * d - a * d
 
+    def _current_memo(self) -> Dict[Tuple[int, ...], tuple]:
+        """The memo, emptied first if a garbage collection or a reorder (a
+        new cache generation) or a new variable outdated it."""
+        manager = self.manager
+        valid_for = (manager.cache_generation, manager.num_vars)
+        if self._valid_for != valid_for:
+            self._memo = {}
+            self._valid_for = valid_for
+        return self._memo
+
+    def split(self, nodes: Tuple[int, ...]
+              ) -> Optional[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]:
+        """``(level, low, high)`` of a tuple that :meth:`mass` has walked
+        in the current generation: its topmost level and its cofactors
+        there (an all-terminal tuple lies below every level and is its own
+        cofactor), or ``None`` for a tuple not walked."""
+        entry = self._current_memo().get(nodes)
+        return None if entry is None else entry[2:]
+
     def mass(self, nodes: Tuple[int, ...]) -> Tuple[int, int]:
         """Exact ``(x, y)`` of ``nodes`` summed over all qubit assignments."""
         manager = self.manager
         bottom = manager.num_vars
-        if self._valid_for != (manager.cache_generation, bottom):
-            self._memo = {}
-            self._valid_for = (manager.cache_generation, bottom)
-        memo = self._memo
+        memo = self._current_memo()
         if nodes not in memo:
             # The manager's node columns, read directly as satcount does.
             var_of, low_of, high_of = manager._var, manager._low, manager._high
@@ -138,18 +155,19 @@ class SliceMass:
                 item = stack.pop()
                 if item.__class__ is list:  # both halves are done: combine
                     item, top, low, high = item
-                    low_x, low_y, low_level = memo[low]
-                    high_x, high_y, high_level = memo[high]
+                    low_x, low_y, low_level = memo[low][:3]
+                    high_x, high_y, high_level = memo[high][:3]
                     low_skip, high_skip = low_level - top - 1, high_level - top - 1
                     memo[item] = ((low_x << low_skip) + (high_x << high_skip),
-                                  (low_y << low_skip) + (high_y << high_skip), top)
+                                  (low_y << low_skip) + (high_y << high_skip),
+                                  top, low, high)
                     continue
                 if item in memo:
                     continue
                 top = min([level_of[var_of[node]] for node in item if node > 1],
                           default=bottom)
                 if top == bottom:
-                    memo[item] = self._leaf(item) + (bottom,)
+                    memo[item] = self._leaf(item) + (bottom, item, item)
                     continue
                 var = var_at[top]
                 low = tuple([low_of[node] if var_of[node] == var else node
@@ -157,7 +175,7 @@ class SliceMass:
                 high = tuple([high_of[node] if var_of[node] == var else node
                               for node in item])
                 stack += ([item, top, low, high], high, low)
-        x, y, level = memo[nodes]
+        x, y, level = memo[nodes][:3]
         # Variables other than the qubits' (Eq. 12's encoding variables)
         # never occur in slices; every one of them doubled the sum.
         extra = bottom - self.num_qubits

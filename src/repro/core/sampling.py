@@ -4,11 +4,14 @@ The generic engine sampler answers each conditional-probability query with a
 fresh probability query.  This module walks the *slices themselves* instead:
 
 * fixing one more bit of the sampled prefix cofactors all ``4r`` slice nodes
-  at the qubit's variable.  In level order that is one step down a path per
-  slice whose top variable is the qubit's; only a fixed variable that lies
-  below a free one (a permuted or partial qubit list, or a sifted order)
-  falls back to one batched
-  :meth:`~repro.bdd.manager.BddManager.restrict_many` call, and
+  at the qubit's variable.  In level order that is the split the mass walk
+  already made of the prefix's tuple (one step down a path per slice whose
+  top variable is the qubit's), read back from
+  :meth:`~repro.core.measurement.SliceMass.split`, or the tuple itself when
+  it does not depend on the qubit; a tuple the walk has not split takes the
+  step node by node, and only a fixed variable that lies below a free one
+  (a permuted or partial qubit list, or a sifted order) falls back to one
+  batched :meth:`~repro.bdd.manager.BddManager.restrict_many` call, and
 * the probability mass of a prefix is the exact integer pair ``(x, y)`` that
   :class:`~repro.core.measurement.SliceMass` sums over the tuple of
   cofactor node ids — the total ``(x + y*sqrt(2)) / 2**k`` of
@@ -79,9 +82,19 @@ class SliceSampler:
     # ------------------------------------------------------------------ #
     def _cofactor(self, nodes: Tuple[int, ...], var: int, value: int) -> Tuple[int, ...]:
         manager = self.manager
+        level = manager._var_to_level[var]
+        split = self._kernel.split(nodes)
+        if split is not None and split[0] >= level:
+            # The mass walk already split this tuple: its top level is the
+            # qubit's (take the recorded half) or lies below it (the tuple
+            # does not depend on the qubit).
+            if split[0] > level:
+                return nodes
+            cofactor = split[2] if value else split[1]
+            self._anchor(cofactor)
+            return cofactor
         var_of, level_of = manager._var, manager._var_to_level
         child_of = manager._high if value else manager._low
-        level = level_of[var]
         cofactor = list(nodes)
         below = []  # positions whose top variable lies above ``var``
         for position, node in enumerate(nodes):
@@ -97,11 +110,15 @@ class SliceSampler:
             for position, node in zip(below, restricted):
                 cofactor[position] = node
             self.fallback_restricts += 1
+        cofactor = tuple(cofactor)
+        self._anchor(cofactor)
+        return cofactor
+
+    def _anchor(self, nodes: Tuple[int, ...]) -> None:
         anchors = self._anchors
-        for node in cofactor:
+        for node in nodes:
             if node not in anchors:
-                anchors[node] = Bdd(manager, node)
-        return tuple(cofactor)
+                anchors[node] = Bdd(self.manager, node)
 
     def _family(self, prefix: Tuple[int, ...]) -> Tuple[int, ...]:
         depth = len(prefix)

@@ -1,15 +1,20 @@
-"""The multi-root slot of ``BddManager.count_nodes``.
+"""``BddManager.count_nodes`` and its multi-root slot.
 
 One slot remembers the last multi-root query, so the per-gate peak count,
 the node-budget check and the final statistics of a state share one walk.
 It is cleared with the computed tables (garbage collection, reorders,
 adjacent swaps), holds one entry, and must never change a reported number:
-peaks and MO detection are pinned here against a memo-free walk.
+peaks and MO detection are pinned here against a memo-free walk, and the
+walk itself (marks set on push, counted at the end) against a set-based
+count on random root lists, terminal, duplicate and empty ones included.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ResourceLimits, run
 from repro.bdd import BddManager
@@ -40,6 +45,59 @@ def pair_functions(manager):
     and 2 swap (its pairs get interleaved)."""
     x = [manager.var(i) for i in range(4)]
     return [(x[0] & x[1]) | (x[2] & x[3]), x[0] ^ x[3]]
+
+
+def random_roots(manager, rng, count):
+    """``count`` roots: terminals, literals, repeats and random DNFs."""
+    pool = [0, 1]
+    roots = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.2:
+            node = rng.choice((0, 1))
+        elif roll < 0.35 and pool[2:]:
+            node = rng.choice(pool[2:])
+        elif roll < 0.5:
+            node = manager.var_node(rng.randrange(manager.num_vars))
+        else:
+            function = manager.false
+            for _ in range(rng.randrange(1, 6)):
+                cube = manager.true
+                for var in rng.sample(range(manager.num_vars), 3):
+                    cube = cube & manager.literal(var, rng.random() < 0.5)
+                function = function | cube
+            node = function.node
+        pool.append(node)
+        roots.append(node)
+    return roots
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       count=st.integers(min_value=0, max_value=6))
+def test_count_matches_a_set_based_walk(seed, count):
+    rng = random.Random(seed)
+    manager = BddManager(7)
+    roots = random_roots(manager, rng, count)
+    expected = walk_count(manager, roots)
+    assert manager.count_nodes(roots) == expected
+    # The memo (single root or the multi-root slot) returns the same count.
+    assert manager.count_nodes(list(roots)) == expected
+    if len(roots) == 1:
+        assert manager._size_cache[roots[0]] == expected
+    elif roots:
+        assert manager._last_multi_count == (tuple(roots), expected)
+
+
+def test_terminal_duplicate_and_empty_root_lists():
+    manager = BddManager(3)
+    literal = manager.var(1).node
+    assert manager.count_nodes([]) == 0
+    assert manager.count_nodes([0]) == 1
+    assert manager.count_nodes([1, 1]) == 1
+    assert manager.count_nodes([0, 1, 0]) == 2
+    assert manager.count_nodes([literal]) == 3
+    assert manager.count_nodes([literal, literal, 0]) == 3
 
 
 def test_swap_between_counts_returns_the_post_swap_count():

@@ -24,6 +24,12 @@ the strongest possible check.  Coverage:
   swap followed by an ITE, with conditions above, between and below the
   targets, multi-control cubes and arbitrary functions, on a recursive and
   on an explicit-stack manager, and their table traffic (``ite``),
+* the butterfly adder step (``butterfly_add_many``) vs the cofactor or
+  flip sweeps, the conditional complement (XOR or NOT) and the full adder,
+  in every mode, with the target above, between, below or inside the
+  operands' supports and constant, literal or arbitrary carries, on a
+  recursive and on an explicit-stack manager, and its table traffic
+  (``maj3``),
 * all of the above on a manager past the recursion-safe threshold under an
   artificially tiny recursion limit (the explicit-stack twins).
 """
@@ -37,7 +43,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import Bdd, BddManager
-from repro.bdd.manager import FALSE, OP_NAMES, TRUE
+from repro.bdd.manager import (
+    BUTTERFLY_CROSS,
+    BUTTERFLY_SUB_HIGH,
+    BUTTERFLY_SUB_LOW,
+    FALSE,
+    OP_MAJ3,
+    OP_NAMES,
+    TRUE,
+)
 
 
 def random_function(manager: BddManager, rng: random.Random,
@@ -271,6 +285,7 @@ class TestBatchMethods:
         pairs = list(zip(nodes, nodes[1:]))
         triples = list(zip(nodes, nodes[1:], nodes[2:]))
         condition = manager.apply_and(manager.var_node(5), manager.var_node(0))
+        butterflies = [(f, g, c, index % 8) for index, (f, g, c) in enumerate(triples)]
         return [
             (manager.and_many, (pairs,), manager.apply_and, pairs),
             (manager.or_many, (pairs,), manager.apply_or, pairs),
@@ -287,6 +302,8 @@ class TestBatchMethods:
              manager.apply_controlled_flip, [(n, condition, 3) for n in nodes]),
             (manager.controlled_swap_many, (nodes, condition, 1, 7),
              manager.apply_controlled_swap, [(n, condition, 1, 7) for n in nodes]),
+            (lambda items: manager.butterfly_add_many(items, 6), (butterflies,),
+             lambda *item: reference_butterflies(manager, [item], 6)[0], butterflies),
         ]
 
     def test_batches_match_single_shot_operations(self):
@@ -294,7 +311,7 @@ class TestBatchMethods:
         rng = random.Random(53)
         nodes = [f.node for f in self._functions(manager, rng)]
         batches = self._batches(manager, nodes)
-        assert len(batches) == 11
+        assert len(batches) == 12
         for many, args, single, operands in batches:
             assert many(*args) == [single(*operand) for operand in operands], many
 
@@ -581,6 +598,169 @@ class TestControlledKernels:
             manager.controlled_swap_many([f.node], TRUE, 0, 6)
 
 
+def reference_butterflies(manager: BddManager, items, var: int):
+    """Butterfly steps the long way: ``f|q=0`` / ``g|q=1`` restrict sweeps
+    (or ``f`` and the ``g`` flip sweep across), the second operand
+    complemented on the subtracted sides by an XOR with the side's literal
+    (a NOT sweep on both), then the full adder sweep."""
+    q = manager.var_node(var)
+    complement_on = {0: FALSE, BUTTERFLY_SUB_LOW: manager.apply_not(q),
+                     BUTTERFLY_SUB_HIGH: q, BUTTERFLY_SUB_LOW | BUTTERFLY_SUB_HIGH: TRUE}
+    triples = []
+    for f, g, c, mode in items:
+        if mode & BUTTERFLY_CROSS:
+            first, second = f, manager.flip_many([g], var)[0]
+        else:
+            first = manager.restrict_many([f], var, False)[0]
+            second = manager.restrict_many([g], var, True)[0]
+        condition = complement_on[mode & (BUTTERFLY_SUB_LOW | BUTTERFLY_SUB_HIGH)]
+        if condition == TRUE:
+            second = manager.not_many([second])[0]
+        else:
+            second = manager.xor_many([(condition, second)])[0]
+        triples.append((first, second, c))
+    return manager.full_add_many(triples)
+
+
+#: The superposing gates' modes: H, Ry(pi/2), and Rx(pi/2)'s subtracting
+#: (a, b) and adding (c, d) vectors.
+GATE_MODES = (BUTTERFLY_SUB_HIGH, BUTTERFLY_SUB_LOW,
+              BUTTERFLY_CROSS | BUTTERFLY_SUB_LOW | BUTTERFLY_SUB_HIGH, BUTTERFLY_CROSS)
+
+#: Where a butterfly's target sits relative to its operands' support.
+TARGET_PLACES = ("above", "between", "below", "inside")
+
+
+def placed_target(manager: BddManager, rng: random.Random, variables, place: str):
+    """``(target, operand variables)``: the target at the top, a middle or
+    the bottom level of ``variables`` with the operands over the others, or
+    anywhere with the operands over all of them (the target included)."""
+    by_level = sorted(variables, key=manager.level_of)
+    if place == "inside":
+        return rng.choice(variables), list(variables)
+    index = {"above": 0, "below": len(by_level) - 1,
+             "between": rng.randrange(1, len(by_level) - 1)}[place]
+    target = by_level[index]
+    return target, [var for var in variables if var != target]
+
+
+def placed_carry(manager: BddManager, rng: random.Random, variables, target: int,
+                 kind: str) -> Bdd:
+    if kind == "constant":
+        return rng.choice((manager.false, manager.true))
+    if kind == "literal":
+        var = rng.choice((target, target, rng.choice(variables)))
+        return manager.literal(var, rng.random() < 0.5)
+    return random_function_over(manager, rng, variables)
+
+
+class TestButterflyKernel:
+    """One butterfly adder step per ``(f, g, c, mode)`` item equals the
+    cofactor / flip, XOR / NOT and full-adder sweeps it replaces, node for
+    node and cache-cold, in every mode."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           place=st.sampled_from(TARGET_PLACES),
+           carry=st.sampled_from(("constant", "literal", "arbitrary")),
+           shuffled=st.booleans())
+    @pytest.mark.parametrize("num_vars", [6, 700], ids=["recursive", "stack"])
+    def test_kernel_matches_sweeps_then_adder(self, num_vars, seed, place, carry, shuffled):
+        rng = random.Random(seed)
+        manager = BddManager(num_vars)
+        assert manager._recursion_safe() == (num_vars == 6)
+        variables = (list(range(num_vars)) if num_vars == 6
+                     else sorted(rng.sample(range(num_vars), 8)))
+        if shuffled:
+            levels = [manager.level_of(var) for var in variables]
+            order = manager.current_order()
+            for level, var in zip(levels, rng.sample(variables, len(variables))):
+                order[level] = var
+            manager.set_order(order)
+        target, support = placed_target(manager, rng, variables, place)
+        functions = [random_function_over(manager, rng, support)
+                     for _ in range(4)] + [manager.false, manager.true]
+        carries = [placed_carry(manager, rng, variables, target, carry)
+                   for _ in range(3)]
+        items = [(rng.choice(functions).node, rng.choice(functions).node,
+                  rng.choice(carries).node, mode)
+                 for mode in range(8) for _ in range(2)]
+        manager.clear_cache()
+        fused = manager.butterfly_add_many(items, target)
+        assert fused == reference_butterflies(manager, items, target)
+
+    def test_gate_modes_pair_the_cofactors_of_table2(self):
+        # Truth-table check of the four gate modes on one variable: a
+        # 2-bit integer per vector, its value at q = 0 / 1 summed as the
+        # H, Ry and Rx rows of Table II say.
+        manager = BddManager(3)
+        q = manager.var_node(0)
+        f = manager.apply_xor(manager.var_node(1), q)
+        g = manager.apply_and(manager.var_node(2), manager.apply_not(q))
+        for mode in GATE_MODES:
+            for c in (FALSE, TRUE, q, manager.apply_not(q)):
+                (total, carry), = manager.butterfly_add_many([(f, g, c, mode)], 0)
+                for bits in range(8):
+                    assignment = {var: bool(bits >> var & 1) for var in range(3)}
+                    side = assignment[0]
+                    a_side = side if mode & BUTTERFLY_CROSS else False
+                    b_side = (not side) if mode & BUTTERFLY_CROSS else True
+                    a = manager.evaluate(f, {**assignment, 0: a_side})
+                    b = manager.evaluate(g, {**assignment, 0: b_side})
+                    if mode & (BUTTERFLY_SUB_HIGH if side else BUTTERFLY_SUB_LOW):
+                        b = not b
+                    cin = manager.evaluate(c, assignment)
+                    assert manager.evaluate(total, assignment) == (a ^ b ^ cin)
+                    assert manager.evaluate(carry, assignment) == (a + b + cin >= 2)
+
+    def test_traffic_is_maj3_only_and_memoised(self):
+        manager = BddManager(8)
+        rng = random.Random(83)
+        nodes = [random_function(manager, rng).node for _ in range(4)]
+        q = manager.var_node(3)
+        items = [(f, g, q, mode) for f, g in zip(nodes, nodes[1:] + nodes[:1])
+                 for mode in GATE_MODES]
+        manager.clear_cache()
+        before = manager.perf_stats()
+        first = manager.butterfly_add_many(items, 3)
+        middle = manager.perf_stats()
+        assert OP_NAMES == ("and", "or", "xor", "not", "ite", "restrict",
+                            "exists", "compose", "maj3", "xor3", "swapvars")
+        assert middle["cache_maj3_misses"] > before["cache_maj3_misses"]
+        for name in ("restrict", "compose", "ite", "swapvars", "xor3"):
+            assert middle[f"cache_{name}_misses"] == before[f"cache_{name}_misses"], name
+            assert middle[f"cache_{name}_hits"] == before[f"cache_{name}_hits"], name
+        # A repeat is one maj3 hit per item and builds nothing.
+        second = manager.butterfly_add_many(items, 3)
+        after = manager.perf_stats()
+        assert second == first
+        assert after["cache_maj3_hits"] == middle["cache_maj3_hits"] + len(items)
+        assert after["cache_misses"] == middle["cache_misses"]
+        assert after["unique_inserts"] == middle["unique_inserts"]
+
+    def test_memo_drops_with_the_generation(self):
+        manager = BddManager(6)
+        rng = random.Random(89)
+        f = random_function(manager, rng)
+        carry = manager.var(2)
+        items = [(f.node, f.node, carry.node, BUTTERFLY_SUB_HIGH)]
+        events = (manager.garbage_collect, manager.sift,
+                  lambda: manager.swap_adjacent_levels(0), manager.clear_cache)
+        for event in events:
+            manager.butterfly_add_many(items, 2)
+            assert any(isinstance(key, tuple) for key in manager._tables[OP_MAJ3])
+            generation = manager.cache_generation
+            event()
+            assert manager.cache_generation > generation
+            assert not manager._tables[OP_MAJ3]
+
+    def test_unknown_target_rejected(self):
+        manager = BddManager(3)
+        with pytest.raises(ValueError):
+            manager.butterfly_add_many([(TRUE, FALSE, FALSE, 0)], 3)
+        assert manager.butterfly_add_many([], 0) == []
+
+
 class TestDeepManagerFusedKernels:
     """Managers past the recursion-safe threshold must run the fused kernels
     on the explicit stack, even under a tiny recursion limit."""
@@ -631,6 +811,25 @@ class TestDeepManagerFusedKernels:
                 assert manager.controlled_swap_many(nodes, c, 1400, 5) == [
                     manager.apply_ite(c, manager.apply_swap_vars(n, 5, 1400), n)
                     for n in nodes]
+        finally:
+            sys.setrecursionlimit(old_limit)
+
+    def test_deep_butterfly_kernel_under_low_recursion_limit(self):
+        manager = BddManager(self.NUM_VARS)
+        old_limit = sys.getrecursionlimit()
+        try:
+            f = self._chain(manager, 3)
+            g = self._chain(manager, 2) | manager.var(700)
+            h = manager.var(10) ^ manager.var(1450)
+            carries = [FALSE, TRUE, manager.var_node(700), h.node, f.node]
+            items = [(a, b, c, mode) for a, b in ((f.node, f.node), (f.node, g.node),
+                                                  (g.node, h.node))
+                     for c in carries for mode in GATE_MODES]
+            sys.setrecursionlimit(220)
+            for target in (700, 5, 1499):
+                manager.clear_cache()
+                assert manager.butterfly_add_many(items, target) == reference_butterflies(
+                    manager, items, target)
         finally:
             sys.setrecursionlimit(old_limit)
 

@@ -57,6 +57,7 @@ KERNELS = {
     "swap_vars_many": lambda m, f, g, h: m.swap_vars_many([f, g], 0, 3),
     "controlled_flip_many": lambda m, f, g, h: m.controlled_flip_many([f, h], g, 1),
     "controlled_swap_many": lambda m, f, g, h: m.controlled_swap_many([f, g], h, 3, 0),
+    "butterfly_add_many": lambda m, f, g, h: m.butterfly_add_many([(f, g, h, 2), (g, f, 1, 7)], 1),
 }
 
 

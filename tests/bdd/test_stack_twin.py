@@ -4,7 +4,7 @@ Managers deeper than ``_MAX_RECURSIVE_VARS`` run every operation through
 :meth:`~repro.bdd.manager.BddManager._stack_apply` instead of the recursive
 ``_make_*_rec`` closures.  Forcing that threshold to 0 sends a small manager
 down the stack path, so one seeded script of every operation and every
-batch method (``and_many``, ..., ``controlled_swap_many``) can be replayed
+batch method (``and_many``, ..., ``butterfly_add_many``) can be replayed
 on both paths.  They must agree on every returned node id and on every computed-
 and unique-table counter: same subproblems, same memo hits, same nodes
 interned in the same order, and (under a small ``cache_size_limit``) the
@@ -77,6 +77,8 @@ def run_script(seed: int, cache_size_limit: int):
         lambda: manager.swap_vars_many(nodes(), var(), var()),
         lambda: manager.controlled_flip_many(nodes(), node(), var()),
         lambda: manager.controlled_swap_many(nodes(), node(), var(), var()),
+        lambda: manager.butterfly_add_many(
+            [(node(), node(), node(), rng.randrange(8)) for _ in range(BATCH)], var()),
     ]
     results = []
     for _ in range(STEPS):

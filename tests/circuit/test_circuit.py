@@ -14,6 +14,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             QuantumCircuit(0)
 
+    @pytest.mark.parametrize("width", [2.5, 2.0, True, False, "2", None])
+    def test_non_integral_width_rejected(self, width):
+        with pytest.raises(ValueError, match="not an integer"):
+            QuantumCircuit(width)
+
+    @pytest.mark.parametrize("qubit, clbit", [(1.0, None), (True, None),
+                                              (0, 1.0), (0, False), (0, "1")])
+    def test_non_integral_measurement_rejected(self, qubit, clbit):
+        circuit = QuantumCircuit(2).h(0)
+        with pytest.raises(ValueError, match="not an integer"):
+            circuit.measure(qubit, clbit)
+        assert circuit.measured_qubits == [] and circuit.num_clbits == 0
+
+    def test_numpy_width_and_measurement_stored_as_int(self):
+        circuit = QuantumCircuit(np.int64(3)).h(0)
+        circuit.measure(np.int32(2), np.uint8(1)).measure(np.int64(0))
+        assert circuit.num_qubits == 3 and circuit.num_qubits.__class__ is int
+        assert circuit.measured_qubits == [2, 0]
+        assert circuit.measured_clbits == [1, 0]
+        assert all(index.__class__ is int
+                   for index in circuit.measured_qubits + circuit.measured_clbits)
+        assert circuit == QuantumCircuit(3).h(0).measure(2, 1).measure(0)
+
     def test_default_name(self):
         assert QuantumCircuit(3).name == "circuit_3q"
         assert QuantumCircuit(3, name="bell").name == "bell"

@@ -2,7 +2,9 @@
 
 The full gate semantics are already pinned against the dense oracle in
 ``test_gate_rules.py``; these tests cover the new machinery specifically:
-the lockstep batched adder vs the reference composition adder, the
+the butterfly ripple of H, Rx(pi/2) and Ry(pi/2) (one ``butterfly_add_many``
+batch per bit position, overflow by node id) vs the cofactor / flip operands
+and the reference composition adder, the
 closed-form conditional negation vs Table II's complement-plus-carry adder,
 the one-pass literal kernels (variable flip, condition XOR) vs the
 restrict/restrict/ITE and NOT + ITE forms they replace, the controlled
@@ -16,11 +18,11 @@ from __future__ import annotations
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.bdd.manager as manager_module
-from repro.bdd import Bdd
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import Gate, GateKind
 from repro.bdd.manager import FALSE
@@ -45,30 +47,6 @@ def _prepared_engine(num_qubits=4, seed=11):
 
 
 class TestBatchedAdder:
-    @pytest.mark.parametrize("driver", ["recursive", "stack"])
-    def test_ripple_add_many_matches_reference(self, monkeypatch, driver):
-        engine = _prepared_engine()
-        if driver == "stack":
-            # Send the fused full-adder batches down the explicit-stack twin.
-            monkeypatch.setattr(manager_module, "_MAX_RECURSIVE_VARS", 0)
-            engine.state.manager.clear_cache()
-        state = engine.state
-        qt = engine._qvar_node(0)
-        qt_handle = Bdd(state.manager, qt)
-        adders = []
-        expected = []
-        names = list(VECTOR_NAMES)
-        for own, other in zip(names, names[1:] + names[:1]):
-            a_bits = [bit.node for bit in state.slices[own]]
-            b_bits = [bit.node for bit in state.slices[other]]
-            adders.append((a_bits, b_bits, qt))
-            expected.append(engine._ripple_add(
-                list(state.slices[own]), list(state.slices[other]), qt_handle))
-        sums, overflowed = engine._ripple_add_many(adders)
-        assert overflowed == any(over for _, over in expected)
-        for fused_bits, (reference_bits, _) in zip(sums, expected):
-            assert fused_bits == [bit.node for bit in reference_bits]
-
     def test_conditional_negate_matches_reference(self):
         engine = _prepared_engine(seed=29)
         state = engine.state
@@ -79,10 +57,52 @@ class TestBatchedAdder:
                 list(state.slices[name]), condition_handle)
             assert update.slices[name] == reference
 
-    def test_mismatched_widths_rejected(self):
+
+#: The superposing gates' matrices (qubit 0 of a one-qubit register).
+SUPERPOSING_MATRICES = {
+    GateKind.H: np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+    GateKind.RY_PI_2: np.array([[1, -1], [1, 1]]) / np.sqrt(2),
+    GateKind.RX_PI_2: np.array([[1, -1j], [-1j, 1]]) / np.sqrt(2),
+}
+
+
+class TestButterflyRipple:
+    """H, Rx(pi/2) and Ry(pi/2): one butterfly adder batch per bit position
+    against the cofactor / NOT / flip forms plus the reference adder."""
+
+    @pytest.mark.parametrize("driver", ["recursive", "stack"])
+    def test_superposing_gates_match_reference(self, monkeypatch, driver):
         engine = _prepared_engine()
-        with pytest.raises(ValueError):
-            engine._ripple_add_many([([0, 0], [0], 0)])
+        if driver == "stack":
+            # Send the butterfly batches down the explicit-stack twin.
+            monkeypatch.setattr(manager_module, "_MAX_RECURSIVE_VARS", 0)
+            engine.state.manager.clear_cache()
+        for qubit in range(engine.state.num_qubits):
+            for kind in (GateKind.H, GateKind.RY_PI_2, GateKind.RX_PI_2):
+                _assert_gate_matches_reference(engine, Gate(kind, (qubit,)))
+
+    @pytest.mark.parametrize("kind, overflows", [(GateKind.H, True),
+                                                 (GateKind.RY_PI_2, True),
+                                                 (GateKind.RX_PI_2, False)])
+    def test_overflow_is_carry_out_against_carry_into_sign(self, kind, overflows):
+        # a = 1 everywhere at r = 2: H and Ry reach 1 + 1 = 2 on one side,
+        # which does not fit; Rx adds 1 to c and d, which does.
+        state = BitSlicedState(2)
+        manager = state.manager
+        zeros = [manager.false] * 2
+        state.replace_slices({"a": [manager.true, manager.false], "b": zeros,
+                              "c": zeros, "d": zeros})
+        engine = GateRuleEngine(state)
+        gate = Gate(kind, (0,))
+        update = engine._handler_for(kind)(gate)
+        _, reference_overflow = _reference_update(engine, gate)
+        assert update.overflowed == reference_overflow == overflows
+        before = state.to_numpy()
+        engine.apply(gate)
+        assert state.r == (3 if overflows else 2)
+        # Qubit 0 is the most significant bit of a basis-state index.
+        matrix = np.kron(SUPERPOSING_MATRICES[kind], np.eye(2))
+        np.testing.assert_allclose(state.to_numpy(), matrix @ before, atol=1e-12)
 
 
 def _random_function(manager, rng, num_vars):
