@@ -3,10 +3,11 @@
 PR 3 collapsed the gate rules' dominant operation patterns into fused
 multi-operand kernels: the full-adder sum and carry run as one
 three-operand traversal (``full_add_many``) batched across the four
-coefficient vectors, the SWAP action runs as one cofactor-based
-pass (``apply_swap_vars``), the X action as one variable-flip pass
-(``apply_flip``), and conditional negation in closed form (prefix ORs, one
-AND and one XOR per bit instead of a complement-plus-carry adder).  These
+coefficient vectors, the SWAP and X actions run as the controlled
+permutation kernel under a TRUE condition (``controlled_swap_many`` and
+``controlled_flip_many``), and conditional negation in closed form (prefix
+ORs, one AND and one XOR per bit instead of a complement-plus-carry
+adder).  These
 benchmarks measure exactly that fusion:
 the *same* slice BDDs are pushed through the fused path and through the
 pre-fusion 2-operand composition path (which the gate rules keep as the
@@ -22,7 +23,7 @@ import random
 import time
 
 from repro.bdd import BddManager
-from repro.bdd.manager import BUTTERFLY_SUB_HIGH, FALSE
+from repro.bdd.manager import BUTTERFLY_SUB_HIGH, FALSE, TRUE
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.gate_rules import GateRuleEngine
 from repro.core.simulator import BitSliceSimulator
@@ -173,7 +174,8 @@ def test_composition_adder_chain(benchmark):
 
 
 def test_fused_swap_kernel(benchmark):
-    """Cache-cold fused variable-swap pass over all 4r slices."""
+    """Cache-cold SWAP action (the controlled swap under a TRUE condition)
+    over all 4r slices, against the cofactor / connective composition."""
     simulator = _prepared_simulator()
     state = simulator.state
     manager = state.manager
@@ -181,14 +183,14 @@ def test_fused_swap_kernel(benchmark):
     flat = [bit.node for name in ("a", "b", "c", "d") for bit in state.slices[name]]
     qubit_a, qubit_b = 1, NUM_QUBITS - 2
     var_a, var_b = state.qubit_var(qubit_a), state.qubit_var(qubit_b)
-    fused = manager.swap_vars_many(flat, var_a, var_b)
+    fused = manager.controlled_swap_many(flat, TRUE, var_a, var_b)
     handles = [engine._swap_two_vars(bit, qubit_a, qubit_b)
                for name in ("a", "b", "c", "d") for bit in state.slices[name]]
     assert fused == [handle.node for handle in handles]
 
     def cold_fused_swap():
         manager.clear_cache()
-        return manager.swap_vars_many(flat, var_a, var_b)
+        return manager.controlled_swap_many(flat, TRUE, var_a, var_b)
 
     result = benchmark(cold_fused_swap)
     benchmark.extra_info["result_nodes"] = manager.count_nodes(result)
@@ -205,8 +207,9 @@ def test_fused_swap_kernel(benchmark):
 
 
 def test_fused_flip_kernel(benchmark):
-    """Cache-cold one-pass variable flip (the X action) over all 4r slices,
-    against the restrict / restrict / ITE composition it replaces."""
+    """Cache-cold X action (the controlled flip under a TRUE condition) over
+    all 4r slices, against the restrict / restrict / ITE composition it
+    replaces."""
     simulator = _prepared_simulator()
     state = simulator.state
     manager = state.manager
@@ -221,7 +224,7 @@ def test_fused_flip_kernel(benchmark):
 
     def cold_fused_flip():
         manager.clear_cache()
-        return manager.flip_many(flat, var)
+        return manager.controlled_flip_many(flat, TRUE, var)
 
     def cold_composition_flip():
         manager.clear_cache()
@@ -256,7 +259,7 @@ def test_fused_controlled_flip_kernel(benchmark):
 
     def cold_composition():
         manager.clear_cache()
-        flipped = manager.flip_many(flat, var)
+        flipped = manager.controlled_flip_many(flat, TRUE, var)
         return manager.ite_many([(control, fl, old) for fl, old in zip(flipped, flat)])
 
     assert cold_fused() == cold_composition()

@@ -94,12 +94,15 @@ API_MODULES = [
 #: module is too large to document wholesale (the fused BDD kernels).
 API_EXTRA_SYMBOLS = [
     ("repro.bdd.manager", "BddManager", ["apply_full_add", "apply_maj3",
-                                         "apply_xor3", "apply_swap_vars",
+                                         "apply_xor3", "apply_flip",
+                                         "apply_swap_vars",
+                                         "apply_controlled_flip",
+                                         "apply_controlled_swap",
                                          "and_many", "or_many", "xor_many",
                                          "not_many", "ite_many",
-                                         "full_add_many",
-                                         "restrict_many", "flip_many",
-                                         "swap_vars_many", "satcount",
+                                         "full_add_many", "restrict_many",
+                                         "controlled_flip_many",
+                                         "controlled_swap_many", "satcount",
                                          "swap_adjacent_levels", "sift",
                                          "maybe_reorder", "set_order"]),
 ]

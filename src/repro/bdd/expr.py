@@ -140,7 +140,8 @@ class Bdd:
 
     def swap_vars(self, var_a: int, var_b: int) -> "Bdd":
         """The function with the roles of ``var_a`` / ``var_b`` exchanged
-        (the Boolean action of a SWAP gate), in one cofactor-based pass."""
+        (the Boolean action of a SWAP gate): the manager's controlled swap
+        under a TRUE condition."""
         return Bdd(self.manager, self.manager.apply_swap_vars(self.node, var_a, var_b))
 
     def cofactor(self, var: int, value: bool) -> "Bdd":

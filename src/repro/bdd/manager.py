@@ -36,22 +36,18 @@ here, so the constant factors of this file dominate end-to-end runtime):
   whose entries pack both node ids into one int, instead of chaining
   generic 2-operand applies that materialise intermediate BDDs.
   :meth:`BddManager.apply_xor3` and :meth:`BddManager.apply_maj3` read one
-  half of its pair.
-  :meth:`BddManager.apply_swap_vars` exchanges the roles of two variables in
-  one cofactor-based pass, replacing the compose/cube-algebra SWAP path.
-* **One-pass literal kernels**: :meth:`BddManager.apply_flip` computes
-  ``f[x := not x]`` (the X action) by rebuilding only the region above
-  ``x``'s level and exchanging the children at that level, instead of two
-  cofactor sweeps plus an ITE; it memoises and counts as ``compose``.  A
-  conditional negation ``ite(c, not f, f)`` is the plain XOR ``c ^ f``,
-  with no NOT sweep over all of ``f`` first.
-* **Controlled permutations in one traversal**:
-  :meth:`BddManager.apply_controlled_flip` and
+  half of its pair.  A conditional negation ``ite(c, not f, f)`` is the
+  plain XOR ``c ^ f``, with no NOT sweep over all of ``f`` first.
+* **One permutation kernel**: :meth:`BddManager.apply_controlled_flip` and
   :meth:`BddManager.apply_controlled_swap` compute ``ite(c, act(f), f)``
-  (CX / CCX / CSWAP with ``c`` the control cube) by splitting ``(f, c)``
-  down to the action's variables instead of running the action over all
-  of ``f`` and an ITE over the result; they memoise in the ITE table
-  under tuple keys and count as ``ite``.
+  (CX / CCX / CSWAP with ``c`` the control cube, X / SWAP with ``c`` TRUE)
+  by splitting ``(f, c)`` down to the action's variables instead of running
+  the action over all of ``f`` and an ITE over the result.  ``TRUE`` is the
+  plain action: the flip exchanges the children at the target's level and
+  the swap walks the band between its variables once per half, so
+  :meth:`BddManager.apply_flip` and :meth:`BddManager.apply_swap_vars` are
+  this kernel under ``TRUE``, not kernels of their own.  It memoises in the
+  ITE table under tuple keys and counts as ``ite``.
 * **Butterfly adder in one traversal**: :meth:`BddManager.butterfly_add_many`
   is one bit position of the H, Rx(pi/2) and Ry(pi/2) adders: it walks a
   slice, its partner slice and the carry down to the target variable and
@@ -1155,91 +1151,6 @@ class BddManager:
                                    make, ucounts, combine)
         return self._apply_once(worker, f)
 
-    def apply_flip(self, f: int, var: int) -> int:
-        """``f`` with ``x_var`` negated: ``f[x_var := not x_var]``.
-
-        The Boolean action of the X gate in one pass: the region above
-        ``var``'s level is rebuilt structurally, a node at that level has its
-        children exchanged, and everything below is returned unchanged.  A
-        flip *is* ``apply_compose(f, var, not x_var)``, so it memoises under
-        that operation's ``OP_COMPOSE`` key and counts its traffic as
-        ``compose``; either operation can serve the other's entries.
-        """
-        self._check_var(var)
-        if f < 2:
-            return f
-        worker = self._worker(self._make_flip_rec, self._make_flip_stack, var, self._tables[OP_COMPOSE])
-        return self._apply_once(worker, f)
-
-    def _make_flip_rec(self, var: int, table: Dict):
-        """Recursive variable-flip worker factory (``(rec, finish)``
-        contract of :meth:`_make_binary_rec`)."""
-        var_arr = self._var
-        low_arr = self._low
-        high_arr = self._high
-        v2l = self._var_to_level
-        target_level = v2l[var]
-        table_get = table.get
-        make, ucounts = self._interner()
-        # apply_compose's key names the substituted function by node id.
-        not_var = make(var, TRUE, FALSE)
-        hits = 0
-        misses = 0
-
-        def rec(a: int) -> int:
-            nonlocal hits, misses
-            if a < 2:
-                return a
-            avar = var_arr[a]
-            level = v2l[avar]
-            if level > target_level:
-                # Variable does not appear in this subgraph.
-                return a
-            if level == target_level:
-                return make(var, high_arr[a], low_arr[a])
-            key = (a, var, not_var)
-            node = table_get(key)
-            if node is not None:
-                hits += 1
-                return node
-            misses += 1
-            node = make(avar, rec(low_arr[a]), rec(high_arr[a]))
-            table[key] = node
-            return node
-
-        def finish() -> None:
-            nonlocal rec
-            rec = None
-            self._fold(OP_COMPOSE, table, hits, misses, ucounts)
-
-        return rec, finish
-
-    def _make_flip_stack(self, var: int, table: Dict):
-        """Explicit-stack twin of :meth:`_make_flip_rec` (deep managers)."""
-        var_arr = self._var
-        low_arr = self._low
-        high_arr = self._high
-        v2l = self._var_to_level
-        target_level = v2l[var]
-        make, ucounts = self._interner()
-        # apply_compose's key names the substituted function by node id.
-        not_var = make(var, TRUE, FALSE)
-
-        def visit(args):
-            a = args[0]
-            if a < 2:
-                return a
-            avar = var_arr[a]
-            level = v2l[avar]
-            if level > target_level:
-                # Variable does not appear in this subgraph.
-                return a
-            if level == target_level:
-                return make(var, high_arr[a], low_arr[a])
-            return (a, var, not_var), avar, (low_arr[a],), (high_arr[a],)
-
-        return self._stack_apply(OP_COMPOSE, table, visit, make, ucounts)
-
     # ------------------------------------------------------------------ #
     # fused multi-operand kernels
     # ------------------------------------------------------------------ #
@@ -1405,169 +1316,24 @@ class BddManager:
         return self._stack_apply(OP_MAJ3, table, visit, make, ucounts, combine,
                                  nested=(and_finish, or_finish, xor_finish, not_finish))
 
-    def apply_swap_vars(self, f: int, var_a: int, var_b: int) -> int:
-        """The function with the roles of ``var_a`` and ``var_b`` exchanged.
-
-        ``g(..., x_a = u, x_b = v, ...) = f(..., x_a = v, x_b = u, ...)``,
-        i.e. the Boolean action of the SWAP gate, in one cofactor-based pass:
-        the region of the DAG above the upper swapped variable is rebuilt
-        structurally, and at the boundary the four cofactors are recombined
-        through the (memoised) restrict and ITE kernels.  This replaces the
-        old formula path — three full-function cofactor traversals plus five
-        Boolean connectives over the whole BDD per slice.
-        """
-        self._check_var(var_a)
-        self._check_var(var_b)
-        if var_a == var_b or f < 2:
-            return f
-        # Canonicalise on levels so var_a is the upper (smaller-level) one.
-        if self._var_to_level[var_a] > self._var_to_level[var_b]:
-            var_a, var_b = var_b, var_a
-        table = self._tables[OP_SWAPVARS]
-        key = (((f << _KEY_BITS) | var_a) << _KEY_BITS) | var_b
-        node = table.get(key)
-        if node is not None:
-            self._op_hits[OP_SWAPVARS] += 1
-            return node
-        worker = self._worker(self._make_swap_vars_rec, self._make_swap_vars_stack,
-                              var_a, var_b, table)
-        return self._apply_once(worker, f)
-
-    def _make_swap_vars_rec(self, var_a: int, var_b: int, table: Dict):
-        """Recursive swap worker factory for one (level-ordered) variable
-        pair (``(rec, finish)`` contract of :meth:`_make_binary_rec`)."""
-        var_arr = self._var
-        low_arr = self._low
-        high_arr = self._high
-        v2l = self._var_to_level
-        level_a = v2l[var_a]
-        level_b = v2l[var_b]
-        table_get = table.get
-        restrict_table = self._tables[OP_RESTRICT]
-        restrict0, restrict0_finish = self._make_restrict_rec(var_b, False, restrict_table)
-        restrict1, restrict1_finish = self._make_restrict_rec(var_b, True, restrict_table)
-        ite, ite_finish = self._make_ite_rec(self._tables[OP_ITE])
-        make, ucounts = self._interner()
-        key_shift = 2 * _KEY_BITS
-        key_tail = (var_a << _KEY_BITS) | var_b
-        hits = 0
-        misses = 0
-
-        def rec(a: int) -> int:
-            nonlocal hits, misses
-            if a < 2:
-                return a
-            lev = v2l[var_arr[a]]
-            if lev > level_b:
-                # Neither swapped variable appears in this subgraph.
-                return a
-            key = (a << key_shift) | key_tail
-            node = table_get(key)
-            if node is not None:
-                hits += 1
-                return node
-            misses += 1
-            if lev < level_a:
-                node = make(var_arr[a], rec(low_arr[a]), rec(high_arr[a]))
-            else:
-                # Boundary: var_a can only appear at the very top here
-                # (levels identify variables uniquely).
-                if lev == level_a:
-                    f0, f1 = low_arr[a], high_arr[a]
-                else:
-                    f0 = f1 = a
-                f00 = restrict0(f0)
-                f01 = restrict1(f0)
-                f10 = restrict0(f1)
-                f11 = restrict1(f1)
-                # g(a=u, b=v) = f(a=v, b=u): rebuild with the roles swapped.
-                xb = make(var_b, FALSE, TRUE)
-                g0 = ite(xb, f10, f00)
-                g1 = ite(xb, f11, f01)
-                node = make(var_a, g0, g1)
-            table[key] = node
-            return node
-
-        def finish() -> None:
-            nonlocal rec
-            rec = None
-            restrict0_finish()
-            restrict1_finish()
-            ite_finish()
-            self._fold(OP_SWAPVARS, table, hits, misses, ucounts)
-
-        return rec, finish
-
-    def _make_swap_vars_stack(self, var_a: int, var_b: int, table: Dict):
-        """Explicit-stack twin of :meth:`_make_swap_vars_rec` (deep managers).
-
-        Only the structural walk above ``var_a``'s level is a cofactor step;
-        the boundary is a thunk recombining the four cofactors through the
-        same nested restrict and ITE workers as the recursive twin.
-        """
-        var_arr = self._var
-        low_arr = self._low
-        high_arr = self._high
-        v2l = self._var_to_level
-        level_a = v2l[var_a]
-        level_b = v2l[var_b]
-        restrict_table = self._tables[OP_RESTRICT]
-        restrict0, restrict0_finish = self._make_restrict_stack(var_b, False, restrict_table)
-        restrict1, restrict1_finish = self._make_restrict_stack(var_b, True, restrict_table)
-        ite, ite_finish = self._make_ite_stack(self._tables[OP_ITE])
-        make, ucounts = self._interner()
-        key_shift = 2 * _KEY_BITS
-        key_tail = (var_a << _KEY_BITS) | var_b
-
-        def boundary(a: int, lev: int) -> int:
-            # var_a can only appear at the very top here.
-            if lev == level_a:
-                f0, f1 = low_arr[a], high_arr[a]
-            else:
-                f0 = f1 = a
-            f00 = restrict0(f0)
-            f01 = restrict1(f0)
-            f10 = restrict0(f1)
-            f11 = restrict1(f1)
-            # g(a=u, b=v) = f(a=v, b=u): rebuild with the roles swapped.
-            xb = make(var_b, FALSE, TRUE)
-            g0 = ite(xb, f10, f00)
-            g1 = ite(xb, f11, f01)
-            return make(var_a, g0, g1)
-
-        def visit(args):
-            a = args[0]
-            if a < 2:
-                return a
-            lev = v2l[var_arr[a]]
-            if lev > level_b:
-                # Neither swapped variable appears in this subgraph.
-                return a
-            key = (a << key_shift) | key_tail
-            if lev < level_a:
-                return key, var_arr[a], (low_arr[a],), (high_arr[a],)
-            return key, lambda: boundary(a, lev)
-
-        return self._stack_apply(OP_SWAPVARS, table, visit, make, ucounts,
-                                 nested=(restrict0_finish, restrict1_finish, ite_finish))
-
     # ------------------------------------------------------------------ #
-    # controlled permutation kernel (CX, CCX, CSWAP)
+    # controlled permutation kernel (X, CX, CCX, SWAP, CSWAP)
     # ------------------------------------------------------------------ #
     def apply_controlled_flip(self, f: int, c: int, var: int) -> int:
         """``ite(c, f[x_var := not x_var], f)``: the controlled-X action of
-        Table II (CX, CCX with ``c`` the control cube) in one traversal of
-        ``(f, c)``, instead of a flip sweep over all of ``f`` followed by an
-        ITE sweep.  ``c`` may be any function, the target included."""
+        Table II (X with ``c = TRUE``, CX and CCX with ``c`` the control
+        cube) in one traversal of ``(f, c)``, instead of a flip sweep over
+        all of ``f`` followed by an ITE sweep.  ``c`` may be any function,
+        the target included."""
         self._check_var(var)
         worker = self._worker(self._make_controlled_rec, self._make_controlled_stack,
                               var, None, self._tables[OP_ITE])
         return self._apply_once(worker, f, c)
 
     def apply_controlled_swap(self, f: int, c: int, var_a: int, var_b: int) -> int:
-        """``ite(c, swap_vars(f, var_a, var_b), f)``: the Fredkin (CSWAP)
-        action in one traversal of ``(f, c)``; see
-        :meth:`apply_controlled_flip`."""
+        """``ite(c, swap_vars(f, var_a, var_b), f)``: the SWAP (``c =
+        TRUE``) and Fredkin (CSWAP) action in one traversal of ``(f, c)``;
+        see :meth:`apply_controlled_flip`."""
         self._check_var(var_a)
         self._check_var(var_b)
         if var_a == var_b:
@@ -1578,21 +1344,36 @@ class BddManager:
                               var_a, var_b, self._tables[OP_ITE])
         return self._apply_once(worker, f, c)
 
-    def _controlled_leaves(self, var_a: int, var_b: Optional[int], make, stack: bool):
-        """The action-specific half of the controlled kernel, shared by its
+    def apply_flip(self, f: int, var: int) -> int:
+        """``f`` with ``x_var`` negated: ``f[x_var := not x_var]``, the
+        Boolean action of the X gate.  It is
+        ``apply_controlled_flip(f, TRUE, var)``, so it memoises and counts
+        as ``ite``."""
+        return self.apply_controlled_flip(f, TRUE, var)
+
+    def apply_swap_vars(self, f: int, var_a: int, var_b: int) -> int:
+        """The function with the roles of ``var_a`` and ``var_b`` exchanged:
+        ``g(..., x_a = u, x_b = v, ...) = f(..., x_a = v, x_b = u, ...)``,
+        the Boolean action of the SWAP gate.  It is
+        ``apply_controlled_swap(f, TRUE, var_a, var_b)``, so it memoises and
+        counts as ``ite``."""
+        return self.apply_controlled_swap(f, TRUE, var_a, var_b)
+
+    def _controlled_leaf(self, var_a: int, var_b: Optional[int], make, stack: bool):
+        """The action-specific step of the controlled kernel, shared by its
         recursive and explicit-stack workers.
 
         The action flips ``var_a`` when ``var_b`` is ``None``, else swaps
         ``var_a`` with ``var_b`` (``var_a`` the upper of the two).  Returns
-        ``(act, leaf, finishes)``: ``act(f)`` is the unconditional action
-        (the flip or swap worker, for a ``TRUE`` condition), ``leaf`` the
-        step that recombines cofactors through the nested ITE worker, and
-        ``finishes`` closes the nested workers.  ``stack`` picks their
-        explicit-stack forms.
+        ``(leaf, finish)``: ``leaf`` recombines cofactors through the nested
+        ITE worker (its explicit-stack form when ``stack``), and ``finish``
+        closes that worker.
 
         * Flip: ``leaf(f, c, clev)`` where ``f``'s top variable is the
-          target and ``c`` lies at or below it: ``mk(t, ite(c|t=0, f1, f0),
-          ite(c|t=1, f0, f1))``.
+          target and ``c`` is not ``TRUE`` and lies at or below it:
+          ``mk(t, ite(c|t=0, f1, f0), ite(c|t=1, f0, f1))``.  (Under
+          ``TRUE`` the workers exchange the children, ``mk(t, f1, f0)``,
+          before any table lookup, as the step is cheaper than its memo.)
         * Swap: ``leaf(p, q, d, side, plev, qlev, dlev)`` where ``p``, ``q``
           are ``f|a=0`` and ``f|a=1``, ``d`` is ``c|a=side`` and all three
           lie at or below ``var_b``'s level: ``g|a=side`` from their
@@ -1600,14 +1381,12 @@ class BddManager:
           p|b=1))`` for side 0 and ``mk(b, ite(d|b=0, p|b=1, q|b=0),
           q|b=1)`` for side 1.
         """
-        tables = self._tables
         low_arr = self._low
         high_arr = self._high
-        ite, ite_finish = (self._make_ite_stack if stack else self._make_ite_rec)(tables[OP_ITE])
+        ite, ite_finish = (self._make_ite_stack if stack else self._make_ite_rec)(
+            self._tables[OP_ITE])
         level_a = self._var_to_level[var_a]
         if var_b is None:
-            make_flip = self._make_flip_stack if stack else self._make_flip_rec
-            act, act_finish = make_flip(var_a, tables[OP_COMPOSE])
 
             def leaf(f: int, c: int, clev: int) -> int:
                 f0, f1 = low_arr[f], high_arr[f]
@@ -1615,10 +1394,8 @@ class BddManager:
                     return make(var_a, ite(low_arr[c], f1, f0), ite(high_arr[c], f0, f1))
                 return make(var_a, ite(c, f1, f0), ite(c, f0, f1))
 
-            return act, leaf, (act_finish, ite_finish)
+            return leaf, ite_finish
 
-        make_swap = self._make_swap_vars_stack if stack else self._make_swap_vars_rec
-        act, act_finish = make_swap(var_a, var_b, tables[OP_SWAPVARS])
         level_b = self._var_to_level[var_b]
 
         def leaf(p: int, q: int, d: int, side: int, plev: int, qlev: int, dlev: int) -> int:
@@ -1630,13 +1407,15 @@ class BddManager:
             d1 = high_arr[d] if dlev == level_b else d
             return make(var_b, p0, ite(d1, q0, p1))
 
-        return act, leaf, (act_finish, ite_finish)
+        return leaf, ite_finish
 
     def _make_controlled_rec(self, var_a: int, var_b: Optional[int], table: Dict):
         """Recursive worker factory of the controlled flip / swap kernel
         (``(rec, finish)`` contract of :meth:`_make_binary_rec`; ``rec(f,
         c)`` is ``ite(c, act(f), f)``, the action as in
-        :meth:`_controlled_leaves`).
+        :meth:`_controlled_leaf`).  A ``TRUE`` condition is the plain
+        action: a terminal ``c`` reads as lying below every level, and a
+        flip under ``TRUE`` exchanges the children at the target.
 
         Above ``var_a``'s level ``rec`` splits on the top variable of ``(f,
         c)``.  At or below it a flip ends in the leaf; a swap builds ``mk(a,
@@ -1660,9 +1439,11 @@ class BddManager:
         upper = v2l[var_a]
         lower = upper if var_b is None else v2l[var_b]
         key_b = -1 if var_b is None else var_b
+        # The level where a flip under TRUE exchanges children (none for a swap).
+        flip_level = upper if var_b is None else -1
         table_get = table.get
         make, ucounts = self._interner()
-        act, leaf, nested = self._controlled_leaves(var_a, var_b, make, False)
+        leaf, leaf_finish = self._controlled_leaf(var_a, var_b, make, False)
         hits = 0
         misses = 0
 
@@ -1711,15 +1492,15 @@ class BddManager:
             if flev > lower:
                 # The action leaves f unchanged.
                 return f
-            if c == 1:
-                return act(f)
+            if c == 1 and flev == flip_level:
+                return make(var_a, high_arr[f], low_arr[f])
             key = (f, c, var_a, key_b)
             node = table_get(key)
             if node is not None:
                 hits += 1
                 return node
             misses += 1
-            clev = v2l[var_arr[c]]
+            clev = v2l[var_arr[c]] if c > 1 else bottom
             if flev < upper or clev < upper:
                 if flev == clev:
                     node = make(var_arr[f], rec(low_arr[f], low_arr[c]),
@@ -1740,8 +1521,7 @@ class BddManager:
         def finish() -> None:
             nonlocal rec, side
             rec = side = None
-            for nested_finish in nested:
-                nested_finish()
+            leaf_finish()
             self._fold(OP_ITE, table, hits, misses, ucounts)
 
         return rec, finish
@@ -1749,7 +1529,7 @@ class BddManager:
     def _make_controlled_stack(self, var_a: int, var_b: Optional[int], table: Dict):
         """Explicit-stack twin of :meth:`_make_controlled_rec` (deep
         managers): one visit for both phases, told apart by the operand
-        count, with the leaves of :meth:`_controlled_leaves` as thunks."""
+        count, with the leaf of :meth:`_controlled_leaf` as a thunk."""
         var_arr = self._var
         low_arr = self._low
         high_arr = self._high
@@ -1759,8 +1539,10 @@ class BddManager:
         upper = v2l[var_a]
         lower = upper if var_b is None else v2l[var_b]
         key_b = -1 if var_b is None else var_b
+        # The level where a flip under TRUE exchanges children (none for a swap).
+        flip_level = upper if var_b is None else -1
         make, ucounts = self._interner()
-        act, leaf, nested = self._controlled_leaves(var_a, var_b, make, True)
+        leaf, leaf_finish = self._controlled_leaf(var_a, var_b, make, True)
 
         def visit(args):
             if len(args) == 4:
@@ -1785,10 +1567,10 @@ class BddManager:
             if flev > lower:
                 # The action leaves f unchanged.
                 return f
-            if c == 1:
-                return act(f)
+            if c == 1 and flev == flip_level:
+                return make(var_a, high_arr[f], low_arr[f])
             key = (f, c, var_a, key_b)
-            clev = v2l[var_arr[c]]
+            clev = v2l[var_arr[c]] if c > 1 else bottom
             if flev < upper or clev < upper:
                 if flev == clev:
                     return (key, var_arr[f], (low_arr[f], low_arr[c]),
@@ -1802,7 +1584,7 @@ class BddManager:
             c0, c1 = (low_arr[c], high_arr[c]) if clev == upper else (c, c)
             return key, var_a, (f0, f1, c0, 0), (f0, f1, c1, 1)
 
-        return self._stack_apply(OP_ITE, table, visit, make, ucounts, nested=nested)
+        return self._stack_apply(OP_ITE, table, visit, make, ucounts, nested=(leaf_finish,))
 
     # ------------------------------------------------------------------ #
     # butterfly adder kernel (H, Rx(pi/2), Ry(pi/2))
@@ -1998,25 +1780,6 @@ class BddManager:
         self._check_var(var)
         return self._run_batch(map, nodes, self._make_restrict_rec, self._make_restrict_stack,
                                var, bool(value), self._tables[OP_RESTRICT])
-
-    def flip_many(self, nodes: Iterable[int], var: int) -> List[int]:
-        """``f[x_var := not x_var]`` of every node id, in one batch
-        transaction (the 4r-slice sweep of an X-style gate)."""
-        self._check_var(var)
-        return self._run_batch(map, nodes, self._make_flip_rec, self._make_flip_stack,
-                               var, self._tables[OP_COMPOSE])
-
-    def swap_vars_many(self, nodes: Iterable[int], var_a: int, var_b: int) -> List[int]:
-        """Exchange ``var_a`` / ``var_b`` in every node id, in one batch
-        transaction."""
-        self._check_var(var_a)
-        self._check_var(var_b)
-        if var_a == var_b:
-            return list(nodes)
-        if self._var_to_level[var_a] > self._var_to_level[var_b]:
-            var_a, var_b = var_b, var_a
-        return self._run_batch(map, nodes, self._make_swap_vars_rec, self._make_swap_vars_stack,
-                               var_a, var_b, self._tables[OP_SWAPVARS])
 
     def controlled_flip_many(self, nodes: Iterable[int], c: int, var: int) -> List[int]:
         """``ite(c, f[x_var := not x_var], f)`` of every node id, in one

@@ -51,11 +51,11 @@ Hot-path design (this file issues every substrate operation of a gate):
   ``not C F + C F[q_t := not q_t]``, and SWAP and CSWAP run
   :meth:`~repro.bdd.manager.BddManager.controlled_swap_many`, ``not C F +
   C F[q_a <-> q_b]``, instead of an action sweep over all of ``F`` followed
-  by an ITE sweep.  Where ``C`` is TRUE the kernel runs the one-pass flip
-  or the cofactor-based swap (no three-cofactor / five-connective formula).
-* Y takes the X action alone: one batched
-  :meth:`~repro.bdd.manager.BddManager.apply_flip` sweep,
-  ``F[q_t := not q_t]``, instead of two cofactor sweeps and an ITE sweep.
+  by an ITE sweep.  ``C = TRUE`` is the plain action, computed by the same
+  kernel; its traffic counts as ``ite``.
+* Y takes the X action alone: one ``controlled_flip_many`` batch under
+  ``C = TRUE``, ``F[q_t := not q_t]``, instead of two cofactor sweeps and
+  an ITE sweep.
 * Conditional negation (Z, CZ, Y, S, S†, T and T†) is
   :meth:`GateRuleEngine._negate_where_many`, the closed form of Table II's
   complement-plus-carry: per bit one OR for the prefix ``P_{i+1} = P_i or
@@ -224,11 +224,6 @@ class GateRuleEngine:
                   for name in VECTOR_NAMES}
         return GateUpdate(slices, delta_k, overflowed)
 
-    def _swap_on_many(self, nodes: Sequence[int], qubit: int) -> List[int]:
-        """X-gate action on every node: the value at ``q = b`` becomes the
-        old value at ``q = not b`` (one batched variable-flip sweep)."""
-        return self.manager.flip_many(nodes, self.state.qubit_var(qubit))
-
     def _control_conjunction(self, controls: Sequence[int]) -> Bdd:
         """Conjunction of the positive control literals, memoised per sorted
         controls tuple so repeated multi-controlled gates reuse the cube."""
@@ -303,7 +298,7 @@ class GateRuleEngine:
         return [false for _ in range(self.state.r)]
 
     def _swap_on(self, function: Bdd, qubit: int) -> Bdd:
-        """Reference form of :meth:`_swap_on_many` for a single function."""
+        """Reference X action on one function: ``q F|q=0 + not q F|q=1``."""
         var = self.state.qubit_var(qubit)
         q = self._qvar(qubit)
         return q.ite(function.cofactor(var, False), function.cofactor(var, True))
@@ -311,7 +306,7 @@ class GateRuleEngine:
     def _swap_two_vars(self, function: Bdd, qubit_a: int, qubit_b: int) -> Bdd:
         """Reference (pre-fusion) SWAP action: three full-function cofactor
         traversals recombined through five Boolean connectives.  The hot
-        path uses :meth:`~repro.bdd.manager.BddManager.apply_swap_vars`."""
+        path runs :meth:`~repro.bdd.manager.BddManager.controlled_swap_many`."""
         var_a = self.state.qubit_var(qubit_a)
         var_b = self.state.qubit_var(qubit_b)
         qa, qb = self._qvar(qubit_a), self._qvar(qubit_b)
@@ -446,7 +441,8 @@ class GateRuleEngine:
         qt = self._qvar_node(target)
         not_qt = self.manager.apply_not(qt)
         fa, fb, fc, fd = (self._node_bits(name) for name in VECTOR_NAMES)
-        swapped = self._unflatten(self._swap_on_many(fc + fd + fa + fb, target))
+        swapped = self._unflatten(self.manager.controlled_flip_many(
+            fc + fd + fa + fb, TRUE, self.state.qubit_var(target)))
         negated, overflowed = self._negate_where_many(
             [swapped[name] for name in VECTOR_NAMES],
             [not_qt, not_qt, qt, qt])

@@ -19,16 +19,17 @@ fresh probability query.  This module walks the *slices themselves* instead:
 
 The cofactor tuples of the prefixes are exactly the tuples the mass walk
 splits into, so with one shared memo the whole descent costs one walk over
-the distinct tuples.  Nodes of a prefix's tuple are anchored in
-:class:`~repro.bdd.expr.Bdd` handles, so garbage collection or a reorder
-between descent steps cannot reclaim them.
+the distinct tuples.  The prefixes' tuples are raw node ids, kept like
+:class:`~repro.core.measurement.SliceMass` keeps its memo: a garbage
+collection or a reorder between descent steps (a new
+:attr:`~repro.bdd.manager.BddManager.cache_generation`) drops every tuple
+but the root's, whose slices the state anchors.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.bdd import Bdd
 from repro.core.bitslice import BitSlicedState
 from repro.core.measurement import ExactProbability, SliceMass
 
@@ -67,7 +68,7 @@ class SliceSampler:
         # prefix tuple -> cofactor node ids (a..d major, bit order).
         self._families: Dict[Tuple[int, ...], Tuple[int, ...]] = {
             (): tuple(bit.node for bit in state.all_slices())}
-        self._anchors: Dict[int, Bdd] = {}
+        self._generation = self.manager.cache_generation
         self._masses: Dict[Tuple[int, ...], Tuple[int, int]] = {}
         #: Cofactor batches of the 4r slices, one per distinct prefix.
         self.restrict_batches = 0
@@ -90,9 +91,7 @@ class SliceSampler:
             # does not depend on the qubit).
             if split[0] > level:
                 return nodes
-            cofactor = split[2] if value else split[1]
-            self._anchor(cofactor)
-            return cofactor
+            return split[2] if value else split[1]
         var_of, level_of = manager._var, manager._var_to_level
         child_of = manager._high if value else manager._low
         cofactor = list(nodes)
@@ -110,17 +109,15 @@ class SliceSampler:
             for position, node in zip(below, restricted):
                 cofactor[position] = node
             self.fallback_restricts += 1
-        cofactor = tuple(cofactor)
-        self._anchor(cofactor)
-        return cofactor
-
-    def _anchor(self, nodes: Tuple[int, ...]) -> None:
-        anchors = self._anchors
-        for node in nodes:
-            if node not in anchors:
-                anchors[node] = Bdd(self.manager, node)
+        return tuple(cofactor)
 
     def _family(self, prefix: Tuple[int, ...]) -> Tuple[int, ...]:
+        generation = self.manager.cache_generation
+        if generation != self._generation:
+            # A collection may have recycled the ids of the unanchored
+            # cofactor tuples: keep only the root's.
+            self._families = {(): self._families[()]}
+            self._generation = generation
         depth = len(prefix)
         while prefix[:depth] not in self._families:
             depth -= 1

@@ -12,10 +12,11 @@ the strongest possible check.  Coverage:
   ``xor3`` traffic,
 * ``apply_swap_vars`` vs the cofactor / connective SWAP formula, including
   adjacent, distant, absent-variable and involution cases,
-* every batch method of the manager (``and_many``, ..., ``swap_vars_many``)
+* every batch method of the manager (``and_many``, ..., ``butterfly_add_many``)
   vs the equivalent sequence of single-shot operations,
-* the one-pass literal kernels: ``apply_flip`` / ``flip_many`` vs
-  ``ite(x_v, f|v=0, f|v=1)`` and the condition XOR vs ``ite(c, not f, f)``
+* the literal kernels: the flip (``controlled_flip_many`` / ``apply_flip``
+  under a TRUE condition) vs ``ite(x_v, f|v=0, f|v=1)`` and the condition
+  XOR vs ``ite(c, not f, f)``
   (including the H and Ry(pi/2) second addends), on hypothesis-drawn BDDs
   in the default order, after ``sift`` / ``set_order`` and after a garbage
   collection that recycles node ids,
@@ -24,6 +25,10 @@ the strongest possible check.  Coverage:
   swap followed by an ITE, with conditions above, between and below the
   targets, multi-control cubes and arbitrary functions, on a recursive and
   on an explicit-stack manager, and their table traffic (``ite``),
+* the plain X and SWAP actions as the controlled kernels under a TRUE
+  condition vs the restrict / restrict / ITE flip and the gate rules'
+  reference SWAP formula, on both drivers, and their traffic (``ite``,
+  with no ``compose`` or ``swapvars`` lookups),
 * the butterfly adder step (``butterfly_add_many``) vs the cofactor or
   flip sweeps, the conditional complement (XOR or NOT) and the full adder,
   in every mode, with the target above, between, below or inside the
@@ -52,6 +57,8 @@ from repro.bdd.manager import (
     OP_NAMES,
     TRUE,
 )
+from repro.core.bitslice import BitSlicedState
+from repro.core.gate_rules import GateRuleEngine
 
 
 def random_function(manager: BddManager, rng: random.Random,
@@ -295,9 +302,6 @@ class TestBatchMethods:
             (manager.full_add_many, (triples,), manager.apply_full_add, triples),
             (manager.restrict_many, (nodes, 4, True), manager.apply_restrict,
              [(n, 4, True) for n in nodes]),
-            (manager.flip_many, (nodes, 3), manager.apply_flip, [(n, 3) for n in nodes]),
-            (manager.swap_vars_many, (nodes, 1, 7), manager.apply_swap_vars,
-             [(n, 1, 7) for n in nodes]),
             (manager.controlled_flip_many, (nodes, condition, 3),
              manager.apply_controlled_flip, [(n, condition, 3) for n in nodes]),
             (manager.controlled_swap_many, (nodes, condition, 1, 7),
@@ -311,7 +315,7 @@ class TestBatchMethods:
         rng = random.Random(53)
         nodes = [f.node for f in self._functions(manager, rng)]
         batches = self._batches(manager, nodes)
-        assert len(batches) == 12
+        assert len(batches) == 10
         for many, args, single, operands in batches:
             assert many(*args) == [single(*operand) for operand in operands], many
 
@@ -320,7 +324,6 @@ class TestBatchMethods:
         before = manager.perf_stats()
         for many, args, _, _ in self._batches(manager, []):
             assert many(*args) == [], many
-        assert manager.swap_vars_many([], 2, 2) == []
         assert manager.controlled_swap_many([], TRUE, 2, 2) == []
         stats = manager.perf_stats()
         assert stats["batch_runs"] == before["batch_runs"]
@@ -338,7 +341,6 @@ class TestBatchMethods:
             assert stats["batch_items"] == before["batch_items"] + len(operands), many
         # Swapping a variable with itself returns the nodes without a batch.
         before = manager.perf_stats()
-        assert manager.swap_vars_many(nodes, 2, 2) == nodes
         assert manager.controlled_swap_many(nodes, TRUE, 2, 2) == nodes
         assert manager.perf_stats()["batch_runs"] == before["batch_runs"]
 
@@ -363,7 +365,7 @@ def check_literal_kernels(manager: BddManager, functions, variables,
     nodes = [f.node for f in functions]
     for var in variables:
         manager.clear_cache()
-        flipped = manager.flip_many(nodes, var)
+        flipped = manager.controlled_flip_many(nodes, TRUE, var)
         manager.clear_cache()
         single = [manager.apply_flip(f, var) for f in nodes]
         assert flipped == single == [reference_flip(manager, f, var) for f in nodes]
@@ -437,27 +439,7 @@ class TestLiteralKernels:
             manager.var_node(5))
         with pytest.raises(ValueError):
             manager.apply_flip(f.node, 6)
-        assert manager.flip_many([], 0) == []
-
-    def test_flip_shares_the_compose_table_and_counters(self):
-        manager = BddManager(8)
-        rng = random.Random(67)
-        functions = [random_function(manager, rng) for _ in range(4)]
-        nodes = [f.node for f in functions]
-        not_x3 = manager.apply_not(manager.var_node(3))
-        before = manager.perf_stats()
-        flipped = manager.flip_many(nodes, 3)
-        middle = manager.perf_stats()
-        assert set(middle) == set(before)
-        assert OP_NAMES == ("and", "or", "xor", "not", "ite", "restrict",
-                            "exists", "compose", "maj3", "xor3", "swapvars")
-        assert middle["cache_compose_misses"] > before["cache_compose_misses"]
-        composed = [manager.apply_compose(f, 3, not_x3) for f in nodes]
-        after = manager.perf_stats()
-        assert composed == flipped
-        # The compose walk is served by the flip's entries: no new misses.
-        assert after["cache_compose_misses"] == middle["cache_compose_misses"]
-        assert after["cache_compose_hits"] > middle["cache_compose_hits"]
+        assert manager.controlled_flip_many([], TRUE, 0) == []
 
 
 def random_function_over(manager: BddManager, rng: random.Random, variables,
@@ -523,11 +505,11 @@ def check_controlled_kernels(manager: BddManager, rng: random.Random, variables,
         ((target,),
          lambda c: manager.controlled_flip_many(nodes, c, target),
          lambda f, c: manager.apply_controlled_flip(f, c, target),
-         lambda f: manager.apply_flip(f, target)),
+         lambda f: reference_flip(manager, f, target)),
         ((var_a, var_b),
          lambda c: manager.controlled_swap_many(nodes, c, var_a, var_b),
          lambda f, c: manager.apply_controlled_swap(f, c, var_b, var_a),
-         lambda f: manager.apply_swap_vars(f, var_a, var_b)),
+         lambda f: naive_swap_vars(Bdd(manager, f), var_a, var_b).node),
     ]
     for targets, many, single, act in kernels:
         condition = placed_condition(manager, rng, variables, targets, place)
@@ -577,7 +559,6 @@ class TestControlledKernels:
         assert OP_NAMES == ("and", "or", "xor", "not", "ite", "restrict",
                             "exists", "compose", "maj3", "xor3", "swapvars")
         assert after["cache_ite_misses"] > before["cache_ite_misses"]
-        # No cofactor of a literal below the target is TRUE: no flip runs.
         assert after["cache_compose_misses"] == before["cache_compose_misses"]
         assert after["cache_compose_hits"] == before["cache_compose_hits"]
 
@@ -585,9 +566,6 @@ class TestControlledKernels:
         manager = BddManager(6)
         f = (manager.var(1) & ~manager.var(2)) | manager.var(4)
         assert manager.apply_controlled_flip(f.node, FALSE, 2) == f.node
-        assert manager.apply_controlled_flip(f.node, TRUE, 2) == manager.apply_flip(f.node, 2)
-        assert manager.apply_controlled_swap(f.node, TRUE, 4, 1) == manager.apply_swap_vars(
-            f.node, 1, 4)
         # Targets below every variable of f leave it unchanged.
         assert manager.apply_controlled_flip(f.node, manager.var_node(0), 5) == f.node
         assert manager.apply_controlled_swap(f.node, manager.var_node(0), 5, 5) == f.node
@@ -596,6 +574,62 @@ class TestControlledKernels:
             manager.apply_controlled_flip(f.node, TRUE, 6)
         with pytest.raises(ValueError):
             manager.controlled_swap_many([f.node], TRUE, 0, 6)
+
+
+class TestTrueConditionActions:
+    """Under a TRUE condition the controlled kernels are the plain X and
+    SWAP actions: the flip equals the restrict / restrict / ITE
+    composition and the swap the gate rules' reference SWAP formula, node
+    for node and cache-cold, on both drivers; the traffic is ``ite``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           shuffled=st.booleans())
+    @pytest.mark.parametrize("num_vars", [6, 700], ids=["recursive", "stack"])
+    def test_actions_match_compositions(self, num_vars, seed, shuffled):
+        rng = random.Random(seed)
+        manager = BddManager(num_vars)
+        assert manager._recursion_safe() == (num_vars == 6)
+        variables = (list(range(num_vars)) if num_vars == 6
+                     else sorted(rng.sample(range(num_vars), 8)))
+        if shuffled:
+            levels = [manager.level_of(var) for var in variables]
+            order = manager.current_order()
+            for level, var in zip(levels, rng.sample(variables, len(variables))):
+                order[level] = var
+            manager.set_order(order)
+        rules = GateRuleEngine(BitSlicedState(num_vars, manager=manager))
+        functions = [random_function_over(manager, rng, variables)
+                     for _ in range(4)] + [manager.false, manager.true]
+        target = rng.choice(variables)
+        var_a, var_b = rng.sample(variables, 2)
+        for f in functions:
+            manager.clear_cache()
+            flipped = manager.apply_controlled_flip(f.node, TRUE, target)
+            manager.clear_cache()
+            swapped = manager.apply_controlled_swap(f.node, TRUE, var_a, var_b)
+            assert flipped == reference_flip(manager, f.node, target)
+            assert swapped == rules._swap_two_vars(f, var_a, var_b).node
+
+    def test_actions_count_as_ite_only(self):
+        manager = BddManager(8)
+        rng = random.Random(67)
+        functions = [random_function(manager, rng) for _ in range(4)]
+        nodes = [f.node for f in functions]
+        assert OP_NAMES == ("and", "or", "xor", "not", "ite", "restrict",
+                            "exists", "compose", "maj3", "xor3", "swapvars")
+        for action in (lambda: manager.controlled_flip_many(nodes, TRUE, 3),
+                       lambda: manager.controlled_swap_many(nodes, TRUE, 1, 6),
+                       lambda: [manager.apply_flip(f, 3) for f in nodes],
+                       lambda: [manager.apply_swap_vars(f, 6, 1) for f in nodes]):
+            manager.clear_cache()
+            before = manager.perf_stats()
+            action()
+            after = manager.perf_stats()
+            assert after["cache_ite_misses"] > before["cache_ite_misses"]
+            for name in ("compose", "swapvars"):
+                assert after[f"cache_{name}_misses"] == before[f"cache_{name}_misses"], name
+                assert after[f"cache_{name}_hits"] == before[f"cache_{name}_hits"], name
 
 
 def reference_butterflies(manager: BddManager, items, var: int):
@@ -609,7 +643,7 @@ def reference_butterflies(manager: BddManager, items, var: int):
     triples = []
     for f, g, c, mode in items:
         if mode & BUTTERFLY_CROSS:
-            first, second = f, manager.flip_many([g], var)[0]
+            first, second = f, reference_flip(manager, g, var)
         else:
             first = manager.restrict_many([f], var, False)[0]
             second = manager.restrict_many([g], var, True)[0]
@@ -789,8 +823,8 @@ class TestDeepManagerFusedKernels:
             triples = [(f.node, g.node, h.node), (g.node, h.node, f.node)]
             assert manager.full_add_many(triples) == [
                 (manager.apply_xor3(*t), manager.apply_maj3(*t)) for t in triples]
-            assert (manager.swap_vars_many([f.node, g.node], 5, 1400)
-                    == [manager.apply_swap_vars(n, 5, 1400) for n in (f.node, g.node)])
+            assert (manager.controlled_swap_many([f.node, g.node], TRUE, 5, 1400)
+                    == [naive_swap_vars(n, 5, 1400).node for n in (f, g)])
         finally:
             sys.setrecursionlimit(old_limit)
 
@@ -807,9 +841,9 @@ class TestDeepManagerFusedKernels:
             for condition in conditions:
                 c = condition.node
                 assert manager.controlled_flip_many(nodes, c, 700) == [
-                    manager.apply_ite(c, manager.apply_flip(n, 700), n) for n in nodes]
+                    manager.apply_ite(c, reference_flip(manager, n, 700), n) for n in nodes]
                 assert manager.controlled_swap_many(nodes, c, 1400, 5) == [
-                    manager.apply_ite(c, manager.apply_swap_vars(n, 5, 1400), n)
+                    manager.apply_ite(c, naive_swap_vars(Bdd(manager, n), 5, 1400).node, n)
                     for n in nodes]
         finally:
             sys.setrecursionlimit(old_limit)

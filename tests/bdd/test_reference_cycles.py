@@ -53,8 +53,6 @@ KERNELS = {
     "ite_many": lambda m, f, g, h: m.ite_many([(f, g, h), (h, f, g)]),
     "full_add_many": lambda m, f, g, h: m.full_add_many([(f, g, h), (h, f, 0)]),
     "restrict_many": lambda m, f, g, h: m.restrict_many([f, g], 1, False),
-    "flip_many": lambda m, f, g, h: m.flip_many([f, g], 1),
-    "swap_vars_many": lambda m, f, g, h: m.swap_vars_many([f, g], 0, 3),
     "controlled_flip_many": lambda m, f, g, h: m.controlled_flip_many([f, h], g, 1),
     "controlled_swap_many": lambda m, f, g, h: m.controlled_swap_many([f, g], h, 3, 0),
     "butterfly_add_many": lambda m, f, g, h: m.butterfly_add_many([(f, g, h, 2), (g, f, 1, 7)], 1),

@@ -73,8 +73,6 @@ def run_script(seed: int, cache_size_limit: int):
         lambda: manager.ite_many(triples()),
         lambda: manager.full_add_many(triples()),
         lambda: manager.restrict_many(nodes(), var(), rng.random() < 0.5),
-        lambda: manager.flip_many(nodes(), var()),
-        lambda: manager.swap_vars_many(nodes(), var(), var()),
         lambda: manager.controlled_flip_many(nodes(), node(), var()),
         lambda: manager.controlled_swap_many(nodes(), node(), var(), var()),
         lambda: manager.butterfly_add_many(

@@ -24,6 +24,7 @@ from repro.core.measurement import MeasurementEngine
 from repro.core.sampling import SliceSampler, sample_state
 from repro.engines import FINAL_QUERY_QUBIT_CAP
 from repro.core.simulator import BitSliceSimulator
+from repro.workloads.random_circuits import generate_random_circuit
 
 from tests.conftest import OP_ARITY, build_circuit_from_ops
 
@@ -131,6 +132,52 @@ def test_masses_match_with_gc_and_sift_between_steps(ops, qubits):
         simulator.sift()
 
     assert_masses_match(simulator.state, qubits, between_steps=churn)
+
+
+def recycle_freed_ids(manager, rng):
+    """Build random functions over six variables until every freed node
+    id holds a node again (no collection runs to free them)."""
+    for _ in range(10_000):
+        if not manager._free:
+            return
+        function = manager.false
+        for _ in range(4):
+            cube = manager.true
+            for var in rng.choice(6, 3, replace=False):
+                cube = cube & manager.literal(int(var), bool(rng.integers(2)))
+            function = function | cube
+    raise AssertionError("freed node ids left unused")
+
+
+@pytest.mark.parametrize("event", ["garbage_collect", "sift"])
+def test_probabilities_survive_gc_and_sift_between_calls(event):
+    # The sampler keeps its prefixes' cofactor tuples as raw node ids.  A
+    # collection frees the ones no handle anchors, and later nodes reuse
+    # their ids for other functions, so a tuple kept across the event
+    # would read the wrong functions: the prefixes below the event's must
+    # be derived afresh.
+    simulator = BitSliceSimulator.simulate(generate_random_circuit(6, 60, seed=5))
+    state, manager = simulator.state, simulator.state.manager
+    # Fixing qubit 2 with qubit 1 still free builds new cofactor nodes.
+    qubits = [0, 2, 1, 5, 3, 4]
+    prefixes = all_prefixes(len(qubits))[1:]
+    expected = [SliceSampler(state, qubits).branch_probability(prefix)
+                for prefix in prefixes]
+    assert len(set(expected)) > 10
+    sampler = SliceSampler(state, qubits)
+    # Every prefix of up to three qubits, then the event, then the rest.
+    shallow = 2 + 4 + 8
+    got = [sampler.branch_probability(prefix) for prefix in prefixes[:shallow]]
+    generation = manager.cache_generation
+    if event == "garbage_collect":
+        manager.garbage_collect()
+    else:
+        simulator.sift()
+    assert manager.cache_generation > generation
+    recycle_freed_ids(manager, np.random.default_rng(11))
+    got += [sampler.branch_probability(prefix) for prefix in prefixes[shallow:]]
+    assert got == expected
+    assert sampler.statistics()["sampler_restrict_batches"] > len(prefixes)
 
 
 @settings(max_examples=30, deadline=None)
