@@ -83,6 +83,7 @@ exposes the counters and :mod:`repro.perf` builds spans / reports on top.
 from __future__ import annotations
 
 import time
+from functools import partial
 from itertools import starmap
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -1488,7 +1489,8 @@ class BddManager:
             nonlocal hits, misses
             if c == 0 or f < 2:
                 return f
-            flev = v2l[var_arr[f]]
+            fvar = var_arr[f]
+            flev = v2l[fvar]
             if flev > lower:
                 # The action leaves f unchanged.
                 return f
@@ -1502,11 +1504,10 @@ class BddManager:
             misses += 1
             clev = v2l[var_arr[c]] if c > 1 else bottom
             if flev < upper or clev < upper:
-                if flev == clev:
-                    node = make(var_arr[f], rec(low_arr[f], low_arr[c]),
-                                rec(high_arr[f], high_arr[c]))
-                elif flev < clev:
-                    node = make(var_arr[f], rec(low_arr[f], c), rec(high_arr[f], c))
+                if flev < clev:
+                    node = make(fvar, rec(low_arr[f], c), rec(high_arr[f], c))
+                elif flev == clev:
+                    node = make(fvar, rec(low_arr[f], low_arr[c]), rec(high_arr[f], high_arr[c]))
                 else:
                     node = make(var_arr[c], rec(f, low_arr[c]), rec(f, high_arr[c]))
             elif var_b is None:
@@ -1529,7 +1530,9 @@ class BddManager:
     def _make_controlled_stack(self, var_a: int, var_b: Optional[int], table: Dict):
         """Explicit-stack twin of :meth:`_make_controlled_rec` (deep
         managers): one visit for both phases, told apart by the operand
-        count, with the leaf of :meth:`_controlled_leaf` as a thunk."""
+        count, with the leaf of :meth:`_controlled_leaf` as a thunk.  The
+        thunks are :func:`functools.partial` objects: a lambda would turn
+        every operand it names into a cell that each visit allocates."""
         var_arr = self._var
         low_arr = self._low
         high_arr = self._high
@@ -1553,33 +1556,40 @@ class BddManager:
                 plev = v2l[var_arr[p]] if p > 1 else bottom
                 qlev = v2l[var_arr[q]] if q > 1 else bottom
                 dlev = v2l[var_arr[d]] if d > 1 else bottom
-                top = min(plev, qlev, dlev)
+                top = plev
+                if qlev < top:
+                    top = qlev
+                if dlev < top:
+                    top = dlev
                 if top < lower:
                     p0, p1 = (low_arr[p], high_arr[p]) if plev == top else (p, p)
                     q0, q1 = (low_arr[q], high_arr[q]) if qlev == top else (q, q)
                     d0, d1 = (low_arr[d], high_arr[d]) if dlev == top else (d, d)
                     return key, l2v[top], (p0, q0, d0, s), (p1, q1, d1, s)
-                return key, lambda: leaf(p, q, d, s, plev, qlev, dlev)
+                return key, partial(leaf, p, q, d, s, plev, qlev, dlev)
             f, c = args
             if c == 0 or f < 2:
                 return f
-            flev = v2l[var_arr[f]]
+            fvar = var_arr[f]
+            flev = v2l[fvar]
             if flev > lower:
                 # The action leaves f unchanged.
                 return f
-            if c == 1 and flev == flip_level:
-                return make(var_a, high_arr[f], low_arr[f])
+            if c == 1:
+                if flev == flip_level:
+                    return make(var_a, high_arr[f], low_arr[f])
+                clev = bottom
+            else:
+                clev = v2l[var_arr[c]]
             key = (f, c, var_a, key_b)
-            clev = v2l[var_arr[c]] if c > 1 else bottom
             if flev < upper or clev < upper:
-                if flev == clev:
-                    return (key, var_arr[f], (low_arr[f], low_arr[c]),
-                            (high_arr[f], high_arr[c]))
                 if flev < clev:
-                    return key, var_arr[f], (low_arr[f], c), (high_arr[f], c)
+                    return key, fvar, (low_arr[f], c), (high_arr[f], c)
+                if flev == clev:
+                    return key, fvar, (low_arr[f], low_arr[c]), (high_arr[f], high_arr[c])
                 return key, var_arr[c], (f, low_arr[c]), (f, high_arr[c])
             if var_b is None:
-                return key, lambda: leaf(f, c, clev)
+                return key, partial(leaf, f, c, clev)
             f0, f1 = (low_arr[f], high_arr[f]) if flev == upper else (f, f)
             c0, c1 = (low_arr[c], high_arr[c]) if clev == upper else (c, c)
             return key, var_a, (f0, f1, c0, 0), (f0, f1, c1, 1)
@@ -1727,7 +1737,7 @@ class BddManager:
                 g0, g1 = (low_arr[g], high_arr[g]) if glev == top else (g, g)
                 c0, c1 = (low_arr[c], high_arr[c]) if clev == top else (c, c)
                 return key, l2v[top], (f0, g0, c0, mode), (f1, g1, c1, mode)
-            return key, lambda: leaf(f, g, c, mode, flev, glev, clev)
+            return key, partial(leaf, f, g, c, mode, flev, glev, clev)
 
         def combine(top_var: int, low: int, high: int) -> int:
             return ((make(top_var, low >> _KEY_BITS, high >> _KEY_BITS) << _KEY_BITS)
